@@ -62,6 +62,22 @@ type incoming = {
   mutable i_body : bytes;  (* valid once complete *)
 }
 
+(* What a return message leaves behind once its exchange has taken the
+   body: complete, fully acknowledged, nothing to redeliver.  It only
+   answers late duplicates (with [total], ack number [total]), so one
+   shared record per [total] serves every delivered return.  Nothing
+   mutates a complete return record — the reassembly path is guarded by
+   [i_complete] and postponed acks apply to calls only — which is what
+   makes sharing them, across endpoints and domains, safe. *)
+let delivered_return =
+  Array.init 256 (fun total ->
+      { i_total = total;
+        i_parts = [||];
+        i_ack_no = total;
+        i_complete = true;
+        i_postponed_ack = false;
+        i_body = Bytes.empty })
+
 type reply = { from : Addr.t; result : (bytes, exn) result; reply_ctx : int }
 
 type exchange = {
@@ -97,6 +113,10 @@ let[@inline] cn_int cn = Int32.to_int cn land 0xFFFFFFFF
 let[@inline] msg_key a mt cn = (addr_key a lsl 35) lor (mt_tag mt lsl 32) lor cn_int cn
 let[@inline] call_key a cn = (addr_key a lsl 32) lor cn_int cn
 
+(* How far behind a peer's highest executed call the endpoint still
+   keeps per-call state for that peer. *)
+let window = 64
+
 type t = {
   env : Syscall.env;
   host : Host.t;
@@ -106,10 +126,14 @@ type t = {
   engine : Engine.t;
   mutable counter : int32;
   outgoing : outgoing Itab.t;  (* msg_key *)
-  incoming : incoming Itab.t;  (* msg_key *)
+  calls_in : incoming Itab.t;  (* msg_key of incoming call messages *)
+  returns_in : incoming Itab.t;  (* msg_key of incoming return messages *)
   exchanges : exchange Itab.t;  (* call_key *)
   completed : int Itab.t;  (* addr_key -> highest executed incoming call per peer *)
   executed : unit Itab.t;  (* call_key; exactly-once guard *)
+  return_peers : unit Itab.t;  (* addr_key of every peer that sent us a return *)
+  mutable max_completed : int;  (* max of [completed] *)
+  mutable return_reach : int;  (* max of [completed] over [return_peers] *)
   mutable handler : (src:Addr.t -> call_no:int32 -> bytes -> unit) option;
   mutable closed : bool;
   mutable demux : Fiber.t option;
@@ -385,8 +409,11 @@ let start_exchange t ~dst ~call_no out deliver =
   let inc0 = Host.incarnation t.host in
   Host.run_pooled t.host ~label:"pairmsg.retransmit" (fun () ->
       if Host.incarnation t.host = inc0 then retransmit_start t out ~inc:inc0);
-  (match Itab.find_opt t.incoming (msg_key dst Segment.Return call_no) with
-  | Some inc when inc.i_complete -> finish_exchange t x (Ok inc.i_body)
+  let ret_key = msg_key dst Segment.Return call_no in
+  (match Itab.find_opt t.returns_in ret_key with
+  | Some inc when inc.i_complete ->
+    Itab.replace t.returns_in ret_key delivered_return.(inc.i_total);
+    finish_exchange t x (Ok inc.i_body)
   | Some _ | None ->
     Host.run_pooled t.host ~label:"pairmsg.watchdog" (fun () ->
         if Host.incarnation t.host = inc0 then watchdog_start t x ~inc:inc0));
@@ -475,30 +502,65 @@ let completed_of_key t akey =
 
 let completed_up_to t peer = completed_of_key t (addr_key peer)
 
+(* The peer [akey] had its call [cn] executed.  Keeps [max_completed]
+   and [return_reach], the maxima that let [prune] skip tables. *)
+let raise_completed t akey cn =
+  if cn > completed_of_key t akey then begin
+    Itab.replace t.completed akey cn;
+    if cn > t.max_completed then t.max_completed <- cn;
+    if cn > t.return_reach && Itab.mem t.return_peers akey then t.return_reach <- cn
+  end
+
+(* The first return from [src]: from now on its calls can make return
+   records prunable. *)
+let note_return_peer t src =
+  let akey = addr_key src in
+  if not (Itab.mem t.return_peers akey) then begin
+    Itab.replace t.return_peers akey ();
+    t.return_reach <- max t.return_reach (completed_of_key t akey)
+  end
+
 let touch_exchange t ~src ~call_no =
   match Itab.find_opt t.exchanges (call_key src call_no) with
   | Some x -> x.x_last_activity <- Engine.now t.engine
   | None -> ()
 
-(* Drop reassembly state for exchanges superseded by newer completed
-   calls from the same peer; run occasionally. *)
-let prune t =
+(* Drop per-call state the dedup window has passed: reassembly records
+   and exactly-once guards of calls more than [window] behind the
+   peer's highest executed call, plus the complete return records whose
+   call number is that far behind it.  Runs every 64 completions.
+
+   Only a peer's own calls advance its horizon, so most tables can hold
+   nothing prunable and are skipped without a scan: every table while
+   no peer has called us past the window ([max_completed]), and the
+   return side while no peer that sent us a return has ([return_reach]).
+   A pure client therefore never scans the delivered-return markers it
+   accumulates, and a pure server scans only its call side, which the
+   window bounds; pruning costs a bounded amount per completion instead
+   of growing with the number of calls the endpoint has made. *)
+let prune_incoming t tbl =
   let stale =
     Itab.fold
       (fun key inc acc ->
-        let horizon = completed_of_key t (key lsr 35) - 64 in
+        let horizon = completed_of_key t (key lsr 35) - window in
         if key land 0xFFFFFFFF < horizon && inc.i_complete then key :: acc else acc)
-      t.incoming []
+      tbl []
   in
-  List.iter (Itab.remove t.incoming) stale;
-  let stale_executed =
-    Itab.fold
-      (fun key () acc ->
-        if key land 0xFFFFFFFF < completed_of_key t (key lsr 32) - 64 then key :: acc
-        else acc)
-      t.executed []
-  in
-  List.iter (Itab.remove t.executed) stale_executed
+  List.iter (Itab.remove tbl) stale
+
+let prune t =
+  if t.max_completed > window then begin
+    prune_incoming t t.calls_in;
+    if t.return_reach > window then prune_incoming t t.returns_in;
+    let stale_executed =
+      Itab.fold
+        (fun key () acc ->
+          if key land 0xFFFFFFFF < completed_of_key t (key lsr 32) - window then key :: acc
+          else acc)
+        t.executed []
+    in
+    List.iter (Itab.remove t.executed) stale_executed
+  end
 
 let assemble inc =
   (* Single-segment fast path: adopt the part's storage directly.  The
@@ -524,7 +586,7 @@ let handle_ack t ~src seg =
 
 let handle_probe t ~src call_no =
   let known =
-    Itab.mem t.incoming (msg_key src Segment.Call call_no)
+    Itab.mem t.calls_in (msg_key src Segment.Call call_no)
     || Itab.mem t.outgoing (msg_key src Segment.Return call_no)
     || cn_int call_no <= completed_up_to t src
   in
@@ -565,8 +627,7 @@ let deliver_call t ~src ~call_no body =
             ("len", Tev.Int (Bytes.length body)) ]
         "deliver_call";
     Itab.replace t.executed (call_key src call_no) ();
-    if cn_int call_no > completed_up_to t src then
-      Itab.replace t.completed (addr_key src) (cn_int call_no);
+    raise_completed t (addr_key src) (cn_int call_no);
     match t.handler with
     | None -> send_segment t ~dst:src (Segment.reject ~call_no)
     | Some handler ->
@@ -581,16 +642,27 @@ let deliver_call t ~src ~call_no body =
           handler ~src ~call_no body)
   end
 
-let deliver_return t ~src ~call_no body =
+(* Hand a complete return message to its exchange.  From then on the
+   record only has to ack duplicates, so it is swapped for the shared
+   [delivered_return] marker and the body goes with the exchange.  A
+   return with no live exchange keeps its body: it may be a first-come
+   return (§4.3.4) whose call has not been made yet, which
+   [start_exchange] completes from it. *)
+let deliver_return t ~src ~call_no key inc =
   if Trace.on () then
     Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
       ~args:
         [ ("call_no", Tev.I32 call_no);
           ("src", Tev.Int src.Addr.host);
-          ("len", Tev.Int (Bytes.length body)) ]
+          ("len", Tev.Int (Bytes.length inc.i_body)) ]
       "deliver_return";
   match Itab.find_opt t.exchanges (call_key src call_no) with
-  | Some x -> finish_exchange t x (Ok body)
+  | Some x ->
+    (* The prune that ran on this completion may already have dropped
+       the record; a marker must not bring it back. *)
+    if Itab.mem t.returns_in key then
+      Itab.replace t.returns_in key delivered_return.(inc.i_total);
+    finish_exchange t x (Ok inc.i_body)
   | None -> ()
 
 let handle_data t ~src seg =
@@ -602,16 +674,18 @@ let handle_data t ~src seg =
      higher completed call number is NOT a replay — concurrent calls
      from one peer may arrive out of order. *)
   let key = msg_key src msg_type call_no in
+  let tbl = if msg_type = Segment.Call then t.calls_in else t.returns_in in
   let replayed =
     msg_type = Segment.Call
-    && ((Itab.mem t.executed (call_key src call_no) && not (Itab.mem t.incoming key))
-       || cn_int call_no < completed_up_to t src - 64)
+    && ((Itab.mem t.executed (call_key src call_no) && not (Itab.mem tbl key))
+       || cn_int call_no < completed_up_to t src - window)
   in
   if not replayed then begin
     let inc =
-      match Itab.find_opt t.incoming key with
+      match Itab.find_opt tbl key with
       | Some inc -> inc
       | None ->
+        if msg_type = Segment.Return then note_return_peer t src;
         let inc =
           { i_total = seg.Segment.total;
             i_parts = Array.make seg.Segment.total None;
@@ -620,7 +694,7 @@ let handle_data t ~src seg =
             i_postponed_ack = false;
             i_body = Bytes.empty }
         in
-        Itab.replace t.incoming key inc;
+        Itab.replace tbl key inc;
         inc
     in
     if not inc.i_complete then begin
@@ -644,7 +718,7 @@ let handle_data t ~src seg =
           if t.completions mod 64 = 0 then prune t;
           match msg_type with
           | Segment.Call -> deliver_call t ~src ~call_no inc.i_body
-          | Segment.Return -> deliver_return t ~src ~call_no inc.i_body
+          | Segment.Return -> deliver_return t ~src ~call_no key inc
           | Segment.Probe | Segment.Probe_ack | Segment.Reject -> ()
         end
       end
@@ -720,10 +794,14 @@ let create env host ?port ?(config = default_config) ?meter () =
       engine = Host.engine host;
       counter = 0l;
       outgoing = Itab.create ~initial:32 ();
-      incoming = Itab.create ~initial:32 ();
+      calls_in = Itab.create ~initial:32 ();
+      returns_in = Itab.create ~initial:32 ();
       exchanges = Itab.create ~initial:32 ();
       completed = Itab.create ~initial:16 ();
       executed = Itab.create ~initial:64 ();
+      return_peers = Itab.create ~initial:16 ();
+      max_completed = 0;
+      return_reach = 0;
       handler = None;
       closed = false;
       demux = None;

@@ -83,7 +83,10 @@ val call_many :
     same call number, to every destination, and stream back one
     {!reply} per destination as return messages arrive or peers are
     declared crashed.  With [multicast] each segment burst is one
-    multicast transmission instead of one [sendmsg] per destination. *)
+    multicast transmission instead of one [sendmsg] per destination.
+    [call_no] defaults to {!next_call_no}; an explicit one must not
+    repeat a number already used with the same destination, whose
+    return the endpoint only remembers as delivered. *)
 
 val call : t -> dst:Addr.t -> ?call_no:int32 -> bytes -> bytes
 (** Conventional paired exchange with a single peer.  Blocks until the

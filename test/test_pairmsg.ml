@@ -386,6 +386,214 @@ let test_deterministic_call_numbers () =
     (List.map Int32.to_int numbers)
 
 (* ------------------------------------------------------------------ *)
+(* Dedup window: what an endpoint must still know about calls it has
+   finished with.  A raw socket plays the peer, so the tests see only
+   the segments the endpoint puts on the wire. *)
+
+let send_raw w sock ~dst seg = Syscall.sendmsg w.env sock ~dst (Segment.encode seg)
+
+(* Next decoded segment on [sock] that satisfies [p], skipping the
+   rest; [None] once [timeout] of silence passes. *)
+let rec recv_raw w sock ~timeout p =
+  match Syscall.recvmsg w.env ~timeout sock with
+  | None -> None
+  | Some d -> (
+    match Segment.decode d.Net.payload with
+    | Some seg when p seg -> Some seg
+    | Some _ | None -> recv_raw w sock ~timeout p)
+
+let is_seg msg_type ~call_no (seg : Segment.t) =
+  seg.Segment.msg_type = msg_type && seg.Segment.call_no = call_no && not seg.Segment.ack
+
+(* Drive 200 single-segment calls from a raw client socket, each sent
+   once the previous return has arrived (the next call is the implicit
+   ack).  The server's last prune, at its 192nd completion, has then
+   dropped what it kept for calls 1 to 126. *)
+let window_world () =
+  let w = make_world () in
+  let executions = ref 0 in
+  let server = Endpoint.create w.env w.server_host ~port:50 () in
+  Endpoint.serve server (fun ~src:_ body ->
+      incr executions;
+      body);
+  let sock = Net.udp_bind w.net w.client_host ~port:60 () in
+  let dst = Endpoint.addr server in
+  let call cn =
+    send_raw w sock ~dst
+      (Segment.data_segment ~msg_type:Segment.Call ~total:1 ~seg_no:1 ~call_no:cn
+         (Bytes.of_string (Int32.to_string cn)))
+  in
+  (w, executions, sock, dst, call)
+
+let calls_past_window = 200
+
+let test_window_replay_not_reexecuted () =
+  let w, executions, sock, _dst, call = window_world () in
+  let replayed_reply =
+    run_client w (fun () ->
+        for i = 1 to calls_past_window do
+          let cn = Int32.of_int i in
+          call cn;
+          if recv_raw w sock ~timeout:1.0 (is_seg Segment.Return ~call_no:cn) = None then
+            Alcotest.failf "call %d: no return" i
+        done;
+        (* Call 1 is far behind the window now; replay it. *)
+        call 1l;
+        recv_raw w sock ~timeout:1.0 (is_seg Segment.Return ~call_no:1l))
+  in
+  Alcotest.(check int) "each call executed once" calls_past_window !executions;
+  Alcotest.(check bool) "the replay gets no return" true (replayed_reply = None)
+
+let test_window_probe_for_pruned_call () =
+  let w, _executions, sock, dst, call = window_world () in
+  let answer_to cn =
+    send_raw w sock ~dst (Segment.probe ~call_no:cn);
+    match
+      recv_raw w sock ~timeout:1.0 (fun seg ->
+          seg.Segment.call_no = cn
+          && (seg.Segment.msg_type = Segment.Probe_ack || seg.Segment.msg_type = Segment.Reject))
+    with
+    | Some seg -> seg.Segment.msg_type
+    | None -> Alcotest.failf "probe %ld unanswered" cn
+  in
+  let pruned, unknown =
+    run_client w (fun () ->
+        for i = 1 to calls_past_window do
+          let cn = Int32.of_int i in
+          call cn;
+          ignore (recv_raw w sock ~timeout:1.0 (is_seg Segment.Return ~call_no:cn))
+        done;
+        let pruned = answer_to 1l in
+        (pruned, answer_to 5000l))
+  in
+  Alcotest.(check bool) "pruned call is probe_acked" true (pruned = Segment.Probe_ack);
+  Alcotest.(check bool) "unknown call is rejected" true (unknown = Segment.Reject)
+
+let test_window_late_duplicate_return () =
+  (* Every datagram is duplicated, so each return arrives twice after
+     its exchange has finished; the server's unacknowledged final
+     return keeps being retransmitted with please-ack until the client
+     acks it. *)
+  let w = make_world ~params:(Net.lan ~duplication:1.0 ()) ~seed:5 () in
+  let _sink = Engine.enable_tracing w.engine in
+  Fun.protect ~finally:Trace.stop (fun () ->
+      let server = echo_server w ~port:50 in
+      let calls = 5 in
+      let replies =
+        run_client w (fun () ->
+            let ep = Endpoint.create w.env w.client_host () in
+            let replies =
+              List.init calls (fun i ->
+                  let body = Bytes.of_string (Printf.sprintf "r%d" i) in
+                  Bytes.equal body (Endpoint.call ep ~dst:(Endpoint.addr server) body))
+            in
+            Fiber.sleep 2.0;
+            replies)
+      in
+      Alcotest.(check (list bool)) "every reply is its argument" (List.init calls (fun _ -> true))
+        replies;
+      let events = Trace.events () in
+      let count ?(where = fun _ -> true) name host =
+        List.length
+          (List.filter
+             (fun (e : Tev.t) ->
+               e.Tev.cat = "pairmsg" && e.Tev.name = name && e.Tev.host = Host.id host && where e)
+             events)
+      in
+      let client_acks_return (e : Tev.t) =
+        arg_is "type" "return" e
+        && List.assoc_opt "ack" e.Tev.args = Some (Tev.Bool true)
+        && List.assoc_opt "seg_no" e.Tev.args = Some (Tev.Int 1)
+      in
+      Alcotest.(check int) "one delivery per return" calls (count "deliver_return" w.client_host);
+      Alcotest.(check int) "one completion per call" calls (count "call_done" w.client_host);
+      Alcotest.(check bool) "late duplicates are acked with the full count" true
+        (count ~where:client_acks_return "seg_send" w.client_host >= 2);
+      Alcotest.(check int) "the server never gives up on a return" 0
+        (count "give_up" w.server_host))
+
+let test_window_first_come_return () =
+  (* A first-come server (§4.3.4) may send the return before the call
+     is made; the exchange must complete from the buffered message. *)
+  let w = make_world () in
+  let sock = Net.udp_bind w.net w.server_host ~port:50 () in
+  let answer =
+    run_client w (fun () ->
+        let ep = Endpoint.create w.env w.client_host () in
+        send_raw w sock ~dst:(Endpoint.addr ep)
+          (Segment.data_segment ~msg_type:Segment.Return ~total:1 ~seg_no:1 ~call_no:1l
+             (Bytes.of_string "early"));
+        Fiber.sleep 0.05;
+        Bytes.to_string (Endpoint.call ep ~dst:(Net.socket_addr sock) (Bytes.of_string "q")))
+  in
+  Alcotest.(check string) "completed from the buffered return" "early" answer
+
+let test_window_peer_calls_prune_returns () =
+  (* Return records are pruned by the same horizon as calls: the
+     sender's own calls to us.  Until the peer that served our call
+     has called us past the window, a late duplicate of its return is
+     only acked; after that the record is gone and the duplicate is
+     reassembled (and traced) afresh.  Which records survive feeds the
+     simulated schedule, so the horizon is pinned here. *)
+  let w = make_world () in
+  let _sink = Engine.enable_tracing w.engine in
+  Fun.protect ~finally:Trace.stop (fun () ->
+      let ep = Endpoint.create w.env w.client_host ~port:60 () in
+      Endpoint.serve ep (fun ~src:_ body -> body);
+      let peer = Net.udp_bind w.net w.server_host ~port:50 () in
+      let dst = Endpoint.addr ep in
+      let deliveries () =
+        List.length
+          (List.filter
+             (fun (e : Tev.t) ->
+               e.Tev.name = "deliver_return"
+               && e.Tev.host = Host.id w.client_host
+               && List.assoc_opt "call_no" e.Tev.args = Some (Tev.I32 1l))
+             (Trace.events ()))
+      in
+      let late_return () =
+        send_raw w peer ~dst
+          (Segment.data_segment ~msg_type:Segment.Return ~please_ack:true ~total:1 ~seg_no:1
+             ~call_no:1l (Bytes.of_string "r"));
+        recv_raw w peer ~timeout:1.0 (fun seg ->
+            seg.Segment.ack && seg.Segment.msg_type = Segment.Return
+            && seg.Segment.call_no = 1l && seg.Segment.seg_no = 1)
+        <> None
+      in
+      let phases = ref [] in
+      ignore
+        (Host.spawn w.server_host (fun () ->
+             (* Serve the endpoint's call 1, then see a late duplicate
+                of our return acked without a second delivery. *)
+             if recv_raw w peer ~timeout:1.0 (is_seg Segment.Call ~call_no:1l) = None then
+               Alcotest.fail "no call from the endpoint";
+             send_raw w peer ~dst
+               (Segment.data_segment ~msg_type:Segment.Return ~total:1 ~seg_no:1 ~call_no:1l
+                  (Bytes.of_string "r"));
+             Fiber.sleep 0.05;
+             let acked = late_return () in
+             phases := (acked, deliveries ()) :: !phases;
+             for i = 1 to calls_past_window do
+               let cn = Int32.of_int i in
+               send_raw w peer ~dst
+                 (Segment.data_segment ~msg_type:Segment.Call ~total:1 ~seg_no:1 ~call_no:cn
+                    (Bytes.of_string "c"));
+               if recv_raw w peer ~timeout:1.0 (is_seg Segment.Return ~call_no:cn) = None then
+                 Alcotest.failf "call %d: no return" i
+             done;
+             let acked = late_return () in
+             phases := (acked, deliveries ()) :: !phases));
+      let answer =
+        run_client w (fun () ->
+            Bytes.to_string (Endpoint.call ep ~dst:(Net.socket_addr peer) (Bytes.of_string "q")))
+      in
+      Alcotest.(check string) "call answered" "r" answer;
+      Alcotest.(check (list (pair bool int)))
+        "(acked, deliveries) before and after the peer's calls pass the window"
+        [ (true, 1); (true, 2) ]
+        (List.rev !phases))
+
+(* ------------------------------------------------------------------ *)
 (* UDP echo baseline *)
 
 let test_udp_echo () =
@@ -597,6 +805,17 @@ let () =
           Alcotest.test_case "call_many" `Quick test_call_many_unicast_and_multicast;
           Alcotest.test_case "call_many partial crash" `Quick test_call_many_partial_crash;
           Alcotest.test_case "deterministic call numbers" `Quick test_deterministic_call_numbers ] );
+      ( "window",
+        [ Alcotest.test_case "replay behind window not re-executed" `Quick
+            test_window_replay_not_reexecuted;
+          Alcotest.test_case "probe for pruned call acked" `Quick
+            test_window_probe_for_pruned_call;
+          Alcotest.test_case "late duplicate return acked once" `Quick
+            test_window_late_duplicate_return;
+          Alcotest.test_case "first-come return completes call" `Quick
+            test_window_first_come_return;
+          Alcotest.test_case "peer's calls prune its returns" `Quick
+            test_window_peer_calls_prune_returns ] );
       ( "udp_echo",
         [ Alcotest.test_case "echo" `Quick test_udp_echo;
           Alcotest.test_case "retry on loss" `Quick test_udp_echo_retries_on_loss;
