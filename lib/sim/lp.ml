@@ -17,10 +17,10 @@ module Trace = Circus_trace.Trace
 (* Single-producer single-consumer channel for cross-LP messages.
 
    The synchronization story is deliberately minimal.  During a window
-   only the producing domain touches the channel ([push]); consumers
-   drain only at a barrier, after the producer has passed through the
-   team mutex, so every window-time write happens-before every drain
-   read.  The Atomic head/tail indices make the ring well-defined even
+   only the producing domain touches the channel ([push]); the
+   coordinator drains it only at a barrier, while every domain is
+   parked and after the producer has passed through the team mutex, so
+   every window-time write happens-before every drain read.  The Atomic head/tail indices make the ring well-defined even
    for the coordinator's read-only [is_empty]/[min_pending] probes at
    the barrier.
 

@@ -8,9 +8,10 @@
    the minimum propagation delay).  Within a window every LP runs
    independently — any message it sends cannot arrive before the next
    barrier at W + L, so nothing an LP does in the window can affect
-   another LP's events inside it.  At the barrier each LP drains its
-   inbound channels (ascending source order, FIFO within a channel)
-   and schedules the arrivals into its own engine; the next window
+   another LP's events inside it.  At the barrier, with every domain
+   parked, the coordinator drains each LP's inbound channels (LP
+   order, ascending source order, FIFO within a channel) and schedules
+   the arrivals into that LP's engine; the next window
    then starts at the minimum next-event time across LPs and channels,
    so idle stretches are skipped in one hop.
 
@@ -110,15 +111,24 @@ let post t ~src ~dst ~at thunk =
 (* ------------------------------------------------------------------ *)
 (* Rounds *)
 
-(* Inject everything buffered for [l], ascending source order then FIFO
-   — together with the per-engine seq counter this fixes the cross-LP
-   interleaving independently of domain count.  Barrier-only. *)
-let drain_into t (l : Lp.t) =
-  let inbound = t.chans.(l.id) in
-  for src = 0 to Array.length inbound - 1 do
-    Lp.Channel.drain inbound.(src) ~f:(fun ~arrival thunk ->
-        ignore (Engine.schedule_abs l.engine ~at:arrival thunk))
-  done
+(* Inject everything buffered for every LP, receiver by receiver in LP
+   order, ascending source order then FIFO — together with the
+   per-engine seq counter this fixes the cross-LP interleaving
+   independently of domain count.  Barrier-only: it runs on the
+   coordinator while every domain is parked, before the round is
+   released.  Draining on the owning domain at the start of its round
+   would race with producers already running that round: what a drain
+   picks up (and so the seq its arrivals get, and the channel's
+   [min_pending] it resets) would depend on thread timing. *)
+let drain_all t =
+  Array.iter
+    (fun (l : Lp.t) ->
+      let inbound = t.chans.(l.id) in
+      for src = 0 to Array.length inbound - 1 do
+        Lp.Channel.drain inbound.(src) ~f:(fun ~arrival thunk ->
+            ignore (Engine.schedule_abs l.engine ~at:arrival thunk))
+      done)
+    t.lps
 
 (* One LP's share of a round, on its owning domain.  [final] is the
    inclusive last pass of a [run ~until]: events at exactly [limit]
@@ -128,7 +138,6 @@ let run_round t ~owned ~limit ~final =
   Array.iter
     (fun (l : Lp.t) ->
       Trace.use l.sink;
-      drain_into t l;
       let n =
         if final then Engine.run_counted ~until:limit l.engine
         else Engine.run_window l.engine ~limit
@@ -198,6 +207,7 @@ let worker t team owned () =
 
 let coordinate t team ~own ~workers ~limit ~final =
   t.cur_limit <- limit;
+  drain_all t;
   Mutex.lock team.m;
   team.round <- team.round + 1;
   team.limit <- limit;

@@ -8,26 +8,32 @@ let contents w = Buffer.to_bytes w
 let writer_length = Buffer.length
 let reset = Buffer.clear
 
-(* One process-wide scratch writer, reused across encodes: [contents]
+(* One scratch writer per domain, reused across encodes: [contents]
    copies into fresh bytes, so handing the same underlying storage to
    consecutive encoders is safe and removes the per-datagram
-   [Buffer.create].  The simulator is single-threaded; the [busy]
-   flag only guards *reentrant* use (an encoder that itself encodes),
-   which falls back to a fresh writer. *)
-let scratch = Buffer.create 256
-let scratch_busy = ref false
+   [Buffer.create].  It must not be process-wide: the parallel engine
+   runs logical processes on several domains at once, and two domains
+   encoding into one buffer interleave their bytes.  The [busy] flag
+   only guards *reentrant* use on one domain (an encoder that itself
+   encodes), which falls back to a fresh writer. *)
+type scratch = { buf : Buffer.t; mutable busy : bool }
+
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { buf = Buffer.create 256; busy = false })
 
 let with_writer f =
-  if !scratch_busy then begin
+  let s = Domain.DLS.get scratch_key in
+  if s.busy then begin
     let w = writer () in
     f w;
     Buffer.to_bytes w
   end
   else begin
-    scratch_busy := true;
+    s.busy <- true;
+    let scratch = s.buf in
     Fun.protect
       ~finally:(fun () ->
-        scratch_busy := false;
+        s.busy <- false;
         (* Don't let one oversized datagram pin a huge buffer. *)
         if Buffer.length scratch > 1 lsl 20 then Buffer.reset scratch)
       (fun () ->

@@ -17,7 +17,7 @@ val reset : writer -> unit
 (** Empty the writer, keeping its internal storage for reuse. *)
 
 val with_writer : (writer -> unit) -> bytes
-(** [with_writer f] runs [f] against a process-wide scratch writer and
+(** [with_writer f] runs [f] against a per-domain scratch writer and
     returns the encoded bytes (always freshly copied, never aliased).
     This is the hot-path encode entry point: it skips the per-call
     buffer allocation of {!writer}.  Reentrant calls (an encoder that

@@ -4,7 +4,7 @@ type 'a t = { write : Buf.writer -> 'a -> unit; read : Buf.reader -> 'a }
 
 let make write read = { write; read }
 
-(* Reuses the module-wide scratch writer: no buffer allocation per
+(* Reuses the per-domain scratch writer: no buffer allocation per
    encode (see Buf.with_writer). *)
 let encode c v = Buf.with_writer (fun w -> c.write w v)
 

@@ -32,6 +32,29 @@ let test_buf_underflow () =
   ignore (Buf.read_u16 r);
   Alcotest.check_raises "underflow" Buf.Underflow (fun () -> ignore (Buf.read_u16 r))
 
+(* The parallel engine encodes on several domains at once, so the
+   scratch writer behind [with_writer] must not be shared between
+   them: each domain fills its writer byte by byte with its own
+   character and must get back exactly that. *)
+let test_with_writer_per_domain () =
+  let encode_many c =
+    let ok = ref true in
+    for _ = 1 to 20_000 do
+      let b =
+        Buf.with_writer (fun w ->
+            for _ = 1 to 48 do
+              Buf.write_u8 w (Char.code c)
+            done)
+      in
+      if not (Bytes.equal b (Bytes.make 48 c)) then ok := false
+    done;
+    !ok
+  in
+  let others = List.map (fun c -> Domain.spawn (fun () -> encode_many c)) [ 'b'; 'c' ] in
+  let mine = encode_many 'a' in
+  let theirs = List.map Domain.join others in
+  Alcotest.(check (list bool)) "every encode intact" [ true; true; true ] (mine :: theirs)
+
 let test_decode_rejects_trailing_garbage () =
   let encoded = Codec.encode Codec.uint16 7 in
   let padded = Bytes.cat encoded (Bytes.create 1) in
@@ -109,7 +132,8 @@ let () =
     [ ( "buf",
         [ Alcotest.test_case "primitives" `Quick test_buf_primitives;
           Alcotest.test_case "big endian" `Quick test_buf_big_endian;
-          Alcotest.test_case "underflow" `Quick test_buf_underflow ] );
+          Alcotest.test_case "underflow" `Quick test_buf_underflow;
+          Alcotest.test_case "scratch writer per domain" `Quick test_with_writer_per_domain ] );
       ( "codec",
         [ Alcotest.test_case "trailing garbage" `Quick test_decode_rejects_trailing_garbage;
           Alcotest.test_case "truncation" `Quick test_decode_rejects_truncation;
