@@ -33,6 +33,8 @@
                      markdown table to PATH ($GITHUB_STEP_SUMMARY)
    --quick           ~10x smaller workloads (for smoke checks)
 
+   Any other option (in either mode) is rejected with exit code 2.
+
    Each bench runs three times and reports the best rate, which is the
    standard way to suppress scheduler/GC noise on shared runners. *)
 
@@ -223,11 +225,11 @@ let bench_rpc ~iterations ~n =
 
 (* Burst path: the same replicated call with an ~11.5 KB argument so
    every call/reply is an 8-segment message — each send is one
-   [Syscall.sendmsg_vec] charge span plus one batched injection rather
-   than eight sleep/wake round-trips.  Tracked separately from the
-   64-byte rows because the two stress different code: rpc_calls_n*
-   is dominated by fixed per-call machinery, rpc_burst_seg8_n* by the
-   per-segment charge loop. *)
+   [Syscall.sendmsg_vec] charge span rather than eight sleep/wake
+   round-trips.  Tracked separately from the 64-byte rows because the
+   two stress different code: rpc_calls_n* is dominated by fixed
+   per-call machinery, rpc_burst_seg8_n* by the per-segment charge
+   loop. *)
 
 let bench_rpc_burst ~iterations ~n =
   best
@@ -397,6 +399,41 @@ let flag_value name argv =
     | [] -> None
   in
   scan (Array.to_list argv)
+
+(* Every option each mode reads: [values] take an argument, [switches]
+   stand alone.  Any other [--]-argument is rejected, so a typo such as
+   [--domian 4] fails loudly instead of silently running the default. *)
+let scenario_values =
+  [ "--scenario"; "--seed"; "--lps"; "--hosts"; "--troupes"; "--replicas"; "--rm-partitions";
+    "--rm-replicas"; "--clients"; "--think"; "--frontends"; "--pool"; "--locality"; "--payload";
+    "--warmup"; "--duration"; "--domains"; "--chaos"; "--trace-jsonl"; "--trace-chrome";
+    "--trace-cap"; "--explain"; "--report-json"; "--summary" ]
+
+let scenario_switches = [ "--no-causal" ]
+
+let suite_values =
+  [ "--json"; "--baseline"; "--max-regress"; "--max-regress-for"; "--domains"; "--require";
+    "--summary" ]
+
+let suite_switches = [ "--quick" ]
+
+let check_flags ~values ~switches argv =
+  let reject fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit 2)
+      fmt
+  in
+  let rec scan = function
+    | [] -> ()
+    | [ flag ] when List.mem flag values -> reject "throughput: option %s needs a value" flag
+    | flag :: _ :: rest when List.mem flag values -> scan rest
+    | arg :: rest when List.mem arg switches || not (String.starts_with ~prefix:"--" arg) ->
+      scan rest
+    | arg :: _ -> reject "throughput: unknown option %s" arg
+  in
+  scan (List.tl (Array.to_list argv))
 
 (* ------------------------------------------------------------------ *)
 (* --scenario: run one full-size scenario and report sustained req/s,
@@ -716,5 +753,9 @@ let main () =
 
 let () =
   match flag_value "--scenario" Sys.argv with
-  | Some kind -> scenario_main kind
-  | None -> main ()
+  | Some kind ->
+    check_flags ~values:scenario_values ~switches:scenario_switches Sys.argv;
+    scenario_main kind
+  | None ->
+    check_flags ~values:suite_values ~switches:suite_switches Sys.argv;
+    main ()

@@ -2,9 +2,9 @@
    Parallel.t.
 
    Each LP owns a full Net.t (hosts, sockets, partition masks, fault
-   knobs, stats, batching) on its own engine.  Host ids are allocated
-   globally by the cluster and passed down with [Net.add_host ~id], so
-   an address names the same host no matter which shard looks at it.
+   knobs, stats) on its own engine.  Host ids are allocated globally
+   by the cluster and passed down with [Net.add_host ~id], so an
+   address names the same host no matter which shard looks at it.
    A datagram whose destination lives on another shard is claimed by
    the sender net's router *after* every sender-side decision — the
    reachability check against the sender's partition masks and the
@@ -103,7 +103,6 @@ let merged_dropped t = Parallel.merged_dropped t.par
    instead, which applies the same step on every shard's own engine. *)
 let set_partition t groups = Array.iter (fun n -> Net.set_partition n groups) t.nets
 let heal_partition t = Array.iter Net.heal_partition t.nets
-let set_batching t on = Array.iter (fun n -> Net.set_batching n on) t.nets
 
 let stats t =
   let acc =

@@ -60,7 +60,6 @@ val merged_dropped : t -> int
 
 val set_partition : t -> Addr.host_id list list -> unit
 val heal_partition : t -> unit
-val set_batching : t -> bool -> unit
 
 val stats : t -> Net.stats
 (** Fresh snapshot summing all shards' counters (mutating it affects

@@ -200,8 +200,8 @@ let use_cpu t ?meter ~kind cost =
    The per-element advance uses the *same* predicate (and the same
    fast-forward-streak accounting) as [sleep_busy]'s own fast path, and
    the fallback is [sleep_busy] itself, so every trace emission, meter
-   charge, flush-hook run, event execution, and suspension happens
-   under exactly the conditions of the per-charge loop — the merged
+   charge, event execution, and suspension happens under exactly the
+   conditions of the per-charge loop — the merged
    event schedule is identical by construction; only the per-charge
    fiber lookup and effect-frame overhead is saved.  [before]/[after]
    hooks run around each element on the charging fiber; an exception

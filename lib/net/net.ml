@@ -91,15 +91,6 @@ type t = {
   mutable partition_epoch : int;
   faults : faults;
   stats : stats;
-  (* Datagram batching (off by default): copies injected during the
-     current instant are buffered here (newest first) and flushed by an
-     engine tick-boundary hook, which coalesces copies sharing a
-     destination and an arrival instant into one delivery event.
-     Arrival times and fault draws are computed at send time exactly as
-     on the unbatched path, so simulated time is unchanged — only the
-     number of engine events carrying the deliveries shrinks. *)
-  mutable batching : bool;
-  mutable pending_batch : (float * datagram) list;
   (* Cross-shard escape hatch for the parallel cluster: consulted once
      per surviving copy with its precomputed arrival instant.  [true]
      means the copy was claimed (its destination lives on another
@@ -110,32 +101,21 @@ type t = {
   mutable router : (datagram -> arrival:float -> bool) option;
 }
 
-(* Forward reference so [create] can register the tick-boundary flush
-   hook; the real flush lives with the data plane below. *)
-let flush_ref : (t -> unit) ref = ref (fun _ -> ())
-
 let create engine ?(params = default_params) () =
-  let t =
-    { engine;
-      params;
-      prng = Prng.split (Engine.prng engine);
-      host_table = [||];
-      next_host_id = 0;
-      ports = Hashtbl.create 64;
-      ephemeral = Hashtbl.create 16;
-      partition = No_partition;
-      partition_epoch = 0;
-      faults =
-        { extra_loss = 0.0; extra_duplication = 0.0; extra_delay_mean = 0.0; corrupt_rate = 0.0 };
-      stats =
-        { sent = 0; delivered = 0; dropped = 0; duplicated = 0; corrupted = 0; bytes_sent = 0 };
-      batching = false;
-      pending_batch = [];
-      router = None }
-  in
-  Engine.add_flush_hook engine (fun () ->
-      if t.pending_batch != [] then !flush_ref t);
-  t
+  { engine;
+    params;
+    prng = Prng.split (Engine.prng engine);
+    host_table = [||];
+    next_host_id = 0;
+    ports = Hashtbl.create 64;
+    ephemeral = Hashtbl.create 16;
+    partition = No_partition;
+    partition_epoch = 0;
+    faults =
+      { extra_loss = 0.0; extra_duplication = 0.0; extra_delay_mean = 0.0; corrupt_rate = 0.0 };
+    stats =
+      { sent = 0; delivered = 0; dropped = 0; duplicated = 0; corrupted = 0; bytes_sent = 0 };
+    router = None }
 
 let engine t = t.engine
 let params t = t.params
@@ -354,69 +334,13 @@ let deliver_now t dgram =
     trace_dgram t "drop" ~dgram ~reason:(Some "unbound")
 
 (* Schedule delivery of one copy.  A router (parallel cluster) may
-   claim the copy for another logical process first.  With batching
-   on, the copy is buffered instead; the tick-boundary flush coalesces
-   same-arrival-instant copies into one delivery event. *)
+   claim the copy for another logical process first. *)
 let deliver_copy t dgram delay =
   let arrival = Engine.now t.engine +. delay in
   let routed = match t.router with Some f -> f dgram ~arrival | None -> false in
-  if not routed then begin
-    if t.batching then t.pending_batch <- (arrival, dgram) :: t.pending_batch
-    else ignore (Engine.schedule_abs t.engine ~at:arrival (fun () -> deliver_now t dgram))
-  end
+  if not routed then
+    ignore (Engine.schedule_abs t.engine ~at:arrival (fun () -> deliver_now t dgram))
 
-(* Flush the batch buffer: one delivery event per arrival instant,
-   delivering that instant's copies in send order — regardless of
-   destination, so a multicast fan-out whose copies share an arrival
-   (zero-jitter configurations) collapses to a single event.  Runs at
-   the instant the copies were injected (the engine calls the hook
-   before any clock movement), so each group's delay is exactly the
-   per-copy delay the unbatched path would have used. *)
-let flush t =
-  match t.pending_batch with
-  | [] -> ()
-  | rev ->
-    t.pending_batch <- [];
-    let arr = Array.of_list (List.rev rev) in
-    let n = Array.length arr in
-    let consumed = Array.make n false in
-    let now = Engine.now t.engine in
-    for i = 0 to n - 1 do
-      if not consumed.(i) then begin
-        let arrival, first = arr.(i) in
-        let group = ref [ first ] in
-        for j = i + 1 to n - 1 do
-          if not consumed.(j) then begin
-            let aj, dj = arr.(j) in
-            if Float.equal aj arrival then begin
-              consumed.(j) <- true;
-              group := dj :: !group
-            end
-          end
-        done;
-        let copies = List.rev !group in
-        (match copies with
-        | [ d ] -> ignore (Engine.schedule t.engine ~delay:(arrival -. now) (fun () -> deliver_now t d))
-        | ds ->
-          if Trace.on () then begin
-            Trace.incr "net.batch";
-            Trace.emit ~cat:"net" ~host:first.dst.Addr.host
-              ~args:[ ("copies", Tev.Int (List.length ds)) ]
-              "batch"
-          end;
-          ignore
-            (Engine.schedule t.engine ~delay:(arrival -. now) (fun () ->
-                 List.iter (deliver_now t) ds)))
-      end
-    done
-
-let () = flush_ref := flush
-
-let set_batching t on =
-  if not on then flush t;
-  t.batching <- on
-
-let batching t = t.batching
 let set_router t f = t.router <- f
 let deliver_inbound t dgram = deliver_now t dgram
 

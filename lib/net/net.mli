@@ -90,24 +90,6 @@ val send_multicast : t -> src:Addr.t -> dsts:Addr.t list -> bytes -> unit
     loss and jitter (reliability may vary from recipient to recipient,
     §2.2). *)
 
-val set_batching : t -> bool -> unit
-(** Enable or disable datagram batching (default off).  When on,
-    copies injected during one simulated instant are buffered and
-    flushed at the tick boundary, coalescing copies that share an
-    arrival instant — any destinations, so a {!send_multicast} fan-out
-    under zero jitter collapses to one event — into a single delivery
-    event carrying the copies in send order.  Arrival times,
-    loss/duplication/jitter draws, and delivery order within a batch
-    are computed at send time exactly as on the unbatched path:
-    simulated time is unchanged, only the engine event count carrying
-    the deliveries shrinks.  (Deliveries whose arrival instants tie
-    with unrelated events may occupy a different scheduling sequence
-    position than unbatched; with nonzero jitter such ties have
-    probability zero.)  Disabling flushes any buffered copies
-    first. *)
-
-val batching : t -> bool
-
 (** {1 Cross-shard routing}
 
     Hooks for {!Cluster}, which shards one simulated internetwork over

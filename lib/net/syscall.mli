@@ -104,8 +104,7 @@ val sendmsg_vec :
     Metered cost and injection instants are identical to the
     equivalent per-charge loop (see [Host.charge_span]) — the vectored
     form exists so a multi-segment message reaches the transport as one
-    unit (see {!Net.set_batching}) and pays one bookkeeping pass, not K
-    sleep/wake round-trips.
+    unit and pays one bookkeeping pass, not K sleep/wake round-trips.
 
     Exception contract: if [before]/[on_segment] raises at element [i]
     (or the host crashes under the burst), elements [< i] have been

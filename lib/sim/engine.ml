@@ -77,11 +77,6 @@ type t = {
      this point: the outer sleeper must wake exactly at its target,
      before any later event.  Infinity when no drain is active. *)
   mutable drain_limit : float;
-  (* Tick-boundary flush hooks (e.g. the network's datagram batcher):
-     invoked before the engine inspects its queues to pick the next
-     event or jump the clock, so work buffered during the current
-     instant is scheduled before any ordering decision is made. *)
-  mutable flush_hooks : (unit -> unit) list;
 }
 
 let create ?(seed = 42) () =
@@ -93,19 +88,7 @@ let create ?(seed = 42) () =
     cell = { Event_heap.cancelled_pending = 0 };
     root_prng = Prng.create seed;
     horizon = infinity;
-    drain_limit = infinity;
-    flush_hooks = [] }
-
-let add_flush_hook t f = t.flush_hooks <- t.flush_hooks @ [ f ]
-
-(* Almost always an empty-list check or a single call (one network per
-   engine is the common shape); hooks themselves are expected to no-op
-   when they have nothing buffered. *)
-let[@inline] run_flush_hooks t =
-  match t.flush_hooks with
-  | [] -> ()
-  | [ f ] -> f ()
-  | hooks -> List.iter (fun f -> f ()) hooks
+    drain_limit = infinity }
 
 let now t = t.now
 let prng t = t.root_prng
@@ -172,7 +155,6 @@ let[@inline] pop_next t =
 
 (* Cancelled events are dropped without advancing the clock. *)
 let rec step t =
-  run_flush_hooks t;
   if Ready.length t.ready = 0 && Event_heap.is_empty t.heap then false
   else begin
     let ev = pop_next t in
@@ -217,7 +199,6 @@ let try_advance t ~target =
   target <= t.horizon
   && target <= t.drain_limit
   && begin
-       run_flush_hooks t;
        drop_cancelled t;
        Ready.length t.ready = 0
        && (Event_heap.is_empty t.heap || (Event_heap.peek_exn t.heap).time > target)
@@ -261,7 +242,6 @@ let sleep_drain t ~target ~cancelled =
     while !verdict = None do
       if cancelled () then verdict := Some false
       else begin
-        run_flush_hooks t;
         drop_cancelled t;
         let due =
           Ready.length t.ready > 0
@@ -297,7 +277,6 @@ let run_counted ?until ?(max_events = 50_000_000) t =
   | Some horizon ->
     t.horizon <- horizon;
     while !continue_run && !executed < max_events do
-      run_flush_hooks t;
       drop_cancelled t;
       let have_ready = Ready.length t.ready > 0 in
       let have_heap = not (Event_heap.is_empty t.heap) in
@@ -327,7 +306,6 @@ let run_counted ?until ?(max_events = 50_000_000) t =
 let run ?until ?max_events t = ignore (run_counted ?until ?max_events t)
 
 let next_time t =
-  run_flush_hooks t;
   drop_cancelled t;
   if Ready.length t.ready > 0 then (Ready.peek t.ready).time
   else if Event_heap.is_empty t.heap then infinity
@@ -362,6 +340,4 @@ let run_window ?(max_events = 50_000_000) t ~limit =
     invalid_arg "Engine.run_window: max_events exceeded (runaway simulation?)";
   !executed
 
-let pending t =
-  run_flush_hooks t;
-  Event_heap.length t.heap + Ready.length t.ready
+let pending t = Event_heap.length t.heap + Ready.length t.ready

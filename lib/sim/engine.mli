@@ -52,18 +52,6 @@ val schedule_abs : t -> at:float -> (unit -> unit) -> handle
 val cancel : handle -> unit
 (** Prevent a pending event from firing; no-op if it already fired. *)
 
-val add_flush_hook : t -> (unit -> unit) -> unit
-(** Register a tick-boundary flush hook.  Hooks run (in registration
-    order) every time the engine is about to inspect its queues — to
-    pick the next event, jump the clock ({!try_advance}), inline-drain
-    ({!sleep_drain}), or report {!pending} — so a component that
-    buffers work during the current instant (e.g. the network's
-    datagram batcher) can schedule it before any ordering decision is
-    made.  Hooks must be cheap no-ops when they have nothing buffered,
-    must not call back into the engine's queue-inspection entry points,
-    and cannot be unregistered: register one hook per long-lived
-    component. *)
-
 val sleep_drain : t -> target:float -> cancelled:(unit -> bool) -> bool
 (** [sleep_drain t ~target ~cancelled] is {!Fiber.sleep_busy}'s fast
     path: execute every event due strictly before the wake that a
@@ -103,9 +91,9 @@ val step : t -> bool
 (** Execute the single next event.  [false] if the queue was empty. *)
 
 val next_time : t -> float
-(** Time of the next live queued event (after running flush hooks and
-    discarding cancelled entries at the queue heads), or [infinity]
-    when the queue is empty.  The parallel coordinator uses the
+(** Time of the next live queued event (after discarding cancelled
+    entries at the queue heads), or [infinity] when the queue is
+    empty.  The parallel coordinator uses the
     minimum across logical processes to fast-forward empty windows. *)
 
 val run_window : ?max_events:int -> t -> limit:float -> int
@@ -119,4 +107,5 @@ val run_window : ?max_events:int -> t -> limit:float -> int
     {!Parallel.run}; sequential callers want {!run}. *)
 
 val pending : t -> int
-(** Number of events still queued. *)
+(** Number of events still queued, counting cancelled events that
+    have not yet been swept from the queues. *)

@@ -246,12 +246,9 @@ let run ?until ?(max_events = 50_000_000) ?(domains = 1) t =
   else begin
     let d = max 1 (min domains k) in
     let base = executed t in
-    (* Initial scan on the calling domain: nothing else is running yet,
-       and each LP's sink is installed around its own flush hooks. *)
+    (* Initial scan on the calling domain: nothing else is running yet. *)
     for i = 0 to k - 1 do
-      let l = t.lps.(i) in
-      Trace.use l.Lp.sink;
-      t.next_times.(i) <- Engine.next_time l.Lp.engine
+      t.next_times.(i) <- Engine.next_time t.lps.(i).Lp.engine
     done;
     let owned w =
       Array.of_list (List.filter (fun (l : Lp.t) -> l.id mod d = w) (Array.to_list t.lps))

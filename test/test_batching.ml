@@ -1,9 +1,8 @@
-(* Tests for the tick-boundary datagram batcher ([Net.set_batching]):
-   coalescing of same-instant copies, byte-identical traces across
-   equal-seed batched runs (pairmsg and rpc), equivalence of the
-   application-visible message sequence with the unbatched path under
-   loss / duplication / extra delay, and steady-state allocation and
-   retained-state budgets on the replicated-call hot path. *)
+(* Tests for burst-charged syscalls ([Syscall.set_burst]) against the
+   literal per-charge loop, burst charging composed with the sharded
+   cluster across domain counts under chaos, and steady-state
+   allocation and retained-state budgets on the replicated-call hot
+   path. *)
 
 open Circus_sim
 open Circus_net
@@ -13,123 +12,18 @@ module Trace = Circus_trace.Trace
 module Export = Circus_trace.Export
 
 (* ------------------------------------------------------------------ *)
-(* Coalescing: same-instant copies to one destination ride one event. *)
+(* Testbeds for the burst-charging properties below, all under loss
+   and duplication: a traced pairmsg echo exchange, a traced 3-member
+   rpc troupe, and an untraced pairmsg exchange that also draws extra
+   delay. *)
 
-(* Zero jitter and zero per-byte time so every copy injected at one
-   instant arrives at one instant — the only configuration where
-   grouping is observable as an event-count difference. *)
-let zero_jitter = { Net.default_params with jitter_mean = 0.0; per_byte = 0.0 }
-
-let send_burst ~batching () =
-  let engine = Engine.create () in
-  let net = Net.create engine ~params:zero_jitter () in
-  let a = Net.add_host net ~name:"a" () in
-  let b = Net.add_host net ~name:"b" () in
-  let c = Net.add_host net ~name:"c" () in
-  let sa = Net.udp_bind net a ~port:10 () in
-  let sb = Net.udp_bind net b ~port:10 () in
-  let sc = Net.udp_bind net c ~port:10 () in
-  Net.set_batching net batching;
-  let src = Net.socket_addr sa in
-  List.iter
-    (fun (dst, payload) -> Net.send net ~src ~dst (Bytes.of_string payload))
-    [ (Net.socket_addr sb, "1");
-      (Net.socket_addr sb, "2");
-      (Net.socket_addr sb, "3");
-      (Net.socket_addr sc, "x") ];
-  (* [pending] flushes the batcher before counting, so this is the
-     number of delivery events actually carrying the four copies. *)
-  let events = Engine.pending engine in
-  Engine.run engine;
-  let drain sock =
-    let rec go acc =
-      match Mailbox.try_recv (Net.mailbox sock) with
-      | Some d -> go (Bytes.to_string d.Net.payload :: acc)
-      | None -> List.rev acc
-    in
-    go []
-  in
-  (events, drain sb, drain sc, (Net.stats net).delivered)
-
-let test_batch_coalesces_same_instant () =
-  let ev_b, to_b_b, to_c_b, delivered_b = send_burst ~batching:true () in
-  let ev_u, to_b_u, to_c_u, delivered_u = send_burst ~batching:false () in
-  Alcotest.(check int) "unbatched: one event per copy" 4 ev_u;
-  (* All four copies share the zero-jitter arrival instant, so the
-     whole burst — including the cross-destination fan-out to c —
-     rides one delivery event. *)
-  Alcotest.(check int) "batched: one event per arrival instant" 1 ev_b;
-  Alcotest.(check int) "batched delivers all copies" 4 delivered_b;
-  Alcotest.(check int) "unbatched delivers all copies" 4 delivered_u;
-  Alcotest.(check (list string)) "batched order = send order" [ "1"; "2"; "3" ] to_b_b;
-  Alcotest.(check (list string)) "unbatched order = send order" [ "1"; "2"; "3" ] to_b_u;
-  Alcotest.(check (list string)) "second destination batched" [ "x" ] to_c_b;
-  Alcotest.(check (list string)) "second destination unbatched" [ "x" ] to_c_u
-
-(* Multicast fan-out: under zero jitter all copies of one transmission
-   share the arrival instant, so the whole fan-out — distinct
-   destinations included — must ride a single delivery event. *)
-let test_multicast_fanout_coalesces () =
-  let fanout ~batching =
-    let engine = Engine.create () in
-    let net = Net.create engine ~params:zero_jitter () in
-    let a = Net.add_host net ~name:"a" () in
-    let sa = Net.udp_bind net a ~port:10 () in
-    let dsts =
-      List.init 3 (fun i ->
-          let h = Net.add_host net ~name:(Printf.sprintf "m%d" i) () in
-          Net.udp_bind net h ~port:10 ())
-    in
-    Net.set_batching net batching;
-    Net.send_multicast net ~src:(Net.socket_addr sa)
-      ~dsts:(List.map Net.socket_addr dsts)
-      (Bytes.of_string "mc");
-    let events = Engine.pending engine in
-    Engine.run engine;
-    let received =
-      List.map
-        (fun s ->
-          match Mailbox.try_recv (Net.mailbox s) with
-          | Some d -> Bytes.to_string d.Net.payload
-          | None -> "")
-        dsts
-    in
-    (events, received)
-  in
-  let ev_b, rx_b = fanout ~batching:true in
-  let ev_u, rx_u = fanout ~batching:false in
-  Alcotest.(check int) "unbatched: one event per destination" 3 ev_u;
-  Alcotest.(check int) "batched: whole fan-out on one event" 1 ev_b;
-  Alcotest.(check (list string)) "batched fan-out delivered" [ "mc"; "mc"; "mc" ] rx_b;
-  Alcotest.(check (list string)) "unbatched fan-out delivered" [ "mc"; "mc"; "mc" ] rx_u
-
-let test_disable_flushes_buffered () =
-  let engine = Engine.create () in
-  let net = Net.create engine ~params:zero_jitter () in
-  let a = Net.add_host net ~name:"a" () in
-  let b = Net.add_host net ~name:"b" () in
-  let sa = Net.udp_bind net a ~port:10 () in
-  let sb = Net.udp_bind net b ~port:10 () in
-  Net.set_batching net true;
-  Net.send net ~src:(Net.socket_addr sa) ~dst:(Net.socket_addr sb) (Bytes.of_string "y");
-  Net.set_batching net false;
-  Alcotest.(check bool) "batching reads off" false (Net.batching net);
-  Engine.run engine;
-  match Mailbox.try_recv (Net.mailbox sb) with
-  | Some d -> Alcotest.(check string) "buffered copy delivered" "y" (Bytes.to_string d.Net.payload)
-  | None -> Alcotest.fail "copy buffered at disable time was lost"
-
-(* ------------------------------------------------------------------ *)
-(* Equal seeds => byte-identical batched traces (pairmsg). *)
-
-let run_pairmsg_traced ?(burst = true) ~batching ~seed () =
+let run_pairmsg_traced ~burst ~seed () =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~params:(Net.lan ~loss:0.1 ~duplication:0.15 ()) () in
   let env = Syscall.make net () in
   Syscall.set_burst env burst;
   let server_host = Net.add_host net ~name:"server" () in
   let client_host = Net.add_host net ~name:"client" () in
-  Net.set_batching net batching;
   let sink = Trace.start ~clock:(fun () -> Engine.now engine) () in
   let server = Endpoint.create env server_host ~port:50 () in
   Endpoint.serve server (fun ~src:_ body -> body);
@@ -149,18 +43,7 @@ let run_pairmsg_traced ?(burst = true) ~batching ~seed () =
   Trace.stop ();
   (Export.jsonl sink, List.rev !replies)
 
-let prop_batched_pairmsg_trace_deterministic =
-  QCheck.Test.make ~name:"equal seeds: batched pairmsg traces byte-identical" ~count:20
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let trace1, replies1 = run_pairmsg_traced ~batching:true ~seed () in
-      let trace2, replies2 = run_pairmsg_traced ~batching:true ~seed () in
-      trace1 = trace2 && replies1 = replies2)
-
-(* ------------------------------------------------------------------ *)
-(* Equal seeds => byte-identical batched traces (rpc). *)
-
-let run_rpc ?(burst = true) ~batching ~traced ~seed () =
+let run_rpc ~burst ~seed () =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~params:(Net.lan ~loss:0.05 ~duplication:0.1 ()) () in
   let env = Syscall.make net () in
@@ -180,8 +63,7 @@ let run_rpc ?(burst = true) ~batching ~traced ~seed () =
   let troupe = Troupe.make ~id:42L ~members in
   let client_host = Net.add_host net ~name:"client" () in
   let rt = Runtime.create env client_host () in
-  Net.set_batching net batching;
-  let sink = if traced then Some (Trace.start ~clock:(fun () -> Engine.now engine) ()) else None in
+  let sink = Trace.start ~clock:(fun () -> Engine.now engine) () in
   let replies = ref [] in
   ignore
     (Runtime.spawn_thread rt (fun ctx ->
@@ -192,38 +74,20 @@ let run_rpc ?(burst = true) ~batching ~traced ~seed () =
            replies := Bytes.to_string r :: !replies
          done));
   Engine.run engine;
-  let trace =
-    match sink with
-    | Some sink ->
-      Trace.stop ();
-      Export.jsonl sink
-    | None -> ""
-  in
-  (trace, List.rev !replies, List.rev !served)
+  Trace.stop ();
+  (Export.jsonl sink, List.rev !replies, List.rev !served)
 
-let prop_batched_rpc_trace_deterministic =
-  QCheck.Test.make ~name:"equal seeds: batched rpc traces byte-identical" ~count:15
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let t1, r1, s1 = run_rpc ~batching:true ~traced:true ~seed () in
-      let t2, r2, s2 = run_rpc ~batching:true ~traced:true ~seed () in
-      t1 = t2 && r1 = r2 && s1 = s2)
-
-(* ------------------------------------------------------------------ *)
-(* Batched vs unbatched: same application-visible sequence under
-   loss, duplication, and extra delay (the circus_fault knobs). *)
-
-let run_visible ?(burst = true) ~batching ~seed () =
+(* Logs what the application sees: server executions and client
+   replies, in order. *)
+let run_visible ~burst ~seed () =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~params:(Net.lan ~loss:0.12 ~duplication:0.2 ()) () in
-  (* Extra exponential delay via the fault-injection knob, so delayed
-     copies exercise the batcher's precomputed-arrival path. *)
+  (* Extra exponential delay via the fault-injection knob. *)
   Net.set_extra_delay_mean net 0.4e-3;
   let env = Syscall.make net () in
   Syscall.set_burst env burst;
   let server_host = Net.add_host net ~name:"server" () in
   let client_host = Net.add_host net ~name:"client" () in
-  Net.set_batching net batching;
   let log = ref [] in
   let server = Endpoint.create env server_host ~port:50 () in
   Endpoint.serve server (fun ~src:_ body ->
@@ -243,20 +107,6 @@ let run_visible ?(burst = true) ~batching ~seed () =
   Engine.run engine;
   List.rev !log
 
-let prop_batched_equals_unbatched_sequence =
-  QCheck.Test.make
-    ~name:"batched run sees the sequence an unbatched run sees (loss/dup/delay)" ~count:20
-    QCheck.(int_range 1 100_000)
-    (fun seed -> run_visible ~batching:true ~seed () = run_visible ~batching:false ~seed ())
-
-let prop_batched_equals_unbatched_rpc =
-  QCheck.Test.make ~name:"batched rpc run matches unbatched replies and executions" ~count:10
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let _, r1, s1 = run_rpc ~batching:true ~traced:false ~seed () in
-      let _, r2, s2 = run_rpc ~batching:false ~traced:false ~seed () in
-      r1 = r2 && s1 = s2)
-
 (* ------------------------------------------------------------------ *)
 (* Burst charging vs the literal per-charge loop.  [Syscall.set_burst]
    flips every multi-charge entry point ([sendmsg_vec], [charge_burst])
@@ -269,16 +119,16 @@ let prop_burst_equals_legacy_pairmsg =
   QCheck.Test.make ~name:"burst charging = per-charge loop (pairmsg trace + replies)" ~count:15
     QCheck.(int_range 1 100_000)
     (fun seed ->
-      let t1, r1 = run_pairmsg_traced ~burst:true ~batching:true ~seed () in
-      let t2, r2 = run_pairmsg_traced ~burst:false ~batching:true ~seed () in
+      let t1, r1 = run_pairmsg_traced ~burst:true ~seed () in
+      let t2, r2 = run_pairmsg_traced ~burst:false ~seed () in
       t1 = t2 && r1 = r2)
 
 let prop_burst_equals_legacy_rpc =
   QCheck.Test.make ~name:"burst charging = per-charge loop (rpc trace + executions)" ~count:10
     QCheck.(int_range 1 100_000)
     (fun seed ->
-      let t1, r1, s1 = run_rpc ~burst:true ~batching:true ~traced:true ~seed () in
-      let t2, r2, s2 = run_rpc ~burst:false ~batching:true ~traced:true ~seed () in
+      let t1, r1, s1 = run_rpc ~burst:true ~seed () in
+      let t2, r2, s2 = run_rpc ~burst:false ~seed () in
       t1 = t2 && r1 = r2 && s1 = s2)
 
 let prop_burst_equals_legacy_sequence =
@@ -286,13 +136,17 @@ let prop_burst_equals_legacy_sequence =
     ~name:"burst charging sees the per-charge sequence (loss/dup/delay)" ~count:15
     QCheck.(int_range 1 100_000)
     (fun seed ->
-      run_visible ~burst:true ~batching:true ~seed ()
-      = run_visible ~burst:false ~batching:true ~seed ())
+      run_visible ~burst:true ~seed ()
+      = run_visible ~burst:false ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* sendmsg_vec exception contract: a hook that raises at element [i]
    leaves elements [< i] fully charged and injected and element [i]
    onward untouched — never a half-charged segment. *)
+
+(* Zero jitter and zero per-byte time: every copy arrives exactly one
+   propagation delay after it is sent. *)
+let zero_jitter = { Net.default_params with jitter_mean = 0.0; per_byte = 0.0 }
 
 let test_sendmsg_vec_before_raise () =
   let engine = Engine.create () in
@@ -502,19 +356,7 @@ let test_retained_state_budget () =
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "circus_batching"
-    [ ( "coalescing",
-        [ Alcotest.test_case "same-instant copies share an event" `Quick
-            test_batch_coalesces_same_instant;
-          Alcotest.test_case "multicast fan-out shares an event" `Quick
-            test_multicast_fanout_coalesces;
-          Alcotest.test_case "disabling flushes buffered copies" `Quick
-            test_disable_flushes_buffered ] );
-      ( "determinism",
-        qcheck [ prop_batched_pairmsg_trace_deterministic; prop_batched_rpc_trace_deterministic ]
-      );
-      ( "equivalence",
-        qcheck [ prop_batched_equals_unbatched_sequence; prop_batched_equals_unbatched_rpc ] );
-      ( "burst charging",
+    [ ( "burst charging",
         Alcotest.test_case "sendmsg_vec hook raise: no half-charged burst" `Quick
           test_sendmsg_vec_before_raise
         :: qcheck

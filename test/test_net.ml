@@ -122,6 +122,38 @@ let test_multicast () =
     (fun s -> Alcotest.(check int) "queued" 1 (Mailbox.length (Net.mailbox s)))
     socks
 
+(* Zero jitter and zero per-byte time: every copy sent at one instant
+   arrives at one instant.  Such ties still keep one engine event per
+   copy and deliver in send order, to every destination. *)
+let test_zero_jitter_same_instant () =
+  let params = { Net.default_params with jitter_mean = 0.0; per_byte = 0.0 } in
+  let engine = Engine.create () in
+  let net = Net.create engine ~params () in
+  let hosts = List.init 6 (fun _ -> Net.add_host net ()) in
+  let socks = List.map (fun h -> Net.udp_bind net h ~port:10 ()) hosts in
+  let sa, sb, sc, mc =
+    match socks with a :: b :: c :: mc -> (a, b, c, mc) | _ -> assert false
+  in
+  let src = Net.socket_addr sa in
+  List.iter
+    (fun (dst, s) -> Net.send net ~src ~dst:(Net.socket_addr dst) (payload s))
+    [ (sb, "1"); (sb, "2"); (sb, "3"); (sc, "x") ];
+  Alcotest.(check int) "one event per copy" 4 (Engine.pending engine);
+  Net.send_multicast net ~src ~dsts:(List.map Net.socket_addr mc) (payload "mc");
+  Engine.run engine;
+  let drain sock =
+    let rec go acc =
+      match Mailbox.try_recv (Net.mailbox sock) with
+      | Some d -> go (Bytes.to_string d.Net.payload :: acc)
+      | None -> List.rev acc
+    in
+    go []
+  in
+  Alcotest.(check (list string)) "send order to b" [ "1"; "2"; "3" ] (drain sb);
+  Alcotest.(check (list string)) "second destination" [ "x" ] (drain sc);
+  Alcotest.(check (list (list string))) "multicast reaches every destination"
+    [ [ "mc" ]; [ "mc" ]; [ "mc" ] ] (List.map drain mc)
+
 let test_mtu_enforced () =
   let engine, net, a, _b = make_world () in
   let sa = Net.udp_bind net a () in
@@ -348,6 +380,8 @@ let () =
           Alcotest.test_case "duplication" `Quick test_duplication;
           Alcotest.test_case "partition" `Quick test_partition_blocks_and_heals;
           Alcotest.test_case "multicast" `Quick test_multicast;
+          Alcotest.test_case "zero jitter: same-instant copies" `Quick
+            test_zero_jitter_same_instant;
           Alcotest.test_case "mtu" `Quick test_mtu_enforced;
           Alcotest.test_case "port conflict" `Quick test_port_conflict ] );
       ( "hosts",

@@ -109,6 +109,20 @@ let prop_domains_identical_chaos =
       let report4, trace4 = run_bytes ~chaos:(seed + 17) spec ~domains:4 in
       report1 = report2 && report1 = report4 && trace1 = trace2 && trace1 = trace4)
 
+(* The repro that exposed the parallel engine's cross-domain races:
+   one pinned burst world, run once serially and five times at four
+   domains.  Every run must give the serial report and trace bytes.
+   CI repeats this case to raise the repetition count. *)
+let test_fixed_seed_repeated_d4 () =
+  let spec = small_spec ~arrival:Scenario.Burst 3 in
+  let reference = run_bytes spec ~domains:1 in
+  if snd reference = "" then Alcotest.fail "empty trace: vacuous comparison";
+  for i = 1 to 5 do
+    let report, trace = run_bytes spec ~domains:4 in
+    if report <> fst reference then Alcotest.failf "d4 run %d: report differs from d1" i;
+    if trace <> snd reference then Alcotest.failf "d4 run %d: trace differs from d1" i
+  done
+
 let test_small_run_healthy () =
   let r = Scenario.run (small_spec 2026) in
   Alcotest.(check int) "all arrivals served" r.Scenario.arrivals r.Scenario.completed;
@@ -231,6 +245,9 @@ let () =
           Alcotest.test_case "different seeds differ" `Quick test_different_seeds_differ;
           Alcotest.test_case "validate rejects" `Quick test_validate_rejects ]
         @ qcheck [ prop_domains_identical; prop_domains_identical_chaos ] );
+      ( "determinism",
+        [ Alcotest.test_case "burst seed 3: five d4 runs = d1" `Quick
+            test_fixed_seed_repeated_d4 ] );
       ( "placement",
         [ Alcotest.test_case "distinct and balanced" `Quick test_placement_distinct_and_balanced;
           Alcotest.test_case "deterministic" `Quick test_placement_deterministic ] );
