@@ -6,6 +6,14 @@ type attribute_value =
   | Num of float
   | Flag of bool
 
+(* CPU accounting, in a record of floats only so the per-charge updates
+   are plain unboxed stores rather than a fresh box plus a write barrier
+   each (as [mutable float] fields of the mixed record [t] would be). *)
+type cpu = {
+  mutable busy_until : float;  (* when queued CPU work finishes *)
+  mutable total : float;  (* CPU seconds charged, ever *)
+}
+
 type t = {
   id : Addr.host_id;
   name : string;
@@ -14,8 +22,7 @@ type t = {
   attributes : (string * attribute_value) list;
   mutable alive : bool;
   mutable incarnation : int;
-  mutable cpu_busy_until : float;
-  mutable cpu_total : float;
+  cpu : cpu;
   mutable fibers : Fiber.t list;
   mutable crash_hooks : (unit -> unit) list;
   (* Unlike [crash_hooks] these persist across crashes: they model the
@@ -46,8 +53,7 @@ let create engine ~id ?name ?(clock_offset = 0.0) ?(attributes = []) () =
     attributes;
     alive = true;
     incarnation = 1;
-    cpu_busy_until = 0.0;
-    cpu_total = 0.0;
+    cpu = { busy_until = 0.0; total = 0.0 };
     fibers = [];
     crash_hooks = [];
     restart_hooks = [];
@@ -137,7 +143,7 @@ let restart t =
         "restart";
     t.alive <- true;
     t.incarnation <- t.incarnation + 1;
-    t.cpu_busy_until <- Engine.now t.engine;
+    t.cpu.busy_until <- Engine.now t.engine;
     (* Boot scripts run oldest-first so services restart in the order
        they were originally registered. *)
     List.iter (fun hook -> hook ()) (List.rev t.restart_hooks)
@@ -153,16 +159,17 @@ let gettimeofday t = Engine.now t.engine +. t.clock_offset
    no CPU, meters nothing, traces nothing), queue behind earlier CPU
    work, bump the busy horizon and totals, emit the trace slice at the
    *current* instant, and charge the meter.  Returns the duration
-   [cpu_busy_until - now] the caller must now advance the clock
+   [cpu.busy_until - now] the caller must now advance the clock
    through. *)
 let[@inline] charge_account t meter kind cost ~op =
   if not t.alive then
     invalid_arg (Printf.sprintf "Host.%s: host %s is crashed" op t.name);
   if cost < 0.0 then invalid_arg (Printf.sprintf "Host.%s: negative cost" op);
   let now = Engine.now t.engine in
-  let start = if t.cpu_busy_until > now then t.cpu_busy_until else now in
-  t.cpu_busy_until <- start +. cost;
-  t.cpu_total <- t.cpu_total +. cost;
+  let cpu = t.cpu in
+  let start = if cpu.busy_until > now then cpu.busy_until else now in
+  cpu.busy_until <- start +. cost;
+  cpu.total <- cpu.total +. cost;
   (* Syscall enter/exit with its metered cost: rendered as a complete
      slice ([ph:"X"]) on this host's track.  [queued] records how long
      the call waited behind earlier CPU work. *)
@@ -187,7 +194,7 @@ let[@inline] charge_account t meter kind cost ~op =
     match kind with
     | `User -> Meter.charge_user m cost
     | `Kernel name -> Meter.charge_kernel m ~name cost));
-  t.cpu_busy_until -. now
+  cpu.busy_until -. now
 
 let use_cpu t ?meter ~kind cost =
   Fiber.sleep_busy (charge_account t meter kind cost ~op:"use_cpu")
@@ -218,4 +225,4 @@ let charge_span t ?meter ~n ?(before = ignore) ~kind ~cost ?(after = ignore) ()
     after i
   done
 
-let cpu_time t = t.cpu_total
+let cpu_time t = t.cpu.total

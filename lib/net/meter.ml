@@ -1,92 +1,124 @@
-(* The per-syscall profile is kept as a flat array of cells rather
-   than a hashtable: there are only ever a handful of distinct syscall
-   names (Table 4.2 lists six), every charge site passes the same
-   string literal, and [charge_kernel] runs ~20 times per simulated
-   RPC.  A linear scan that tries physical equality before structural
-   comparison makes the common charge a few pointer compares and two
-   in-place mutations — no hashing, no allocation. *)
+(* The per-syscall profile is kept as flat parallel arrays (names,
+   times, counts) rather than a hashtable: there are only ever a handful
+   of distinct syscall names (Table 4.2 lists six) and [charge_kernel]
+   runs ~20 times per simulated RPC.  Most charge sites are in
+   [Syscall] and pass that module's string literal for the call, so a
+   linear scan that tries physical equality first usually hits on a
+   pointer compare; a site with its own copy of a name (pairmsg's
+   [Endpoint] passes its own "gettimeofday") falls through to
+   [String.equal] and lands on the same entry.
 
-type cell = { c_name : string; mutable c_time : float; mutable c_count : int }
+   Times live in a [Float.Array.t] and the two totals in a record of
+   floats only, so every charge is a few unboxed float stores and an
+   int increment — no allocation and no write barrier. *)
+
+type totals = { mutable user : float; mutable kernel : float }
 
 type t = {
-  mutable user : float;
-  mutable kernel : float;
-  (* Dense prefix [0, n_cells) of [cells] holds the live entries. *)
-  mutable cells : cell array;
+  totals : totals;
+  (* Dense prefix [0, n_cells) of the three arrays holds the live
+     entries. *)
+  mutable names : string array;
+  mutable times : Float.Array.t;
+  mutable counts : int array;
   mutable n_cells : int;
 }
 
-let create () = { user = 0.0; kernel = 0.0; cells = [||]; n_cells = 0 }
+let create () =
+  { totals = { user = 0.0; kernel = 0.0 };
+    names = [||];
+    times = Float.Array.create 0;
+    counts = [||];
+    n_cells = 0 }
 
 let reset t =
-  t.user <- 0.0;
-  t.kernel <- 0.0;
-  t.cells <- [||];
+  t.totals.user <- 0.0;
+  t.totals.kernel <- 0.0;
+  t.names <- [||];
+  t.times <- Float.Array.create 0;
+  t.counts <- [||];
   t.n_cells <- 0
 
-let charge_user t cost = t.user <- t.user +. cost
+let charge_user t cost = t.totals.user <- t.totals.user +. cost
+
+let add_cell t name cost =
+  let n = t.n_cells in
+  if n >= Array.length t.names then begin
+    let cap = if n = 0 then 8 else 2 * n in
+    let names = Array.make cap "" in
+    Array.blit t.names 0 names 0 n;
+    let times = Float.Array.make cap 0.0 in
+    Float.Array.blit t.times 0 times 0 n;
+    let counts = Array.make cap 0 in
+    Array.blit t.counts 0 counts 0 n;
+    t.names <- names;
+    t.times <- times;
+    t.counts <- counts
+  end;
+  t.names.(n) <- name;
+  Float.Array.set t.times n cost;
+  t.counts.(n) <- 1;
+  t.n_cells <- n + 1
+
+(* Index of [name] in [names.(i .. n-1)], or -1.  Top level, with
+   everything passed in, so a charge builds no closure. *)
+let rec find_cell names n name i =
+  if i >= n then -1
+  else
+    let c = names.(i) in
+    if c == name || String.equal c name then i else find_cell names n name (i + 1)
 
 let charge_kernel t ~name cost =
-  t.kernel <- t.kernel +. cost;
-  let n = t.n_cells in
-  let cells = t.cells in
-  let rec find i =
-    if i >= n then None
-    else
-      let c = cells.(i) in
-      if c.c_name == name || String.equal c.c_name name then Some c else find (i + 1)
-  in
-  match find 0 with
-  | Some c ->
-    c.c_time <- c.c_time +. cost;
-    c.c_count <- c.c_count + 1
-  | None ->
-    if n >= Array.length t.cells then begin
-      let grown =
-        Array.make (if n = 0 then 8 else 2 * n) { c_name = ""; c_time = 0.0; c_count = 0 }
-      in
-      Array.blit t.cells 0 grown 0 n;
-      t.cells <- grown
-    end;
-    t.cells.(n) <- { c_name = name; c_time = cost; c_count = 1 };
-    t.n_cells <- n + 1
+  t.totals.kernel <- t.totals.kernel +. cost;
+  let i = find_cell t.names t.n_cells name 0 in
+  if i < 0 then add_cell t name cost
+  else begin
+    Float.Array.set t.times i (Float.Array.get t.times i +. cost);
+    t.counts.(i) <- t.counts.(i) + 1
+  end
 
-let user t = t.user
-let kernel t = t.kernel
-let total t = t.user +. t.kernel
+let user t = t.totals.user
+let kernel t = t.totals.kernel
+let total t = t.totals.user +. t.totals.kernel
 
 let by_syscall t =
   let acc = ref [] in
   for i = t.n_cells - 1 downto 0 do
-    let c = t.cells.(i) in
-    acc := (c.c_name, c.c_time, c.c_count) :: !acc
+    acc := (t.names.(i), Float.Array.get t.times i, t.counts.(i)) :: !acc
   done;
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !acc
 
 let snapshot t =
-  { user = t.user;
-    kernel = t.kernel;
-    cells =
-      Array.init t.n_cells (fun i ->
-          let c = t.cells.(i) in
-          { c_name = c.c_name; c_time = c.c_time; c_count = c.c_count });
-    n_cells = t.n_cells }
+  let n = t.n_cells in
+  { totals = { user = t.totals.user; kernel = t.totals.kernel };
+    names = Array.sub t.names 0 n;
+    times = Float.Array.sub t.times 0 n;
+    counts = Array.sub t.counts 0 n;
+    n_cells = n }
 
 let diff ~after ~before =
   let find_before name =
     let rec go i =
-      if i >= before.n_cells then (0.0, 0)
-      else
-        let c = before.cells.(i) in
-        if String.equal c.c_name name then (c.c_time, c.c_count) else go (i + 1)
+      if i >= before.n_cells then -1
+      else if String.equal before.names.(i) name then i
+      else go (i + 1)
     in
     go 0
   in
-  { user = after.user -. before.user;
-    kernel = after.kernel -. before.kernel;
-    cells =
-      Array.init after.n_cells (fun i ->
-          let c = after.cells.(i) in
-          let t0, c0 = find_before c.c_name in
-          { c_name = c.c_name; c_time = c.c_time -. t0; c_count = c.c_count - c0 });
-    n_cells = after.n_cells }
+  let n = after.n_cells in
+  let times = Float.Array.sub after.times 0 n in
+  let counts = Array.sub after.counts 0 n in
+  for i = 0 to n - 1 do
+    let j = find_before after.names.(i) in
+    if j >= 0 then begin
+      Float.Array.set times i (Float.Array.get times i -. Float.Array.get before.times j);
+      counts.(i) <- counts.(i) - before.counts.(j)
+    end
+  done;
+  { totals =
+      { user = after.totals.user -. before.totals.user;
+        kernel = after.totals.kernel -. before.totals.kernel };
+    names = Array.sub after.names 0 n;
+    times;
+    counts;
+    n_cells = n }

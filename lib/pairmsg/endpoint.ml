@@ -704,10 +704,10 @@ let handle_data t ~src seg =
            retransmits the first lost segment (§4.2.4). *)
         if seg.Segment.seg_no > inc.i_ack_no + 1 then
           send_ack t ~dst:src ~msg_type ~total:inc.i_total ~ack_no:inc.i_ack_no ~call_no;
-        if inc.i_parts.(idx) = None then begin
+        if Option.is_none inc.i_parts.(idx) then begin
           inc.i_parts.(idx) <- Some seg.Segment.data;
           Syscall.compute t.env ~meter:t.meter t.host t.config.user_cost_per_segment;
-          while inc.i_ack_no < inc.i_total && inc.i_parts.(inc.i_ack_no) <> None do
+          while inc.i_ack_no < inc.i_total && Option.is_some inc.i_parts.(inc.i_ack_no) do
             inc.i_ack_no <- inc.i_ack_no + 1
           done
         end;

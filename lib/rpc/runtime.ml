@@ -178,9 +178,7 @@ let m2o_key (call : Rpc_msg.call) =
 (* Cancel the straggler give-up timer and forget the handle.  Called
    whenever the call leaves [Waiting] (it becomes ready or a retention
    sweep retires it): without this the timer event leaks in the engine
-   heap for the full [straggler_timeout] and, worse, a fired-but-stale
-   handle later fed to [Engine.cancel] would inflate the heap's
-   cancelled-pending accounting for an event no longer queued. *)
+   heap for the full [straggler_timeout]. *)
 let cancel_straggler m2o =
   match m2o.m2o_timer with
   | Some h ->
@@ -188,8 +186,11 @@ let cancel_straggler m2o =
     Engine.cancel h
   | None -> ()
 
+let[@inline] is_waiting m2o =
+  match m2o.m2o_state with Waiting -> true | Executing | Done _ -> false
+
 let rec execute t export m2o =
-  if m2o.m2o_state = Waiting then begin
+  if is_waiting m2o then begin
     m2o.m2o_state <- Executing;
     cancel_straggler m2o;
     let call = m2o.m2o_call in
@@ -412,15 +413,13 @@ let handle_call t ~src ~pair_no (call : Rpc_msg.call) =
          not already make the m2o ready — [check_ready] runs at the
          same instant, so a call executed immediately (every singleton
          client) never touches the engine heap at all. *)
-      if fresh && m2o.m2o_state = Waiting && m2o.m2o_timer = None then
+      if fresh && is_waiting m2o && Option.is_none m2o.m2o_timer then
         m2o.m2o_timer <-
           Some
             (Engine.schedule t.engine ~delay:t.config.straggler_timeout (fun () ->
-                 (* This event just fired: drop the handle so no later
-                    [cancel_straggler] feeds a spent handle to
-                    [Engine.cancel]. *)
+                 (* This event just fired: drop the spent handle. *)
                  m2o.m2o_timer <- None;
-                 if m2o.m2o_state = Waiting then
+                 if is_waiting m2o then
                    ignore
                      (Host.spawn t.host ~label:"rpc.straggler" (fun () ->
                           if Causal.on () && m2o.m2o_ctx <> Causal.none then

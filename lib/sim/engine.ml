@@ -1,10 +1,9 @@
 module Trace = Circus_trace.Trace
 
 type event = Event_heap.event = {
-  time : float;
   seq : int;
   run : unit -> unit;
-  mutable cancelled : bool;
+  mutable live : bool;
   cell : Event_heap.cell;
 }
 
@@ -25,7 +24,8 @@ type handle = event
    monotonically across all scheduling, FIFO order within the ring IS
    (time, seq) order.  A single head-to-head comparison against the
    heap minimum at dispatch time then reproduces exactly the total
-   (time, seq) execution order of the old heap-only engine. *)
+   (time, seq) execution order of the old heap-only engine.  Since every
+   entry is due at [now], the ring stores no times at all. *)
 module Ready = struct
   type t = {
     mutable buf : event array;  (* capacity is a power of two *)
@@ -61,14 +61,12 @@ module Ready = struct
     ev
 end
 
-type t = {
+(* The hot mutable floats, in a record of floats only: OCaml lays such
+   a record out flat, so a clock write is a plain unboxed store — no
+   fresh box per advance and no write barrier, which a [mutable float]
+   field of the mixed record [t] would cost. *)
+type clock = {
   mutable now : float;
-  mutable seq : int;
-  mutable next_fiber : int;
-  heap : Event_heap.t;  (* future events: time > enqueue-instant *)
-  ready : Ready.t;  (* events due now, FIFO = (time, seq) order *)
-  cell : Event_heap.cell;  (* cancelled-but-queued count *)
-  root_prng : Prng.t;
   (* Upper bound for [try_advance]: a [run ~until] horizon the clock
      must not silently jump past.  Infinity outside such a run. *)
   mutable horizon : float;
@@ -79,18 +77,26 @@ type t = {
   mutable drain_limit : float;
 }
 
+type t = {
+  clock : clock;
+  mutable seq : int;
+  mutable next_fiber : int;
+  heap : Event_heap.t;  (* future events: time > enqueue-instant *)
+  ready : Ready.t;  (* events due now, FIFO = (time, seq) order *)
+  cell : Event_heap.cell;  (* cancelled-but-queued count *)
+  root_prng : Prng.t;
+}
+
 let create ?(seed = 42) () =
-  { now = 0.0;
+  { clock = { now = 0.0; horizon = infinity; drain_limit = infinity };
     seq = 0;
     next_fiber = 0;
     heap = Event_heap.create ();
     ready = Ready.create ();
     cell = { Event_heap.cancelled_pending = 0 };
-    root_prng = Prng.create seed;
-    horizon = infinity;
-    drain_limit = infinity }
+    root_prng = Prng.create seed }
 
-let now t = t.now
+let[@inline] now t = t.clock.now
 let prng t = t.root_prng
 
 (* Fiber identifiers are allocated per engine, not per process, so two
@@ -104,7 +110,7 @@ let next_fiber_id t =
    clock closure is the only coupling: the recorder itself knows
    nothing about the engine, and with no sink installed the per-event
    overhead below is a single boolean load. *)
-let enable_tracing ?capacity t = Trace.start ?capacity ~clock:(fun () -> t.now) ()
+let enable_tracing ?capacity t = Trace.start ?capacity ~clock:(fun () -> t.clock.now) ()
 
 (* Mass [Fiber.cancel] can leave the heap dominated by dead events
    (e.g. thousands of abandoned timeout guards with far-future
@@ -121,69 +127,89 @@ let[@inline] maybe_compact t =
     t.cell.Event_heap.cancelled_pending <- c - removed
   end
 
-let schedule_abs t ~at f =
-  let time = if at <= t.now then t.now else at in
+(* An event is due now exactly when its clamped time equals the clock,
+   i.e. when [at <= now]; otherwise its time is [at] itself (a NaN [at]
+   fails the test and goes to the heap). *)
+let[@inline] enqueue t ~at f =
   let seq = t.seq in
   t.seq <- seq + 1;
-  let ev = { time; seq; run = f; cancelled = false; cell = t.cell } in
-  if time = t.now then Ready.push t.ready ev
+  let ev = { seq; run = f; live = true; cell = t.cell } in
+  if at <= t.clock.now then Ready.push t.ready ev
   else begin
     maybe_compact t;
-    Event_heap.push t.heap ev
+    Event_heap.push t.heap ~time:at ev
   end;
   ev
 
+let schedule_abs t ~at f = enqueue t ~at f
+
 let schedule t ~delay f =
   let delay = if delay < 0.0 then 0.0 else delay in
-  schedule_abs t ~at:(t.now +. delay) f
+  enqueue t ~at:(t.clock.now +. delay) f
 
+(* [live] is cleared both here and when the event fires, so cancelling
+   a spent handle is a true no-op: it must not count an event that is
+   no longer queued, or the stale count would keep [maybe_compact]
+   rebuilding the heap on every push. *)
 let cancel ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
+  if ev.live then begin
+    ev.live <- false;
     ev.cell.Event_heap.cancelled_pending <- ev.cell.Event_heap.cancelled_pending + 1
   end
 
 let[@inline] note_dropped t = t.cell.Event_heap.cancelled_pending <- t.cell.Event_heap.cancelled_pending - 1
 
-(* Pop the globally minimal (time, seq) event across ring and heap. *)
-let[@inline] pop_next t =
-  if Ready.length t.ready = 0 then Event_heap.pop_exn t.heap
-  else if Event_heap.is_empty t.heap then Ready.pop t.ready
-  else if Event_heap.before (Event_heap.peek_exn t.heap) (Ready.peek t.ready) then
-    Event_heap.pop_exn t.heap
-  else Ready.pop t.ready
+(* Whether the heap minimum precedes the ring head (ring non-empty).
+   Ring entries are due at [now], so this is the (time, seq) compare of
+   the heap top against (now, head seq). *)
+let[@inline] heap_first t =
+  let ht = Event_heap.top_time t.heap in
+  let now = t.clock.now in
+  ht < now || (ht = now && Event_heap.top_seq t.heap < (Ready.peek t.ready).seq)
 
-(* Cancelled events are dropped without advancing the clock. *)
+(* Execute the globally minimal (time, seq) event across ring and heap.
+   Cancelled events are dropped without advancing the clock; a ring
+   event runs at [now], so only a heap event moves the clock. *)
 let rec step t =
-  if Ready.length t.ready = 0 && Event_heap.is_empty t.heap then false
+  if Ready.length t.ready > 0 && not (heap_first t) then fire t (Ready.pop t.ready)
+  else if Event_heap.is_empty t.heap then false
   else begin
-    let ev = pop_next t in
-    if ev.cancelled then begin
-      note_dropped t;
-      step t
-    end
-    else begin
-      t.now <- ev.time;
-      if Trace.on () then Trace.incr "engine.events";
-      ev.run ();
-      true
-    end
+    let time = Event_heap.top_time t.heap in
+    let ev = Event_heap.pop_exn t.heap in
+    if ev.live then t.clock.now <- time;
+    fire t ev
+  end
+
+and fire t ev =
+  if not ev.live then begin
+    note_dropped t;
+    step t
+  end
+  else begin
+    ev.live <- false;
+    if Trace.on () then Trace.incr "engine.events";
+    ev.run ();
+    true
   end
 
 (* Drop cancelled events sitting at the front of either queue so the
    horizon check below only ever looks at a live event. *)
 let rec drop_cancelled t =
-  if Ready.length t.ready > 0 && (Ready.peek t.ready).cancelled then begin
+  if Ready.length t.ready > 0 && not (Ready.peek t.ready).live then begin
     ignore (Ready.pop t.ready);
     note_dropped t;
     drop_cancelled t
   end
-  else if (not (Event_heap.is_empty t.heap)) && (Event_heap.peek_exn t.heap).cancelled
-  then begin
+  else if (not (Event_heap.is_empty t.heap)) && not (Event_heap.top_exn t.heap).live then begin
     ignore (Event_heap.pop_exn t.heap);
     note_dropped t;
     drop_cancelled t
   end
+
+(* Time of the next event after [drop_cancelled]: ring entries are due
+   at [now], at or before anything in the heap. *)
+let[@inline] head_time t =
+  if Ready.length t.ready > 0 then t.clock.now else Event_heap.top_time t.heap
 
 (* Advance the clock to [target] without executing anything, provided
    doing so is observationally equivalent to scheduling a wake event at
@@ -196,14 +222,15 @@ let rec drop_cancelled t =
    entirely.  Refused beyond a [run ~until] horizon so bounded runs
    still stop at their boundary. *)
 let try_advance t ~target =
-  target <= t.horizon
-  && target <= t.drain_limit
+  let clock = t.clock in
+  target <= clock.horizon
+  && target <= clock.drain_limit
   && begin
        drop_cancelled t;
        Ready.length t.ready = 0
-       && (Event_heap.is_empty t.heap || (Event_heap.peek_exn t.heap).time > target)
+       && (Event_heap.is_empty t.heap || Event_heap.top_time t.heap > target)
        && begin
-            if target > t.now then t.now <- target;
+            if target > clock.now then clock.now <- target;
             true
           end
      end
@@ -232,37 +259,39 @@ let try_advance t ~target =
    a horizon or an outer drain, or the fiber was cancelled by a
    drained event (the suspending path is where cancellation raises). *)
 let sleep_drain t ~target ~cancelled =
-  if target > t.horizon || target > t.drain_limit then false
+  let clock = t.clock in
+  if target > clock.horizon || target > clock.drain_limit then false
   else begin
     let seq_limit = t.seq in
-    let saved = t.drain_limit in
-    t.drain_limit <- target;
+    let saved = clock.drain_limit in
+    clock.drain_limit <- target;
     let budget = ref 256 in
-    let verdict = ref None in
-    while !verdict = None do
-      if cancelled () then verdict := Some false
+    let finished = ref false in
+    let woke = ref false in
+    while not !finished do
+      if cancelled () then finished := true
       else begin
         drop_cancelled t;
         let due =
           Ready.length t.ready > 0
-          || (not (Event_heap.is_empty t.heap))
-             &&
-             let ev = Event_heap.peek_exn t.heap in
-             ev.time < target || (ev.time = target && ev.seq < seq_limit)
+          ||
+          let ht = Event_heap.top_time t.heap in
+          ht < target || (ht = target && Event_heap.top_seq t.heap < seq_limit)
         in
         if not due then begin
-          if target > t.now then t.now <- target;
-          verdict := Some true
+          if target > clock.now then clock.now <- target;
+          woke := true;
+          finished := true
         end
-        else if !budget = 0 then verdict := Some false
+        else if !budget = 0 then finished := true
         else begin
           decr budget;
           ignore (step t)
         end
       end
     done;
-    t.drain_limit <- saved;
-    Option.get !verdict
+    clock.drain_limit <- saved;
+    !woke
   end
 
 let run_counted ?until ?(max_events = 50_000_000) t =
@@ -275,30 +304,20 @@ let run_counted ?until ?(max_events = 50_000_000) t =
       if step t then incr executed else continue_run := false
     done
   | Some horizon ->
-    t.horizon <- horizon;
+    t.clock.horizon <- horizon;
     while !continue_run && !executed < max_events do
       drop_cancelled t;
-      let have_ready = Ready.length t.ready > 0 in
-      let have_heap = not (Event_heap.is_empty t.heap) in
-      if not (have_ready || have_heap) then continue_run := false
+      if Ready.length t.ready = 0 && Event_heap.is_empty t.heap then continue_run := false
+      else if head_time t > horizon then begin
+        t.clock.now <- horizon;
+        continue_run := false
+      end
       else begin
-        let next_time =
-          if have_ready then
-            (* Ring entries are due at or before any heap entry. *)
-            (Ready.peek t.ready).time
-          else (Event_heap.peek_exn t.heap).time
-        in
-        if next_time > horizon then begin
-          t.now <- horizon;
-          continue_run := false
-        end
-        else begin
-          ignore (step t);
-          incr executed
-        end
+        ignore (step t);
+        incr executed
       end
     done;
-    t.horizon <- infinity);
+    t.clock.horizon <- infinity);
   if !executed >= max_events then
     invalid_arg "Engine.run: max_events exceeded (runaway simulation?)";
   !executed
@@ -307,9 +326,7 @@ let run ?until ?max_events t = ignore (run_counted ?until ?max_events t)
 
 let next_time t =
   drop_cancelled t;
-  if Ready.length t.ready > 0 then (Ready.peek t.ready).time
-  else if Event_heap.is_empty t.heap then infinity
-  else (Event_heap.peek_exn t.heap).time
+  head_time t
 
 (* The parallel engine's per-window drain.  Identical to [run ~until]
    except that the bound is *exclusive*: an event at exactly [limit]
@@ -324,10 +341,10 @@ let next_time t =
 let run_window ?(max_events = 50_000_000) t ~limit =
   let executed = ref 0 in
   let continue_run = ref true in
-  t.horizon <- limit;
+  t.clock.horizon <- limit;
   while !continue_run && !executed < max_events do
     if next_time t >= limit then begin
-      if limit > t.now then t.now <- limit;
+      if limit > t.clock.now then t.clock.now <- limit;
       continue_run := false
     end
     else begin
@@ -335,9 +352,10 @@ let run_window ?(max_events = 50_000_000) t ~limit =
       incr executed
     end
   done;
-  t.horizon <- infinity;
+  t.clock.horizon <- infinity;
   if !executed >= max_events then
     invalid_arg "Engine.run_window: max_events exceeded (runaway simulation?)";
   !executed
 
+let cancelled_pending t = t.cell.Event_heap.cancelled_pending
 let pending t = Event_heap.length t.heap + Ready.length t.ready

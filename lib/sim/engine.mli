@@ -5,14 +5,18 @@
     (FIFO), which keeps simulations deterministic.
 
     Internally events live in two structures whose merge preserves the
-    total (time, seq) execution order exactly: a monomorphic binary
-    heap ({!Event_heap}) for future timers, and an allocation-free
-    FIFO ring for events due at the current instant — the
-    [schedule ~delay:0.0] fast path taken by every fiber spawn, wake,
-    yield, and mailbox hand-off.  Cancelled events are swept from the
-    heap in bulk when they outnumber live ones, so mass {!Fiber.cancel}
-    does not bloat the queue.  See DESIGN.md "Simulator performance"
-    for the ordering argument and the benchmark suite. *)
+    total (time, seq) execution order exactly: a structure-of-arrays
+    binary heap ({!Event_heap}) for future timers, and an
+    allocation-free FIFO ring for events due at the current instant —
+    the [schedule ~delay:0.0] fast path taken by every fiber spawn,
+    wake, yield, and mailbox hand-off.  Ring entries carry no time (all
+    are due now); heap times sit unboxed in a flat float array, and the
+    clock itself lives in an all-float record, so advancing time never
+    boxes a float or goes through the write barrier.  Cancelled events
+    are swept from the heap in bulk when they outnumber live ones, so
+    mass {!Fiber.cancel} does not bloat the queue.  See DESIGN.md
+    "Simulator performance" for the ordering argument and the
+    benchmark suite. *)
 
 type t
 
@@ -50,7 +54,9 @@ val schedule_abs : t -> at:float -> (unit -> unit) -> handle
     [now t]). *)
 
 val cancel : handle -> unit
-(** Prevent a pending event from firing; no-op if it already fired. *)
+(** Prevent a pending event from firing.  A no-op if it already fired
+    or was already cancelled: such a call neither runs nor counts
+    anything, so spent handles may be cancelled freely. *)
 
 val sleep_drain : t -> target:float -> cancelled:(unit -> bool) -> bool
 (** [sleep_drain t ~target ~cancelled] is {!Fiber.sleep_busy}'s fast
@@ -105,6 +111,11 @@ val run_window : ?max_events:int -> t -> limit:float -> int
     arrivals due at [limit] are injected (gaining their sequence
     numbers) before anything at that time runs.  Used by
     {!Parallel.run}; sequential callers want {!run}. *)
+
+val cancelled_pending : t -> int
+(** Number of cancelled events still sitting in the queues — the count
+    that decides when the heap is compacted.  Late cancels (of events
+    that already fired) never raise it. *)
 
 val pending : t -> int
 (** Number of events still queued, counting cancelled events that

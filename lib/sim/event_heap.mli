@@ -1,15 +1,18 @@
-(** Monomorphic binary min-heap over simulation events.
+(** Binary min-heap over simulation events, keyed by (time, seq).
 
-    Specialized replacement for the old polymorphic [Heap]: the
-    (time, seq) comparison is inlined (no [cmp] closure) and the
-    [_exn] accessors return events unboxed (no [option] per pop on the
-    engine's hot path).  Freed slots are overwritten with a sentinel
-    so the backing array never retains dead [run] closures.
+    Structure of arrays: the keys live in a flat [Float.Array.t] of
+    times and an [int array] of seqs, with a parallel [int array]
+    naming the pool cell that holds each event.  Sifts move only those
+    immediates, so an event is written into its pool cell once on
+    {!push} and reset to {!sentinel} once on {!pop_exn} — the only two
+    pointer stores (write-barrier calls) an event costs the heap.  Times
+    are stored unboxed and are not part of {!event}; read the minimum's
+    with {!top_time}.
 
     The ordering key (time, seq) is a {e total} order — [seq] is
     unique per engine — so the pop sequence is independent of the
-    internal array layout.  That is what makes {!compact} safe: it may
-    rearrange the array but cannot change which event pops next. *)
+    internal layout.  That is what makes {!compact} safe: it may
+    rearrange the arrays but cannot change which event pops next. *)
 
 type cell = { mutable cancelled_pending : int }
 (** Shared counter of cancelled-but-still-queued events.  Each event
@@ -18,10 +21,11 @@ type cell = { mutable cancelled_pending : int }
     {!compact}. *)
 
 type event = {
-  time : float;  (** absolute virtual time *)
   seq : int;  (** engine-wide schedule sequence number; unique *)
   run : unit -> unit;
-  mutable cancelled : bool;
+  mutable live : bool;
+      (** queued and neither fired nor cancelled; the engine clears it
+          on both, so a cancel after firing is detectably late *)
   cell : cell;
 }
 
@@ -29,34 +33,37 @@ val dummy_cell : cell
 (** A cell for events not owned by any engine (tests, {!sentinel}). *)
 
 val sentinel : event
-(** Fills empty slots; compares greater than every real event and is
-    permanently [cancelled]. *)
+(** Fills empty pool cells; never [live], so it can never execute. *)
 
 type t
 
 val create : unit -> t
+(** An empty heap with room for 16 events; it doubles as needed. *)
+
 val length : t -> int
 val is_empty : t -> bool
 
-val before : event -> event -> bool
-(** [before a b] is strict (time, seq) order.  Exposed for the engine's
-    ready-queue/heap merge and for the property tests. *)
+val top_time : t -> float
+(** Time of the minimum event; [infinity] when empty.  Read straight
+    out of the flat time array (no allocation when inlined). *)
 
-val push : t -> event -> unit
+val top_seq : t -> int
+(** Seq of the minimum event; [max_int] when empty. *)
+
+val top_exn : t -> event
+(** The minimum event; raises [Invalid_argument] when empty. *)
+
+val push : t -> time:float -> event -> unit
 (** O(log n), allocation-free (amortized array growth aside). *)
 
-val peek_exn : t -> event
-(** Minimum element; raises [Invalid_argument] when empty. *)
-
 val pop_exn : t -> event
-(** Remove and return the minimum element; raises [Invalid_argument]
-    when empty.  The vacated slot is reset to {!sentinel}. *)
+(** Remove and return the minimum event; raises [Invalid_argument]
+    when empty.  Its pool cell is reset to {!sentinel} and reused. *)
 
 val compact : t -> int
-(** Drop every cancelled event and re-heapify in O(n); returns the
-    number removed.  Pop order of the survivors is unchanged. *)
+(** Drop every event that is not [live] and re-heapify in O(n);
+    returns the number removed.  Pop order of the survivors is
+    unchanged. *)
 
 val clear : t -> unit
-
-val to_list : t -> event list
-(** Snapshot in unspecified order (for tests/debugging). *)
+(** Drop every event, releasing all pool cells. *)

@@ -25,6 +25,10 @@ type t = {
      this fiber is currently working on behalf of.  Per-fiber rather
      than domain-local so it survives parks/resumes untouched. *)
   mutable ctx : int;
+  (* [Some self], built once at spawn: [enter] stores it into the
+     domain's [current] on every resume instead of allocating a fresh
+     option each time. *)
+  some_self : t option;
 }
 
 type _ Effect.t +=
@@ -51,7 +55,7 @@ let current : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref No
 let[@inline] enter fiber f =
   let current = Domain.DLS.get current in
   let prev = !current in
-  current := Some fiber;
+  current := fiber.some_self;
   f ();
   current := prev
 
@@ -88,15 +92,17 @@ let finish fiber =
   List.iter (fun f -> f ()) callbacks
 
 let spawn engine ?(label = "fiber") f =
-  let fiber =
-    { id = Engine.next_fiber_id engine;
+  let id = Engine.next_fiber_id engine in
+  let rec fiber =
+    { id;
       engine_ = engine;
       label_ = label;
       state = Running;
       cancel_requested = false;
       terminate_callbacks = [];
       ff_streak = 0;
-      ctx = 0 }
+      ctx = 0;
+      some_self = Some fiber }
   in
   let handler : (unit, unit) Effect.Deep.handler =
     { retc = (fun () -> finish fiber);

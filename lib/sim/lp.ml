@@ -31,12 +31,17 @@ module Trace = Circus_trace.Trace
    Blocking the producer instead would deadlock the barrier: the
    consumer only drains once every producer has arrived at it. *)
 module Channel = struct
-  type 'a t = {
-    buf : (float * 'a) option array;  (* capacity is a power of two *)
+  type thunk = unit -> unit
+
+  type t = {
+    (* Parallel rings, capacity a power of two: arrival times stored
+       flat beside their thunks, so a push allocates nothing. *)
+    arrivals : Float.Array.t;
+    thunks : thunk array;
     mask : int;
     head : int Atomic.t;  (* consumer index *)
     tail : int Atomic.t;  (* producer index *)
-    mutable overflow : (float * 'a) list;  (* producer-side spill, newest first *)
+    mutable overflow : (float * thunk) list;  (* producer-side spill, newest first *)
     mutable spilled : bool;
     (* Earliest arrival among buffered messages; [infinity] when empty.
        Read by the coordinator at barriers to fast-forward windows. *)
@@ -49,7 +54,8 @@ module Channel = struct
     while !cap < capacity do
       cap := !cap * 2
     done;
-    { buf = Array.make !cap None;
+    { arrivals = Float.Array.make !cap infinity;
+      thunks = Array.make !cap ignore;
       mask = !cap - 1;
       head = Atomic.make 0;
       tail = Atomic.make 0;
@@ -67,7 +73,8 @@ module Channel = struct
         t.overflow <- [ (arrival, x) ]
       end
       else begin
-        t.buf.(tail land t.mask) <- Some (arrival, x);
+        Float.Array.set t.arrivals (tail land t.mask) arrival;
+        t.thunks.(tail land t.mask) <- x;
         Atomic.set t.tail (tail + 1)
       end
     end
@@ -80,11 +87,10 @@ module Channel = struct
     let head = ref (Atomic.get t.head) in
     let tail = Atomic.get t.tail in
     while !head < tail do
-      (match t.buf.(!head land t.mask) with
-      | Some (arrival, x) ->
-        t.buf.(!head land t.mask) <- None;
-        f ~arrival x
-      | None -> assert false);
+      let i = !head land t.mask in
+      let x = t.thunks.(i) in
+      t.thunks.(i) <- ignore;
+      f ~arrival:(Float.Array.get t.arrivals i) x;
       incr head
     done;
     Atomic.set t.head tail;

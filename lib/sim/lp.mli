@@ -8,27 +8,30 @@
     barriers. *)
 
 (** Single-producer single-consumer channel carrying timestamped
-    cross-LP messages.  [push] may only be called by the owning
-    producer during a window; [drain] only by the consumer at a
-    barrier, once the producer is quiescent (the barrier's mutex
-    provides the happens-before edge).  When the ring fills, pushes
+    cross-LP messages (thunks to schedule on the receiving engine).
+    [push] may only be called by the owning producer during a window;
+    [drain] only by the consumer at a barrier, once the producer is
+    quiescent (the barrier's mutex provides the happens-before edge).  When the ring fills, pushes
     spill to a producer-side overflow list — all of them, preserving
     FIFO order — rather than blocking, which would deadlock the
     barrier. *)
 module Channel : sig
-  type 'a t
+  type t
 
-  val create : ?capacity:int -> unit -> 'a t
+  val create : ?capacity:int -> unit -> t
   (** [capacity] (default 1024) is rounded up to a power of two. *)
 
-  val push : 'a t -> arrival:float -> 'a -> unit
-  val is_empty : 'a t -> bool
+  val push : t -> arrival:float -> (unit -> unit) -> unit
+  (** Allocation-free while the ring has room: the arrival time and the
+      thunk go into parallel flat arrays. *)
 
-  val min_pending : 'a t -> float
+  val is_empty : t -> bool
+
+  val min_pending : t -> float
   (** Earliest arrival among buffered messages, [infinity] when empty.
       Only meaningful at a barrier. *)
 
-  val drain : 'a t -> f:(arrival:float -> 'a -> unit) -> unit
+  val drain : t -> f:(arrival:float -> (unit -> unit) -> unit) -> unit
   (** Apply [f] to every buffered message in push (FIFO) order and
       empty the channel.  Barrier-only. *)
 end

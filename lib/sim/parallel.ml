@@ -51,7 +51,7 @@ type t = {
   lps : Lp.t array;
   lookahead : float;
   (* chans.(dst).(src): SPSC, producer = LP src's domain. *)
-  chans : (unit -> unit) Lp.Channel.t array array;
+  chans : Lp.Channel.t array array;
   (* Per-LP next-event time, published by the owning domain at the end
      of each round; read by the coordinator at barriers. *)
   next_times : float array;

@@ -64,12 +64,18 @@ let test_channel_fifo_spill () =
   let ch = Lp.Channel.create ~capacity:4 () in
   Alcotest.(check bool) "fresh channel empty" true (Lp.Channel.is_empty ch);
   Alcotest.(check (float 0.0)) "empty min_pending" infinity (Lp.Channel.min_pending ch);
+  let got = ref [] in
   for i = 0 to 9 do
-    Lp.Channel.push ch ~arrival:(10.0 -. float_of_int i) i
+    Lp.Channel.push ch ~arrival:(10.0 -. float_of_int i) (fun () -> got := i :: !got)
   done;
   Alcotest.(check (float 0.0)) "min over ring and spill" 1.0 (Lp.Channel.min_pending ch);
-  let got = ref [] in
-  Lp.Channel.drain ch ~f:(fun ~arrival:_ v -> got := v :: !got);
+  let arrivals = ref [] in
+  Lp.Channel.drain ch ~f:(fun ~arrival thunk ->
+      arrivals := arrival :: !arrivals;
+      thunk ());
+  Alcotest.(check (list (float 0.0))) "arrivals travel with their thunks"
+    (List.init 10 (fun i -> 10.0 -. float_of_int i))
+    (List.rev !arrivals);
   Alcotest.(check (list int)) "push order across the spill boundary"
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.rev !got);

@@ -8,25 +8,22 @@ let check_float = Alcotest.(check (float 1e-9))
 (* Event heap (monomorphic; replaces the old generic Heap) *)
 
 (* Build a detached event (tests drive the heap directly, no engine). *)
-let mk_event ?(cancelled = false) ~time ~seq () =
-  { Event_heap.time;
-    seq;
-    run = ignore;
-    cancelled;
-    cell = Event_heap.dummy_cell }
+let mk_event ?(live = true) ~seq () =
+  { Event_heap.seq; run = ignore; live; cell = Event_heap.dummy_cell }
 
-let event_key (e : Event_heap.event) = (e.Event_heap.time, e.Event_heap.seq)
+(* Pop the minimum as its (time, seq) key. *)
+let pop_key h =
+  let time = Event_heap.top_time h in
+  let ev = Event_heap.pop_exn h in
+  (time, ev.Event_heap.seq)
 
 let test_event_heap_ordering () =
   let h = Event_heap.create () in
   (* duplicate times force the seq tie-break *)
   List.iteri
-    (fun seq time -> Event_heap.push h (mk_event ~time ~seq ()))
+    (fun seq time -> Event_heap.push h ~time (mk_event ~seq ()))
     [ 5.0; 3.0; 3.0; 1.0; 9.0; 1.0; 7.0 ];
-  let rec drain acc =
-    if Event_heap.is_empty h then List.rev acc
-    else drain (event_key (Event_heap.pop_exn h) :: acc)
-  in
+  let rec drain acc = if Event_heap.is_empty h then List.rev acc else drain (pop_key h :: acc) in
   Alcotest.(check (list (pair (float 0.0) int)))
     "sorted by (time, seq)"
     [ (1.0, 3); (1.0, 5); (3.0, 1); (3.0, 2); (5.0, 0); (7.0, 6); (9.0, 4) ]
@@ -35,10 +32,12 @@ let test_event_heap_ordering () =
 let test_event_heap_empty () =
   let h = Event_heap.create () in
   Alcotest.(check bool) "empty" true (Event_heap.is_empty h);
+  Alcotest.(check (float 0.0)) "top_time" infinity (Event_heap.top_time h);
+  Alcotest.(check int) "top_seq" max_int (Event_heap.top_seq h);
   Alcotest.check_raises "pop_exn raises" (Invalid_argument "Event_heap.pop_exn: empty")
     (fun () -> ignore (Event_heap.pop_exn h));
-  Alcotest.check_raises "peek_exn raises" (Invalid_argument "Event_heap.peek_exn: empty")
-    (fun () -> ignore (Event_heap.peek_exn h))
+  Alcotest.check_raises "top_exn raises" (Invalid_argument "Event_heap.top_exn: empty")
+    (fun () -> ignore (Event_heap.top_exn h))
 
 (* Random push/cancel/compact interleavings drain in exact (time, seq)
    order, matching a sorted-list reference model. *)
@@ -48,25 +47,99 @@ let prop_event_heap_sorts =
     (fun spec ->
       let h = Event_heap.create () in
       let events =
-        List.mapi
-          (fun seq (t, cancelled) ->
-            mk_event ~cancelled ~time:(float_of_int t /. 4.0) ~seq ())
-          spec
+        List.mapi (fun seq (t, cancelled) -> (float_of_int t /. 4.0, seq, not cancelled)) spec
       in
-      List.iter (Event_heap.push h) events;
+      List.iter
+        (fun (time, seq, live) -> Event_heap.push h ~time (mk_event ~live ~seq ()))
+        events;
       (* compacting mid-stream must not change the drain order *)
       ignore (Event_heap.compact h);
       let rec drain acc =
-        if Event_heap.is_empty h then List.rev acc
-        else drain (event_key (Event_heap.pop_exn h) :: acc)
+        if Event_heap.is_empty h then List.rev acc else drain (pop_key h :: acc)
       in
       let expected =
         events
-        |> List.filter (fun (e : Event_heap.event) -> not e.Event_heap.cancelled)
-        |> List.map event_key
+        |> List.filter (fun (_, _, live) -> live)
+        |> List.map (fun (time, seq, _) -> (time, seq))
         |> List.sort compare
       in
       drain [] = expected)
+
+(* The heap against a sorted-list model under arbitrary interleavings
+   of push, pop, compact and clear.  Runs are long enough to grow the
+   arrays past their initial 16 slots several times, and pops between
+   pushes make pool cells cycle through reuse; every pop must hand back
+   the very event record pushed under that key, and [length],
+   [top_time] and [top_seq] must agree with the model after every op. *)
+type heap_op = Push of int * bool | Pop | Compact | Clear
+
+let prop_event_heap_model =
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [ ( 60,
+            map2
+              (fun t live -> Push (t, live))
+              (int_bound 12)
+              (frequencyl [ (3, true); (1, false) ]) );
+          (30, return Pop);
+          (8, return Compact);
+          (1, return Clear) ])
+  in
+  let print_op = function
+    | Push (t, live) -> Printf.sprintf "push %d%s" t (if live then "" else "!")
+    | Pop -> "pop"
+    | Compact -> "compact"
+    | Clear -> "clear"
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      QCheck.Gen.(list_size (int_range 0 300) gen_op)
+  in
+  QCheck.Test.make ~name:"event heap matches sorted-list model" ~count:200 arb (fun ops ->
+      let h = Event_heap.create () in
+      (* model: (time, seq, event) sorted by (time, seq) *)
+      let model = ref [] in
+      let next_seq = ref 0 in
+      let key_order (t1, s1, _) (t2, s2, _) = compare (t1, s1) (t2, s2) in
+      let agrees () =
+        Event_heap.length h = List.length !model
+        &&
+        match !model with
+        | [] -> Event_heap.top_time h = infinity && Event_heap.top_seq h = max_int
+        | (t, s, ev) :: _ ->
+          Event_heap.top_time h = t && Event_heap.top_seq h = s && Event_heap.top_exn h == ev
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | Push (t, live) ->
+              let seq = !next_seq in
+              incr next_seq;
+              let time = float_of_int t /. 4.0 in
+              let ev = mk_event ~live ~seq () in
+              Event_heap.push h ~time ev;
+              model := List.merge key_order [ (time, seq, ev) ] !model;
+              true
+            | Pop -> (
+              match !model with
+              | [] -> Event_heap.is_empty h
+              | (_, _, ev) :: rest ->
+                model := rest;
+                Event_heap.pop_exn h == ev)
+            | Compact ->
+              let live, dead = List.partition (fun (_, _, e) -> e.Event_heap.live) !model in
+              model := live;
+              Event_heap.compact h = List.length dead
+            | Clear ->
+              model := [];
+              Event_heap.clear h;
+              true
+          in
+          step_ok && agrees ())
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Prng *)
@@ -210,6 +283,31 @@ let test_engine_mass_cancel_compacts () =
   Alcotest.(check bool) "dead events swept" true (Engine.pending engine <= 2);
   Engine.run engine;
   check_float "clock stops at live event" 0.5 (Engine.now engine)
+
+(* A cancel after the event fired is a no-op: it must not count a
+   cancelled-pending event, or a run of timed-out selects (whose cleanup
+   cancels the timer that just fired) would inflate the count until
+   every schedule triggered an O(n) compaction. *)
+let test_engine_late_cancel_not_counted () =
+  let engine = Engine.create () in
+  let fired = ref 0 in
+  let handles =
+    List.init 200 (fun i ->
+        Engine.schedule engine ~delay:(float_of_int (i + 1)) (fun () -> incr fired))
+  in
+  Engine.run engine;
+  Alcotest.(check int) "all fired" 200 !fired;
+  List.iter Engine.cancel handles;
+  Alcotest.(check int) "late cancels not counted" 0 (Engine.cancelled_pending engine);
+  let h = Engine.schedule engine ~delay:1.0 ignore in
+  let r = Engine.schedule engine ~delay:0.0 ignore in
+  Engine.cancel h;
+  Engine.cancel h;
+  Engine.cancel r;
+  Alcotest.(check int) "pending cancels counted once" 2 (Engine.cancelled_pending engine);
+  Engine.run engine;
+  Alcotest.(check int) "swept on pop" 0 (Engine.cancelled_pending engine);
+  Alcotest.(check int) "queue empty" 0 (Engine.pending engine)
 
 (* Random schedule/cancel interleavings against a sorted-list reference
    model: the engine (ready ring + heap + compaction) must execute in
@@ -556,7 +654,7 @@ let () =
     [ ( "event-heap",
         [ Alcotest.test_case "ordering" `Quick test_event_heap_ordering;
           Alcotest.test_case "empty" `Quick test_event_heap_empty ]
-        @ qcheck [ prop_event_heap_sorts ] );
+        @ qcheck [ prop_event_heap_sorts; prop_event_heap_model ] );
       ( "prng",
         [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
           Alcotest.test_case "split advances" `Quick test_prng_split_independent;
@@ -571,7 +669,9 @@ let () =
             test_engine_ready_queue_vs_heap_ties;
           Alcotest.test_case "zero-delay fifo" `Quick test_engine_zero_delay_fifo;
           Alcotest.test_case "cancel ready event" `Quick test_engine_cancel_ready_event;
-          Alcotest.test_case "mass cancel compacts" `Quick test_engine_mass_cancel_compacts ]
+          Alcotest.test_case "mass cancel compacts" `Quick test_engine_mass_cancel_compacts;
+          Alcotest.test_case "late cancel not counted" `Quick
+            test_engine_late_cancel_not_counted ]
         @ qcheck [ prop_engine_matches_reference_model ] );
       ( "fiber",
         [ Alcotest.test_case "sleep" `Quick test_fiber_sleep;
