@@ -37,44 +37,59 @@ let satisfies spec machines =
   List.length machines = Ast.arity spec
   && eval spec.Ast.formula (Array.of_list machines)
 
-(* Backtracking over assignments of distinct machines to variables;
-   [choose] ranks candidates so that troupe extension prefers current
-   members.  Reports the first solution in candidate order, which by
-   the ranking is one of minimal symmetric difference. *)
-let search spec ~candidates =
+let rec max_var n = function
+  | Ast.And (a, b) | Ast.Or (a, b) -> Int.max (max_var n a) (max_var n b)
+  | Ast.Not a -> max_var n a
+  | Ast.Property (v, _) | Ast.Compare (v, _, _, _) ->
+    if v < 0 || v >= n then invalid_arg (Printf.sprintf "Solver: variable %d out of range" v);
+    v
+
+(* Backtracking over assignments of distinct machines to variables, in
+   [candidates] order.  Each top-level conjunct is checked as soon as
+   its highest variable is assigned, so only subtrees holding no
+   solution are cut and the solutions come out in the same order as a
+   generate-and-test over full assignments would give them.  [found]
+   sees each solution in turn and returns [true] to stop the search. *)
+let search spec ~candidates ~found =
   let n = Ast.arity spec in
-  let assignment = Array.make n { machine_id = -1; attrs = [] } in
-  let used = Hashtbl.create 8 in
-  let rec assign i =
-    if i = n then
-      if eval spec.Ast.formula assignment then Some (Array.to_list assignment) else None
-    else
-      let rec try_candidates = function
-        | [] -> None
-        | m :: rest ->
-          if Hashtbl.mem used m.machine_id then try_candidates rest
-          else begin
-            assignment.(i) <- m;
-            Hashtbl.replace used m.machine_id ();
-            match assign (i + 1) with
-            | Some _ as solution -> solution
-            | None ->
-              Hashtbl.remove used m.machine_id;
-              try_candidates rest
-          end
-      in
-      try_candidates candidates
+  let checks = Array.make n [] in
+  let rec file = function
+    | Ast.And (a, b) ->
+      file b;
+      file a
+    | c ->
+      let i = max_var n c in
+      checks.(i) <- c :: checks.(i)
   in
-  assign 0
-
-let instantiate spec ~universe = search spec ~candidates:universe
-
-let extend spec ~universe ~current =
-  (* Enumerate all solutions and keep the one with the smallest
-     symmetric difference from the current member set. *)
-  let n = Ast.arity spec in
+  file spec.Ast.formula;
   let assignment = Array.make n { machine_id = -1; attrs = [] } in
   let used = Hashtbl.create 8 in
+  let rec assign i = if i = n then found assignment else List.exists (assign_to i) candidates
+  and assign_to i m =
+    if Hashtbl.mem used m.machine_id then false
+    else begin
+      assignment.(i) <- m;
+      if not (List.for_all (fun c -> eval c assignment) checks.(i)) then false
+      else begin
+        Hashtbl.replace used m.machine_id ();
+        let stop = assign (i + 1) in
+        Hashtbl.remove used m.machine_id;
+        stop
+      end
+    end
+  in
+  ignore (assign 0)
+
+let instantiate spec ~universe =
+  let first = ref None in
+  search spec ~candidates:universe ~found:(fun a ->
+      first := Some (Array.to_list a);
+      true);
+  !first
+
+(* All solutions, keeping the first with the smallest symmetric
+   difference from the current member set. *)
+let extend spec ~universe ~current =
   let best = ref None in
   let score machines =
     let ids = List.map (fun m -> m.machine_id) machines in
@@ -82,27 +97,11 @@ let extend spec ~universe ~current =
     let added = List.length (List.filter (fun id -> not (List.mem id current)) ids) in
     removed + added
   in
-  let consider () =
-    if eval spec.Ast.formula assignment then begin
-      let machines = Array.to_list assignment in
+  search spec ~candidates:universe ~found:(fun a ->
+      let machines = Array.to_list a in
       let s = score machines in
-      match !best with
+      (match !best with
       | Some (s', _) when s' <= s -> ()
-      | Some _ | None -> best := Some (s, machines)
-    end
-  in
-  let rec assign i =
-    if i = n then consider ()
-    else
-      List.iter
-        (fun m ->
-          if not (Hashtbl.mem used m.machine_id) then begin
-            assignment.(i) <- m;
-            Hashtbl.replace used m.machine_id ();
-            assign (i + 1);
-            Hashtbl.remove used m.machine_id
-          end)
-        universe
-  in
-  assign 0;
+      | Some _ | None -> best := Some (s, machines));
+      false);
   Option.map snd !best

@@ -81,23 +81,26 @@ let place t ~caller_lp ~replicas =
       | f :: fs -> List.fold_left (fun acc f -> Ast.And (acc, f)) f fs
     in
     let spec = { Ast.vars = List.init n (Printf.sprintf "m%d"); formula } in
+    let by_key (la, a) (lb, b) =
+      match Int.compare la lb with
+      | 0 -> Int.compare a.Solver.machine_id b.Solver.machine_id
+      | c -> c
+    in
     let candidates =
-      List.concat_map (fun lp -> !(t.universe.(lp))) (List.sort_uniq compare targets)
-      |> List.stable_sort (fun a b ->
-             compare
-               (host_load t a.Solver.machine_id, a.Solver.machine_id)
-               (host_load t b.Solver.machine_id, b.Solver.machine_id))
+      List.concat_map (fun lp -> !(t.universe.(lp))) (List.sort_uniq Int.compare targets)
+      |> List.map (fun m -> (host_load t m.Solver.machine_id, m))
+      |> List.stable_sort by_key |> List.map snd
     in
     (match Solver.instantiate spec ~universe:candidates with
     | None -> Error "placement: unsatisfiable (not enough distinct hosts on target shards)"
     | Some machines ->
-      List.iteri
-        (fun i m ->
+      List.iter2
+        (fun lp m ->
           (match Hashtbl.find_opt t.load m.Solver.machine_id with
           | Some r -> Stdlib.incr r
           | None -> Hashtbl.replace t.load m.Solver.machine_id (ref 1));
-          t.lp_load.(List.nth targets i) <- t.lp_load.(List.nth targets i) + 1)
-        machines;
+          t.lp_load.(lp) <- t.lp_load.(lp) + 1)
+        targets machines;
       Ok machines)
 
 let server_attributes ~lp = [ ("server", Host.Flag true); ("lp", Host.Num (Float.of_int lp)) ]

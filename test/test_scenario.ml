@@ -183,12 +183,43 @@ let test_placement_distinct_and_balanced () =
       Alcotest.(check int) "replica count" 3 (List.length ids);
       Alcotest.(check int) "distinct hosts" 3 (List.length (List.sort_uniq compare ids))
   done;
-  (* 8 troupes x 3 replicas over 12 hosts: balanced placement means no
-     host carries more than ceil(24/12) = 2 members. *)
+  (* 8 troupes x 3 replicas over 12 hosts: balanced placement puts
+     exactly 24/12 = 2 members on every host, hence 6 on every shard. *)
   for lp = 0 to 3 do
-    if Placement.lp_load placement lp > 8 then
-      Alcotest.failf "lp %d overloaded: %d" lp (Placement.lp_load placement lp)
+    Alcotest.(check int) (Printf.sprintf "lp %d load" lp) 6 (Placement.lp_load placement lp);
+    for k = 0 to 2 do
+      let id = (100 * lp) + k in
+      Alcotest.(check int) (Printf.sprintf "host %d load" id) 2 (Placement.host_load placement id)
+    done
   done
+
+(* Scenario.default's server shape: the hosts left over after the
+   Ringmaster and front-end hosts, dealt round-robin over the shards
+   with ids numbered after those hosts, as [Scenario.run] lays them out.
+   The digest of the 100 troupes' machine lists pins the placement
+   order; it must only move with a deliberate placement change. *)
+let test_placement_default_shape_golden () =
+  let d = Scenario.default in
+  let reserved = (d.rm_partitions * d.rm_replicas) + (d.lps * d.frontends) in
+  let engine = Engine.create ~seed:3 () in
+  let placement = Placement.create ~lps:d.lps () in
+  for k = 0 to d.hosts - reserved - 1 do
+    let lp = k mod d.lps in
+    Placement.add_server placement ~lp
+      (Host.create engine ~id:(reserved + k) ~name:(Printf.sprintf "srv-%d" k)
+         ~attributes:(Placement.server_attributes ~lp) ())
+  done;
+  Alcotest.(check int) "servers" 924 (Placement.server_count placement);
+  let placed = Buffer.create 2048 in
+  for i = 0 to d.troupes - 1 do
+    match Placement.place placement ~caller_lp:(i mod d.lps) ~replicas:d.replicas with
+    | Error m -> Alcotest.fail m
+    | Ok ms ->
+      Buffer.add_string placed (String.concat "," (List.map string_of_int (machine_ids ms)));
+      Buffer.add_char placed '\n'
+  done;
+  Alcotest.(check string) "placement digest" "359ac0933f7b71dae6924b40cbaae368"
+    (Digest.to_hex (Digest.string (Buffer.contents placed)))
 
 let test_placement_deterministic () =
   let run () =
@@ -250,7 +281,8 @@ let () =
             test_fixed_seed_repeated_d4 ] );
       ( "placement",
         [ Alcotest.test_case "distinct and balanced" `Quick test_placement_distinct_and_balanced;
-          Alcotest.test_case "deterministic" `Quick test_placement_deterministic ] );
+          Alcotest.test_case "deterministic" `Quick test_placement_deterministic;
+          Alcotest.test_case "default shape golden" `Quick test_placement_default_shape_golden ] );
       ( "partitioning",
         [ Alcotest.test_case "name hash fixed" `Quick test_name_hash_fixed;
           Alcotest.test_case "partition of name" `Quick test_partition_of_name;
