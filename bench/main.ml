@@ -4,7 +4,7 @@
    per experiment.
 
    Run with: dune exec bench/main.exe
-   (pass --quick to skip the Bechamel pass)
+   (pass --quick to skip the Bechamel pass; --help lists the options)
 
    CI runs [--smoke --json out.json]: a sub-minute pass over the
    Table 4.1 experiment with reduced iteration counts that writes the
@@ -300,36 +300,44 @@ let run_smoke ~json_path =
     close_out oc;
     Printf.printf "\nwrote %s\n" path
 
-let flag_value name argv =
-  let rec scan = function
-    | flag :: value :: _ when String.equal flag name -> Some value
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list argv)
+let main quick smoke json_path =
+  if smoke then run_smoke ~json_path
+  else begin
+    print_endline "Circus benchmark harness: regenerating the paper's tables and figures.";
+    print_endline "(simulated 1985 testbed: VAX-class CPUs, 10 Mb/s Ethernet)";
+    let all_rows, circus_rows = Workloads.table_4_1 () in
+    print_table_4_1 all_rows;
+    print_table_4_2 (Workloads.table_4_2 ());
+    print_table_4_3 circus_rows;
+    let multicast_rows =
+      List.init 5 (fun i -> Workloads.circus_row ~multicast:true ~n:(i + 1) ())
+    in
+    print_figure_4_8 circus_rows multicast_rows;
+    print_theorem_4_3 (Workloads.theorem_4_3 ());
+    print_eq_5_1 (Workloads.eq_5_1 ());
+    print_ordered_broadcast (Workloads.ordered_broadcast_run ());
+    print_availability (Workloads.availability_rows ()) (Workloads.replacement_time_examples ());
+    print_waiting_policy_ablation (Workloads.waiting_policy_ablation ());
+    print_cc_ablation (Workloads.concurrency_control_ablation ());
+    if not quick then run_bechamel ();
+    print_endline "\nall experiments complete."
+  end
 
 let () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  if smoke then begin
-    run_smoke ~json_path:(flag_value "--json" Sys.argv);
-    exit 0
-  end;
-  print_endline "Circus benchmark harness: regenerating the paper's tables and figures.";
-  print_endline "(simulated 1985 testbed: VAX-class CPUs, 10 Mb/s Ethernet)";
-  let all_rows, circus_rows = Workloads.table_4_1 () in
-  print_table_4_1 all_rows;
-  print_table_4_2 (Workloads.table_4_2 ());
-  print_table_4_3 circus_rows;
-  let multicast_rows =
-    List.init 5 (fun i -> Workloads.circus_row ~multicast:true ~n:(i + 1) ())
+  let open Cmdliner in
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"PATH" ~doc:"With $(b,--smoke), write the Table 4.1 rows as JSON.")
   in
-  print_figure_4_8 circus_rows multicast_rows;
-  print_theorem_4_3 (Workloads.theorem_4_3 ());
-  print_eq_5_1 (Workloads.eq_5_1 ());
-  print_ordered_broadcast (Workloads.ordered_broadcast_run ());
-  print_availability (Workloads.availability_rows ()) (Workloads.replacement_time_examples ());
-  print_waiting_policy_ablation (Workloads.waiting_policy_ablation ());
-  print_cc_ablation (Workloads.concurrency_control_ablation ());
-  if not quick then run_bechamel ();
-  print_endline "\nall experiments complete."
+  let doc = "regenerate the paper's tables and figures on the simulated testbed" in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info "main" ~doc)
+          Term.(
+            const main
+            $ flag "quick" "Skip the Bechamel pass."
+            $ flag "smoke" "Table 4.1 only, with reduced iteration counts."
+            $ json)))

@@ -7,33 +7,9 @@
    experiments can scale (bigger troupes, longer horizons, qcheck
    sweeps), so it is tracked as a first-class artifact.
 
-   Usage:
-     dune exec bench/throughput.exe -- [--quick] [--json PATH]
-                                       [--baseline PATH] [--max-regress PCT]
-                                       [--require PREFIX] [--summary PATH]
-
-   --json PATH       write results as BENCH_throughput-style JSON
-   --baseline PATH   compare against a previous JSON file; print the
-                     speedup/regression per bench
-   --max-regress PCT with --baseline, exit non-zero if any bench's
-                     rate fell more than PCT percent (default 30) —
-                     the CI regression gate
-   --require PREFIXES with --baseline, also fail if a result row whose
-                     name starts with any of the comma-separated
-                     prefixes has no baseline entry (guards the
-                     rpc_calls_n* and engine_parallel_d* rows against
-                     silent renames/drops)
-   --max-regress-for PREFIX:PCT[,...]  per-prefix gate overrides (the
-                     trace_overhead_* retention rows are dimensionless
-                     and get a tight gate; wall-clock rows keep the
-                     loose one)
-   --domains N       cap the engine_parallel_d* rows at N domains
-                     (default 4: rows for d = 1, 2, 4)
-   --summary PATH    with --baseline, append the comparison as a
-                     markdown table to PATH ($GITHUB_STEP_SUMMARY)
-   --quick           ~10x smaller workloads (for smoke checks)
-
-   Any other option (in either mode) is rejected with exit code 2.
+   Run with: dune exec bench/throughput.exe -- [--quick] [--json PATH]
+   [--baseline PATH ...]; --help lists the options and the regression
+   gate they drive.
 
    Each bench runs three times and reports the best rate, which is the
    standard way to suppress scheduler/GC noise on shared runners. *)
@@ -293,7 +269,6 @@ let bench_trace_overhead ~iterations ~n =
    second is the "heavy traffic" figure of merit. *)
 
 module Scenario = Circus_scenario.Scenario
-module Export = Circus_trace.Export
 
 let scenario_bench_spec ~arrival ~quick =
   { Scenario.default with
@@ -390,255 +365,12 @@ let read_file path =
   close_in ic;
   s
 
-(* ------------------------------------------------------------------ *)
-
-let flag_value name argv =
-  let rec scan = function
-    | flag :: value :: _ when String.equal flag name -> Some value
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list argv)
-
-(* Every option each mode reads: [values] take an argument, [switches]
-   stand alone.  Any other [--]-argument is rejected, so a typo such as
-   [--domian 4] fails loudly instead of silently running the default. *)
-let scenario_values =
-  [ "--scenario"; "--seed"; "--lps"; "--hosts"; "--troupes"; "--replicas"; "--rm-partitions";
-    "--rm-replicas"; "--clients"; "--think"; "--frontends"; "--pool"; "--locality"; "--payload";
-    "--warmup"; "--duration"; "--domains"; "--chaos"; "--trace-jsonl"; "--trace-chrome";
-    "--trace-cap"; "--explain"; "--report-json"; "--summary" ]
-
-let scenario_switches = [ "--no-causal" ]
-
-let suite_values =
-  [ "--json"; "--baseline"; "--max-regress"; "--max-regress-for"; "--domains"; "--require";
-    "--summary" ]
-
-let suite_switches = [ "--quick" ]
-
-let check_flags ~values ~switches argv =
-  let reject fmt =
-    Printf.ksprintf
-      (fun msg ->
-        prerr_endline msg;
-        exit 2)
-      fmt
-  in
-  let rec scan = function
-    | [] -> ()
-    | [ flag ] when List.mem flag values -> reject "throughput: option %s needs a value" flag
-    | flag :: _ :: rest when List.mem flag values -> scan rest
-    | arg :: rest when List.mem arg switches || not (String.starts_with ~prefix:"--" arg) ->
-      scan rest
-    | arg :: _ -> reject "throughput: unknown option %s" arg
-  in
-  scan (List.tl (Array.to_list argv))
-
-(* ------------------------------------------------------------------ *)
-(* --scenario: run one full-size scenario and report sustained req/s,
-   latency quantiles and availability.  All knobs have the
-   million-client defaults (100k clients over 1000 hosts); equal seeds
-   give byte-identical traces and report JSON at any --domains. *)
-
-let scenario_main kind =
-  let arrival =
-    match Scenario.arrival_of_name kind with
-    | Some a -> a
-    | None -> failwith "--scenario expects poisson, burst or diurnal"
-  in
-  let int_flag name dflt =
-    match flag_value name Sys.argv with
-    | None -> dflt
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some v -> v
-      | None -> failwith (name ^ " expects an integer"))
-  in
-  let float_flag name dflt =
-    match flag_value name Sys.argv with
-    | None -> dflt
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some v -> v
-      | None -> failwith (name ^ " expects a number"))
-  in
-  let d = Scenario.default in
-  let spec =
-    { Scenario.seed = int_flag "--seed" d.Scenario.seed;
-      lps = int_flag "--lps" d.Scenario.lps;
-      hosts = int_flag "--hosts" d.Scenario.hosts;
-      troupes = int_flag "--troupes" d.Scenario.troupes;
-      replicas = int_flag "--replicas" d.Scenario.replicas;
-      rm_partitions = int_flag "--rm-partitions" d.Scenario.rm_partitions;
-      rm_replicas = int_flag "--rm-replicas" d.Scenario.rm_replicas;
-      clients = int_flag "--clients" d.Scenario.clients;
-      think = float_flag "--think" d.Scenario.think;
-      frontends = int_flag "--frontends" d.Scenario.frontends;
-      pool = int_flag "--pool" d.Scenario.pool;
-      locality = float_flag "--locality" d.Scenario.locality;
-      payload = int_flag "--payload" d.Scenario.payload;
-      warmup = float_flag "--warmup" d.Scenario.warmup;
-      duration = float_flag "--duration" d.Scenario.duration;
-      arrival }
-  in
-  let domains = int_flag "--domains" 1 in
-  let chaos =
-    match flag_value "--chaos" Sys.argv with
-    | None -> None
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some v -> Some v
-      | None -> failwith "--chaos expects an integer seed")
-  in
-  let trace_path = flag_value "--trace-jsonl" Sys.argv in
-  let chrome_path = flag_value "--trace-chrome" Sys.argv in
-  let tracing = Option.is_some trace_path || Option.is_some chrome_path in
-  let trace_capacity = int_flag "--trace-cap" 65_536 in
-  let causal = not (Array.exists (( = ) "--no-causal") Sys.argv) in
-  let explain = int_flag "--explain" 0 in
-  Printf.printf
-    "circus scenario: %s arrivals, %d clients / %d hosts / %d troupes x %d, rm %dx%d, %d \
-     shards, domains %d%s\n\
-     offered ~%.0f req/s for %.1fs (after %.1fs warmup)\n\
-     %!"
-    kind spec.Scenario.clients spec.Scenario.hosts spec.Scenario.troupes
-    spec.Scenario.replicas spec.Scenario.rm_partitions spec.Scenario.rm_replicas
-    spec.Scenario.lps domains
-    (match chaos with Some s -> Printf.sprintf ", chaos seed %d" s | None -> "")
-    (Scenario.offered_rate spec) spec.Scenario.duration spec.Scenario.warmup;
-  let t0 = now_s () in
-  let r = Scenario.run ~domains ?chaos ~tracing ~trace_capacity ~causal spec in
-  let wall = now_s () -. t0 in
-  let ms v = 1e3 *. v in
-  Printf.printf "%-16s | %12s\n" "metric" "value";
-  Printf.printf "%-16s | %12d\n" "arrivals" r.Scenario.arrivals;
-  Printf.printf "%-16s | %12d\n" "completed" r.Scenario.completed;
-  Printf.printf "%-16s | %12d\n" "failed" r.Scenario.failed;
-  Printf.printf "%-16s | %12d\n" "unserved" r.Scenario.unserved;
-  Printf.printf "%-16s | %12.1f\n" "sustained req/s" r.Scenario.sustained_rps;
-  Printf.printf "%-16s | %12.4f\n" "availability" r.Scenario.availability;
-  Printf.printf "%-16s | %9.2f ms\n" "p50 latency" (ms r.Scenario.p50);
-  Printf.printf "%-16s | %9.2f ms\n" "p99 latency" (ms r.Scenario.p99);
-  Printf.printf "%-16s | %9.2f ms\n" "p999 latency" (ms r.Scenario.p999);
-  Printf.printf "%-16s | %9.2f ms\n" "mean latency" (ms r.Scenario.mean_latency);
-  Printf.printf "%-16s | %12d\n" "chaos steps" r.Scenario.chaos_steps;
-  Printf.printf "%-16s | %12d\n" "sim events" r.Scenario.events_executed;
-  Printf.printf "%-16s | %12d\n" "net datagrams" r.Scenario.net_sent;
-  Printf.printf "%-16s | %12.2f\n" "wall (s)" wall;
-  Printf.printf "%-16s | %12.0f\n" "sim events/s" (Float.of_int r.Scenario.events_executed /. wall);
-  (match r.Scenario.causal with
-  | None -> ()
-  | Some a ->
-    Printf.printf "\ncritical-path attribution (%d requests, %d incomplete chains, %d dropped events)\n"
-      (List.length a.Causal.paths) a.Causal.incomplete r.Scenario.trace_dropped;
-    Printf.printf "%-16s | %13s | %10s | %10s\n" "stage" "p50 comp (ms)" "p50 (ms)" "p99 (ms)";
-    let comps = Causal.stage_components a 0.5 in
-    Array.iteri
-      (fun i st ->
-        Printf.printf "%-16s | %13.3f | %10.3f | %10.3f\n" st (ms comps.(i))
-          (ms (Causal.stage_quantile a ~stage:i 0.5))
-          (ms (Causal.stage_quantile a ~stage:i 0.99)))
-      Causal.stage_names;
-    Printf.printf "%-16s | %13.3f | %10.3f | %10.3f   (component sum vs p50: %+.1f%%)\n"
-      "end-to-end"
-      (ms (Array.fold_left ( +. ) 0.0 comps))
-      (ms (Causal.total_quantile a 0.5))
-      (ms (Causal.total_quantile a 0.99))
-      (let p50 = Causal.total_quantile a 0.5 in
-       if p50 > 0.0 then 100.0 *. ((Array.fold_left ( +. ) 0.0 comps /. p50) -. 1.0) else 0.0);
-    if explain > 0 then begin
-      Printf.printf "\nslowest %d requests, stage waterfalls:\n" explain;
-      print_string (Causal.waterfall ~top:explain a)
-    end);
-  (match trace_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc
-      (Export.jsonl_events ~dropped:r.Scenario.trace_dropped r.Scenario.trace_events);
-    close_out oc;
-    Printf.printf "wrote %s (%d events, %d dropped)\n" path
-      (List.length r.Scenario.trace_events)
-      r.Scenario.trace_dropped);
-  (match chrome_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc
-      (Export.chrome_events ~dropped:r.Scenario.trace_dropped r.Scenario.trace_events);
-    close_out oc;
-    Printf.printf "wrote %s (Perfetto: ui.perfetto.dev)\n" path);
-  (match flag_value "--report-json" Sys.argv with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc (Scenario.report_json spec r);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" path);
-  match flag_value "--summary" Sys.argv with
-  | None -> ()
-  | Some path ->
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      "### Scenario (%s, %d clients / %d hosts, domains %d)\n\n\
-       | req/s | p50 | p99 | p999 | availability | wall |\n\
-       |---:|---:|---:|---:|---:|---:|\n\
-       | %.1f | %.2f ms | %.2f ms | %.2f ms | %.4f | %.2f s |\n\n"
-      kind spec.Scenario.clients spec.Scenario.hosts domains r.Scenario.sustained_rps
-      (ms r.Scenario.p50) (ms r.Scenario.p99) (ms r.Scenario.p999) r.Scenario.availability
-      wall;
-    close_out oc
-
-let main () =
-  let quick = Array.exists (( = ) "--quick") Sys.argv in
-  let json_path = flag_value "--json" Sys.argv in
-  let baseline_path = flag_value "--baseline" Sys.argv in
-  let max_regress =
-    match flag_value "--max-regress" Sys.argv with
-    | Some s -> (
-      match float_of_string_opt s with
-      | Some v -> v
-      | None -> failwith "--max-regress expects a number (percent)")
-    | None -> 30.0
-  in
-  (* Per-prefix gate overrides, e.g. --max-regress-for trace_overhead_:5
-     pins the dimensionless overhead row to a tight gate while the
-     wall-clock rows keep the loose runner-noise one. *)
-  let per_prefix_gates =
-    match flag_value "--max-regress-for" Sys.argv with
-    | None -> []
-    | Some s ->
-      List.map
-        (fun item ->
-          match String.index_opt item ':' with
-          | Some i -> (
-            let prefix = String.sub item 0 i in
-            match
-              float_of_string_opt (String.sub item (i + 1) (String.length item - i - 1))
-            with
-            | Some pct -> (prefix, pct)
-            | None -> failwith "--max-regress-for expects PREFIX:PCT[,PREFIX:PCT...]")
-          | None -> failwith "--max-regress-for expects PREFIX:PCT[,PREFIX:PCT...]")
-        (String.split_on_char ',' s)
-  in
-  let starts_with prefix name =
-    String.length name >= String.length prefix
-    && String.sub name 0 (String.length prefix) = prefix
-  in
+let main quick json_path baseline_path max_regress per_prefix_gates max_domains required
+    summary_path =
   let gate_for name =
-    match List.find_opt (fun (p, _) -> starts_with p name) per_prefix_gates with
+    match List.find_opt (fun (prefix, _) -> String.starts_with ~prefix name) per_prefix_gates with
     | Some (_, pct) -> pct
     | None -> max_regress
-  in
-  let max_domains =
-    match flag_value "--domains" Sys.argv with
-    | Some s -> (
-      match int_of_string_opt s with
-      | Some v when v >= 1 -> v
-      | _ -> failwith "--domains expects a positive integer")
-    | None -> 4
   in
   let scale n = if quick then max 1 (n / 10) else n in
   Printf.printf "circus wall-clock throughput benchmarks%s\n%!"
@@ -686,11 +418,6 @@ let main () =
   | None -> ()
   | Some path ->
     let base = parse_baseline (read_file path) in
-    (* Rows matching --require (a name prefix, e.g. "rpc_calls_") must
-       be present in the baseline: a rename or a dropped row would
-       otherwise slip past the gate as "new". *)
-    let required = flag_value "--require" Sys.argv in
-    let summary_path = flag_value "--summary" Sys.argv in
     Printf.printf "\ncomparison vs %s (gate: -%.0f%%)\n" path max_regress;
     Printf.printf "%-20s | %14s | %14s | %9s\n" "bench" "baseline" "now" "change";
     let summary = Buffer.create 512 in
@@ -703,13 +430,7 @@ let main () =
     let violations = ref [] in
     List.iter
       (fun r ->
-        let is_required =
-          match required with
-          | Some prefixes ->
-            List.exists (fun prefix -> starts_with prefix r.name)
-              (String.split_on_char ',' prefixes)
-          | None -> false
-        in
+        let is_required = List.exists (fun prefix -> String.starts_with ~prefix r.name) required in
         match List.assoc_opt r.name base with
         | None ->
           if is_required then missing_required := r.name :: !missing_required;
@@ -751,11 +472,63 @@ let main () =
     Printf.printf "\n%s\n" verdict;
     if failed then exit 1
 
-let () =
-  match flag_value "--scenario" Sys.argv with
-  | Some kind ->
-    check_flags ~values:scenario_values ~switches:scenario_switches Sys.argv;
-    scenario_main kind
-  | None ->
-    check_flags ~values:suite_values ~switches:suite_switches Sys.argv;
-    main ()
+(* ------------------------------------------------------------------ *)
+
+open Cmdliner
+
+let path_opt name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let cmd =
+  let quick =
+    Arg.(value & flag & info [ "quick" ] ~doc:"About 10x smaller workloads (smoke checks).")
+  in
+  let max_regress =
+    Arg.(
+      value & opt float 30.0
+      & info [ "max-regress" ] ~docv:"PCT"
+          ~doc:
+            "With $(b,--baseline), exit 1 if any bench's rate fell more than $(docv) percent \
+             (the CI regression gate).")
+  in
+  let per_prefix_gates =
+    Arg.(
+      value
+      & opt (list (pair ~sep:':' string float)) []
+      & info [ "max-regress-for" ] ~docv:"PREFIX:PCT,..."
+          ~doc:
+            "Per-prefix gate overrides: the dimensionless trace_overhead_* retention rows get a \
+             tight gate while wall-clock rows keep the loose one.")
+  in
+  let max_domains =
+    Arg.(
+      value & opt positive_int 4
+      & info [ "domains" ] ~docv:"N"
+          ~doc:"Cap the engine_parallel_d* and scenario_*_d* rows at $(docv) domains.")
+  in
+  let required =
+    Arg.(
+      value
+      & opt (list string) []
+      & info [ "require" ] ~docv:"PREFIX,..."
+          ~doc:
+            "With $(b,--baseline), also fail if a row whose name starts with one of these \
+             prefixes has no baseline entry, so a renamed or dropped row cannot pass as new.")
+  in
+  let doc = "wall-clock throughput of the simulator's hot paths" in
+  Cmd.v (Cmd.info "throughput" ~doc)
+    Term.(
+      const main $ quick
+      $ path_opt "json" "Write the results as BENCH_throughput-style JSON."
+      $ path_opt "baseline" "Compare against a previous JSON file, row by row."
+      $ max_regress $ per_prefix_gates $ max_domains $ required
+      $ path_opt "summary" "With $(b,--baseline), append the comparison as a markdown table.")
+
+let () = exit (Cmd.eval cmd)

@@ -56,14 +56,6 @@ let start_member sys index =
            (System.now sys) index (Circus_rpc.Troupe.size troupe)));
   process
 
-let flag_value name =
-  let rec scan = function
-    | flag :: value :: _ when String.equal flag name -> Some value
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (Array.to_list Sys.argv)
-
 (* The original demo: one scripted crash at t = 2s. *)
 let scripted_crash sys members =
   let victim = List.nth members 1 in
@@ -183,13 +175,10 @@ let cluster_demo ~domains ~trace_chrome ~trace_jsonl =
   | None -> ());
   print_endline "done."
 
-let () =
-  let trace_chrome = flag_value "--trace" in
-  let trace_jsonl = flag_value "--trace-jsonl" in
-  match Option.map int_of_string (flag_value "--domains") with
+let main trace_chrome trace_jsonl domains chaos_seed =
+  match domains with
   | Some domains -> cluster_demo ~domains ~trace_chrome ~trace_jsonl
   | None ->
-  let chaos_seed = Option.map int_of_string (flag_value "--chaos") in
   let sys = System.create ~seed:2026 () in
   if trace_chrome <> None || trace_jsonl <> None then ignore (System.enable_tracing sys);
   let members = List.init 3 (start_member sys) in
@@ -208,3 +197,17 @@ let () =
     Printf.printf "wrote JSONL trace to %s\n" path
   | None -> ());
   print_endline "done."
+
+let () =
+  let open Cmdliner in
+  let opt typ name docv doc = Arg.(value & opt (some typ) None & info [ name ] ~docv ~doc) in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "quickstart" ~doc:"a replicated key-value service surviving a member crash")
+          Term.(
+            const main
+            $ opt Arg.string "trace" "FILE.json" "Write the trace in Chrome trace_event format."
+            $ opt Arg.string "trace-jsonl" "FILE.jsonl" "Write the trace as JSONL."
+            $ opt Arg.int "domains" "N" "Run the parallel gossip-ring demo on $(docv) domains."
+            $ opt Arg.int "chaos" "SEED" "Replace the scripted crash with seeded random faults.")))

@@ -36,11 +36,6 @@ let fast_costs =
 type env = {
   net : Net.t;
   costs : costs;
-  (* Burst charging on ([Host.charge_span]) or off (per-charge
-     [use_cpu] loop).  The two are observationally identical — the
-     toggle exists so the equivalence tests can run both modes and
-     compare traces byte for byte. *)
-  mutable burst : bool;
   (* Receive-side batching: when on, demux loops follow a successful
      select with a [pending]-guarded drain, paying one select per
      backlog instead of one per datagram.  Off by default — the drain
@@ -50,107 +45,74 @@ type env = {
 }
 
 let make net ?(costs = default_costs) () =
-  { net; costs; burst = true; recv_drain = false }
+  { net; costs; recv_drain = false }
 
 let net env = env.net
 let costs env = env.costs
-let set_burst env flag = env.burst <- flag
-let burst_charging env = env.burst
 let set_recv_drain env flag = env.recv_drain <- flag
 let recv_drain env = env.recv_drain
 
 let charge _env ?meter host ~name cost = Host.use_cpu host ?meter ~kind:(`Kernel name) cost
 
-(* Generic burst entry: the run of charges [use_cpu host ~kind:(kind i)
-   (cost i)] with per-element [before]/[after] hooks, routed through
-   [Host.charge_span] when burst charging is enabled (the default) or
-   through the literal per-charge loop otherwise.  Same schedule either
-   way; see [Host.charge_span]. *)
 let no_hook (_ : int) = ()
-
-let charge_burst env ?meter host ~n ?(before = no_hook) ~kind ~cost
-    ?(after = no_hook) () =
-  if env.burst then Host.charge_span host ?meter ~n ~before ~kind ~cost ~after ()
-  else
-    for i = 0 to n - 1 do
-      before i;
-      Host.use_cpu host ?meter ~kind:(kind i) (cost i);
-      after i
-    done
 
 let sendmsg env ?meter sock ~dst payload =
   charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
   Net.send env.net ~src:(Net.socket_addr sock) ~dst payload
 
-(* Vectored burst: one syscall-layer entry for a run of datagrams to
-   one destination.  Each element is charged and injected exactly as a
-   standalone [sendmsg] — same per-datagram cost, same injection
-   instants (each datagram enters the net at its own charge's end
-   instant, derived by [Host.charge_span]) — so a burst's metered time
-   and arrival schedule are byte-for-byte those of the equivalent
-   loop, while a quiet K-segment burst costs one pass instead of K
-   sleep/wake round-trips.  [?user_cost] interleaves the caller's
-   per-segment user-time (marshaling) charge ahead of each kernel
-   charge, inside the same span. *)
-let sendmsg_vec env ?meter ?(before = no_hook) ?user_cost
-    ?(on_segment = no_hook) sock ~dst payloads =
+let sendmsg_multicast env ?meter sock ~dsts payload =
+  charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
+  Net.send_multicast env.net ~src:(Net.socket_addr sock) ~dsts payload
+
+(* Vectored burst, the body of [sendmsg_vec] and
+   [sendmsg_multicast_vec]: one [Host.charge_span] over a run of
+   datagrams, [inject] putting each on the wire.  Each element is
+   charged and injected exactly as a standalone send — same
+   per-datagram cost, same injection instants (each datagram enters the
+   net at its own charge's end instant) — so a burst's metered time and
+   arrival schedule are byte-for-byte those of the equivalent loop,
+   while a quiet K-segment burst costs one pass instead of K sleep/wake
+   round-trips.  [?user_cost] interleaves the caller's per-segment
+   user-time (marshaling) charge ahead of each kernel charge, inside
+   the same span. *)
+let send_vec env ?meter ~before ?user_cost ~on_segment sock inject payloads =
   let host = Net.socket_host sock in
-  let src = Net.socket_addr sock in
-  let net = env.net in
   let sendmsg_cost = env.costs.sendmsg in
   match user_cost with
   | None ->
-    charge_burst env ?meter host ~n:(Array.length payloads)
+    Host.charge_span host ?meter ~n:(Array.length payloads)
       ~before:(fun i ->
         before i;
         on_segment i)
       ~kind:(fun _ -> `Kernel "sendmsg")
       ~cost:(fun _ -> sendmsg_cost)
-      ~after:(fun i -> Net.send net ~src ~dst payloads.(i))
+      ~after:(fun i -> inject payloads.(i))
       ()
   | Some u ->
     (* Interleaved [user; sendmsg] pairs: element [2i] is segment [i]'s
        user-time charge (with [on_segment i] at its end instant),
        element [2i+1] its kernel send charge (with the injection at its
        end instant). *)
-    charge_burst env ?meter host
+    Host.charge_span host ?meter
       ~n:(2 * Array.length payloads)
       ~before:(fun j -> if j land 1 = 0 then before (j lsr 1))
       ~kind:(fun j -> if j land 1 = 0 then `User else `Kernel "sendmsg")
       ~cost:(fun j -> if j land 1 = 0 then u else sendmsg_cost)
-      ~after:(fun j ->
-        if j land 1 = 0 then on_segment (j lsr 1)
-        else Net.send net ~src ~dst payloads.(j lsr 1))
+      ~after:(fun j -> if j land 1 = 0 then on_segment (j lsr 1) else inject payloads.(j lsr 1))
       ()
 
-let sendmsg_multicast env ?meter sock ~dsts payload =
-  charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
-  Net.send_multicast env.net ~src:(Net.socket_addr sock) ~dsts payload
+let sendmsg_vec env ?meter ?(before = no_hook) ?user_cost ?(on_segment = no_hook) sock ~dst
+    payloads =
+  let net = env.net and src = Net.socket_addr sock in
+  send_vec env ?meter ~before ?user_cost ~on_segment sock
+    (fun p -> Net.send net ~src ~dst p)
+    payloads
 
-(* Multicast analogue of [sendmsg_vec]: one [sendmsg]-priced charge per
-   segment, each reaching every destination. *)
-let sendmsg_multicast_vec env ?meter ?user_cost ?(on_segment = no_hook) sock
-    ~dsts payloads =
-  let host = Net.socket_host sock in
-  let src = Net.socket_addr sock in
-  let net = env.net in
-  let sendmsg_cost = env.costs.sendmsg in
-  match user_cost with
-  | None ->
-    charge_burst env ?meter host ~n:(Array.length payloads) ~before:on_segment
-      ~kind:(fun _ -> `Kernel "sendmsg")
-      ~cost:(fun _ -> sendmsg_cost)
-      ~after:(fun i -> Net.send_multicast net ~src ~dsts payloads.(i))
-      ()
-  | Some u ->
-    charge_burst env ?meter host
-      ~n:(2 * Array.length payloads)
-      ~kind:(fun j -> if j land 1 = 0 then `User else `Kernel "sendmsg")
-      ~cost:(fun j -> if j land 1 = 0 then u else sendmsg_cost)
-      ~after:(fun j ->
-        if j land 1 = 0 then on_segment (j lsr 1)
-        else Net.send_multicast net ~src ~dsts payloads.(j lsr 1))
-      ()
+let sendmsg_multicast_vec env ?meter ?user_cost ?(on_segment = no_hook) sock ~dsts payloads =
+  let net = env.net and src = Net.socket_addr sock in
+  send_vec env ?meter ~before:no_hook ?user_cost ~on_segment sock
+    (fun p -> Net.send_multicast net ~src ~dsts p)
+    payloads
 
 let recvmsg env ?meter ?timeout sock =
   match Mailbox.recv ?timeout (Net.mailbox sock) with

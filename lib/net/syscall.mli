@@ -37,18 +37,6 @@ val make : Net.t -> ?costs:costs -> unit -> env
 val net : env -> Net.t
 val costs : env -> costs
 
-val set_burst : env -> bool -> unit
-(** Enable (default) or disable burst charging.  When on, multi-charge
-    entry points ({!sendmsg_vec}, {!charge_burst}) advance through a
-    run of same-host charges with [Host.charge_span] — derived
-    per-charge instants, at most one real sleep per element only when
-    events intervene; when off they perform the literal per-charge
-    [Host.use_cpu] loop.  The two modes are observationally identical
-    (same event schedule, traces, meter totals); the switch exists for
-    the equivalence tests. *)
-
-val burst_charging : env -> bool
-
 val set_recv_drain : env -> bool -> unit
 (** Enable receive-side batching: demux loops that honour this flag
     follow a successful {!select} with a {!pending}-guarded drain,
@@ -61,23 +49,6 @@ val set_recv_drain : env -> bool -> unit
     loaded host into retransmit collapse. *)
 
 val recv_drain : env -> bool
-
-val charge_burst :
-  env ->
-  ?meter:Meter.t ->
-  Host.t ->
-  n:int ->
-  ?before:(int -> unit) ->
-  kind:(int -> [ `User | `Kernel of string ]) ->
-  cost:(int -> float) ->
-  ?after:(int -> unit) ->
-  unit ->
-  unit
-(** Perform the run of charges [Host.use_cpu host ~kind:(kind i)
-    (cost i)] for [i = 0..n-1] with per-element [before]/[after] hooks,
-    via [Host.charge_span] or the per-charge loop per {!set_burst}.
-    Protocol layers use this to fuse fixed charge sequences (e.g. a
-    [gettimeofday] + user-time call preamble) into one span. *)
 
 val sendmsg : env -> ?meter:Meter.t -> Net.socket -> dst:Addr.t -> bytes -> unit
 (** Transmit one datagram (kernel cost charged, then injected into the

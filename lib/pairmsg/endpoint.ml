@@ -435,7 +435,7 @@ let call_many t ~dsts ?(multicast = false) ?call_no body =
   (* The fixed call preamble — timestamp plus user-time bookkeeping —
      is two charges on one host; fuse them into one span. *)
   let gettimeofday_cost = (Syscall.costs t.env).Syscall.gettimeofday in
-  Syscall.charge_burst t.env ~meter:t.meter t.host ~n:2
+  Host.charge_span t.host ~meter:t.meter ~n:2
     ~kind:(fun i -> if i = 0 then `Kernel "gettimeofday" else `User)
     ~cost:(fun i -> if i = 0 then gettimeofday_cost else t.config.user_cost_per_call)
     ();

@@ -539,12 +539,6 @@ let run ?(domains = 1) ?chaos ?(tracing = false) ?trace_capacity ?(causal = fals
 
 let arrival_name = function Poisson -> "poisson" | Burst -> "burst" | Diurnal -> "diurnal"
 
-let arrival_of_name = function
-  | "poisson" -> Some Poisson
-  | "burst" -> Some Burst
-  | "diurnal" -> Some Diurnal
-  | _ -> None
-
 (* One-line JSON; excludes the domain count and any wall-clock data on
    purpose, so equal seeds at different --domains compare byte-equal. *)
 let report_json spec r =

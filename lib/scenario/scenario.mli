@@ -91,7 +91,6 @@ val run :
     [Invalid_argument] if {!validate} rejects the spec. *)
 
 val arrival_name : arrival_kind -> string
-val arrival_of_name : string -> arrival_kind option
 
 val report_json : spec -> report -> string
 (** One-line deterministic JSON (domain count and wall-clock data

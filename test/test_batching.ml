@@ -1,5 +1,5 @@
-(* Tests for burst-charged syscalls ([Syscall.set_burst]) against the
-   literal per-charge loop, burst charging composed with the sharded
+(* Tests for burst charging ([Host.charge_span]) against the literal
+   per-charge loop, pinned multi-segment troupe calls, the sharded
    cluster across domain counts under chaos, and steady-state
    allocation and retained-state budgets on the replicated-call hot
    path. *)
@@ -12,53 +12,90 @@ module Trace = Circus_trace.Trace
 module Export = Circus_trace.Export
 
 (* ------------------------------------------------------------------ *)
-(* Testbeds for the burst-charging properties below, all under loss
-   and duplication: a traced pairmsg echo exchange, a traced 3-member
-   rpc troupe, and an untraced pairmsg exchange that also draws extra
-   delay. *)
+(* Burst charging against its oracle.  [Host.charge_span] replaced a
+   literal per-charge [Host.use_cpu] loop; the loop stays here as the
+   reference.  Random runs of charges with hooks that stamp the clock,
+   raced by a second fiber charging the same CPU, must give the same
+   hook instants, meter totals, CPU total and trace either way. *)
 
-let run_pairmsg_traced ~burst ~seed () =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~params:(Net.lan ~loss:0.1 ~duplication:0.15 ()) () in
-  let env = Syscall.make net () in
-  Syscall.set_burst env burst;
-  let server_host = Net.add_host net ~name:"server" () in
-  let client_host = Net.add_host net ~name:"client" () in
+let charge_run ~span (kinds, costs, rivals) =
+  let engine = Engine.create () in
+  let net = Net.create engine () in
+  let host = Net.add_host net ~name:"h" () in
+  let meter = Meter.create () in
+  let log = ref [] in
+  let stamp tag i = log := (tag, i, Engine.now engine) :: !log in
+  let kind i =
+    match kinds.(i) with 0 -> `User | 1 -> `Kernel "sendmsg" | _ -> `Kernel "gettimeofday"
+  in
+  let cost i = costs.(i) in
+  let n = Array.length kinds in
   let sink = Trace.start ~clock:(fun () -> Engine.now engine) () in
-  let server = Endpoint.create env server_host ~port:50 () in
-  Endpoint.serve server (fun ~src:_ body -> body);
-  let replies = ref [] in
   ignore
-    (Host.spawn client_host (fun () ->
-         let ep = Endpoint.create env client_host () in
-         for i = 1 to 8 do
-           let reply =
-             Endpoint.call ep ~dst:(Endpoint.addr server)
-               (Bytes.of_string (Printf.sprintf "m%d" i))
-           in
-           replies := Bytes.to_string reply :: !replies
-         done;
-         Endpoint.close ep));
+    (Host.spawn host (fun () ->
+         if span then
+           Host.charge_span host ~meter ~n ~before:(stamp "before") ~kind ~cost
+             ~after:(stamp "after") ()
+         else
+           for i = 0 to n - 1 do
+             stamp "before" i;
+             Host.use_cpu host ~meter ~kind:(kind i) (cost i);
+             stamp "after" i
+           done));
+  ignore
+    (Host.spawn host (fun () ->
+         List.iteri
+           (fun k (delay, cost) ->
+             Fiber.sleep delay;
+             Host.use_cpu host ~kind:(`Kernel "recvmsg") cost;
+             stamp "rival" k)
+           rivals));
   Engine.run engine;
   Trace.stop ();
-  (Export.jsonl sink, List.rev !replies)
+  ( List.rev !log,
+    Meter.user meter,
+    Meter.kernel meter,
+    Meter.by_syscall meter,
+    Host.cpu_time host,
+    Export.jsonl sink )
 
-let run_rpc ~burst ~seed () =
+let charge_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 12 >>= fun n ->
+    array_repeat n (int_range 0 2) >>= fun kinds ->
+    array_repeat n (oneof [ return 0.0; float_range 1e-4 5e-3 ]) >>= fun costs ->
+    list_size (int_range 0 4) (pair (float_range 0.0 0.02) (float_range 1e-4 3e-3))
+    >|= fun rivals -> (kinds, costs, rivals)
+  in
+  let print (kinds, costs, rivals) =
+    Printf.sprintf "kinds=[%s] costs=[%s] rivals=[%s]"
+      (String.concat ";" (Array.to_list (Array.map string_of_int kinds)))
+      (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") costs)))
+      (String.concat ";" (List.map (fun (d, c) -> Printf.sprintf "%h@%h" c d) rivals))
+  in
+  QCheck.make ~print gen
+
+let prop_charge_span_equals_loop =
+  QCheck.Test.make ~name:"burst charging = per-charge loop (Host.charge_span vs use_cpu)"
+    ~count:200 charge_case (fun case ->
+      charge_run ~span:true case = charge_run ~span:false case)
+
+(* Multi-segment troupe calls, pinned.  Each 11,520-byte argument and
+   reply travels as an 8-segment burst, under loss and duplication, to
+   a 1- or 3-member echo troupe.  The digests cover the JSONL trace and
+   the replies; they were recorded when burst charging could still be
+   switched off, and both modes gave these same bytes. *)
+
+let multiseg_digest ~n ~seed =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~params:(Net.lan ~loss:0.05 ~duplication:0.1 ()) () in
   let env = Syscall.make net () in
-  Syscall.set_burst env burst;
-  let served = ref [] in
   let members =
-    List.init 3 (fun i ->
+    List.init n (fun i ->
         let h = Net.add_host net ~name:(Printf.sprintf "server%d" i) () in
         let rt = Runtime.create env h ~port:50 () in
-        let module_no =
-          Runtime.export rt (fun _ctx ~proc_no:_ body ->
-              served := Printf.sprintf "s%d:%s" i (Bytes.to_string body) :: !served;
-              body)
-        in
-        Runtime.module_addr rt module_no)
+        Runtime.module_addr rt (Runtime.export rt (fun _ctx ~proc_no:_ body -> body)))
   in
   let troupe = Troupe.make ~id:42L ~members in
   let client_host = Net.add_host net ~name:"client" () in
@@ -67,77 +104,28 @@ let run_rpc ~burst ~seed () =
   let replies = ref [] in
   ignore
     (Runtime.spawn_thread rt (fun ctx ->
-         for i = 1 to 5 do
-           let r =
-             Runtime.call_troupe ctx troupe ~proc_no:0 (Bytes.of_string (Printf.sprintf "q%d" i))
+         for i = 1 to 3 do
+           let arg = Bytes.init 11_520 (fun j -> Char.chr (97 + ((i + j) mod 26))) in
+           let reply =
+             match Runtime.call_troupe ctx troupe ~proc_no:0 arg with
+             | r -> Digest.to_hex (Digest.bytes r)
+             | exception e -> "raised " ^ Printexc.to_string e
            in
-           replies := Bytes.to_string r :: !replies
+           replies := reply :: !replies
          done));
   Engine.run engine;
   Trace.stop ();
-  (Export.jsonl sink, List.rev !replies, List.rev !served)
+  Digest.to_hex (Digest.string (Export.jsonl sink ^ String.concat "\n" (List.rev !replies)))
 
-(* Logs what the application sees: server executions and client
-   replies, in order. *)
-let run_visible ~burst ~seed () =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~params:(Net.lan ~loss:0.12 ~duplication:0.2 ()) () in
-  (* Extra exponential delay via the fault-injection knob. *)
-  Net.set_extra_delay_mean net 0.4e-3;
-  let env = Syscall.make net () in
-  Syscall.set_burst env burst;
-  let server_host = Net.add_host net ~name:"server" () in
-  let client_host = Net.add_host net ~name:"client" () in
-  let log = ref [] in
-  let server = Endpoint.create env server_host ~port:50 () in
-  Endpoint.serve server (fun ~src:_ body ->
-      log := ("srv:" ^ Bytes.to_string body) :: !log;
-      body);
-  ignore
-    (Host.spawn client_host (fun () ->
-         let ep = Endpoint.create env client_host () in
-         for i = 1 to 10 do
-           let reply =
-             Endpoint.call ep ~dst:(Endpoint.addr server)
-               (Bytes.of_string (Printf.sprintf "m%d" i))
-           in
-           log := ("rep:" ^ Bytes.to_string reply) :: !log
-         done;
-         Endpoint.close ep));
-  Engine.run engine;
-  List.rev !log
-
-(* ------------------------------------------------------------------ *)
-(* Burst charging vs the literal per-charge loop.  [Syscall.set_burst]
-   flips every multi-charge entry point ([sendmsg_vec], [charge_burst])
-   between [Host.charge_span] and a [Host.use_cpu] loop; the two must
-   be observationally indistinguishable — byte-identical traces (charge
-   slices at the same instants), identical replies and server-side
-   executions — under loss, duplication, and extra delay. *)
-
-let prop_burst_equals_legacy_pairmsg =
-  QCheck.Test.make ~name:"burst charging = per-charge loop (pairmsg trace + replies)" ~count:15
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let t1, r1 = run_pairmsg_traced ~burst:true ~seed () in
-      let t2, r2 = run_pairmsg_traced ~burst:false ~seed () in
-      t1 = t2 && r1 = r2)
-
-let prop_burst_equals_legacy_rpc =
-  QCheck.Test.make ~name:"burst charging = per-charge loop (rpc trace + executions)" ~count:10
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      let t1, r1, s1 = run_rpc ~burst:true ~seed () in
-      let t2, r2, s2 = run_rpc ~burst:false ~seed () in
-      t1 = t2 && r1 = r2 && s1 = s2)
-
-let prop_burst_equals_legacy_sequence =
-  QCheck.Test.make
-    ~name:"burst charging sees the per-charge sequence (loss/dup/delay)" ~count:15
-    QCheck.(int_range 1 100_000)
-    (fun seed ->
-      run_visible ~burst:true ~seed ()
-      = run_visible ~burst:false ~seed ())
+let test_multiseg_golden () =
+  List.iter
+    (fun (n, seed, digest) ->
+      Alcotest.(check string) (Printf.sprintf "n=%d seed=%d" n seed) digest
+        (multiseg_digest ~n ~seed))
+    [ (1, 5, "245dac712e99908af53810dfee297e21");
+      (1, 11, "a30a6c568ac14511164577bd103cbaf0");
+      (3, 5, "e5b773e1bc2f18b1b27c8c07bb328da7");
+      (3, 11, "fea8deb0db315d9311ab6ee0189cd4d8") ]
 
 (* ------------------------------------------------------------------ *)
 (* sendmsg_vec exception contract: a hook that raises at element [i]
@@ -189,26 +177,21 @@ let test_sendmsg_vec_before_raise () =
 
 (* ------------------------------------------------------------------ *)
 (* Burst charging composed with the sharded cluster: the merged trace
-   and every client's outcome log must be invariant across burst
-   {on,off} x domains {1,2,4}, with a chaos plan running.  An echo
-   server on shard 0 serves pairmsg clients on the three other shards,
-   so every call crosses LPs; the plan crashes/bounces one client host
-   and throws loss/delay bursts at the rest. *)
+   and every client's outcome log must be invariant across domains
+   {1,2,4}, with a chaos plan running.  An echo server on shard 0
+   serves pairmsg clients on the three other shards, so every call
+   crosses LPs; the plan crashes/bounces one client host and throws
+   loss/delay bursts at the rest. *)
 
 module Cluster_plan = Circus_fault.Plan
 module Injector = Circus_fault.Injector
 
-let cluster_burst_run ~seed ~domains ~burst =
+let cluster_run ~seed ~domains =
   let params = { (Net.lan ~loss:0.05 ~duplication:0.1 ()) with propagation = 2e-3 } in
   let c = Cluster.create ~seed ~params ~lps:4 () in
   Cluster.enable_tracing c;
   let hosts = Array.init 4 (fun i -> Cluster.add_host c ~name:(Printf.sprintf "h%d" i) ()) in
-  let envs =
-    Array.init 4 (fun lp ->
-        let env = Syscall.make (Cluster.net c lp) () in
-        Syscall.set_burst env burst;
-        env)
-  in
+  let envs = Array.init 4 (fun lp -> Syscall.make (Cluster.net c lp) ()) in
   let server_lp = Cluster.lp_of_host c (Host.id hosts.(0)) in
   let server_addr = ref None in
   Cluster.with_lp c server_lp (fun () ->
@@ -244,26 +227,26 @@ let cluster_burst_run ~seed ~domains ~burst =
   let trace = Export.jsonl_events (Cluster.merged_events c) in
   (trace, Array.map List.rev logs, List.length plan)
 
-let check_cluster_burst_invariance ~seed =
-  let ref_trace, ref_logs, plan_steps = cluster_burst_run ~seed ~domains:1 ~burst:true in
+let check_cluster_invariance ~seed =
+  let ref_trace, ref_logs, plan_steps = cluster_run ~seed ~domains:1 in
   let calls = Array.fold_left (fun n log -> n + List.length log) 0 ref_logs in
   if calls = 0 then Alcotest.fail "no client completed a call — vacuous comparison";
   if plan_steps = 0 then Alcotest.fail "empty chaos plan — vacuous chaos comparison";
   List.for_all
-    (fun (domains, burst) ->
-      let trace, logs, _ = cluster_burst_run ~seed ~domains ~burst in
+    (fun domains ->
+      let trace, logs, _ = cluster_run ~seed ~domains in
       trace = ref_trace && logs = ref_logs)
-    [ (1, false); (2, true); (2, false); (4, true); (4, false) ]
+    [ 2; 4 ]
 
-let test_cluster_burst_invariant_fixed_seed () =
-  Alcotest.(check bool) "burst {on,off} x domains {1,2,4} identical (seed 17)" true
-    (check_cluster_burst_invariance ~seed:17)
+let test_cluster_invariant_fixed_seed () =
+  Alcotest.(check bool) "domains {1,2,4} identical (seed 17)" true
+    (check_cluster_invariance ~seed:17)
 
-let prop_cluster_burst_invariant =
+let prop_cluster_invariant =
   QCheck.Test.make ~count:3
-    ~name:"chaos cluster: burst {on,off} x domains {1,2,4} byte-identical"
+    ~name:"chaos cluster: domains {1,2,4} byte-identical"
     QCheck.(int_range 0 10_000)
-    (fun seed -> check_cluster_burst_invariance ~seed)
+    (fun seed -> check_cluster_invariance ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* Steady-state allocation budget on the replicated-call path.  This
@@ -359,14 +342,12 @@ let () =
     [ ( "burst charging",
         Alcotest.test_case "sendmsg_vec hook raise: no half-charged burst" `Quick
           test_sendmsg_vec_before_raise
-        :: qcheck
-             [ prop_burst_equals_legacy_pairmsg;
-               prop_burst_equals_legacy_rpc;
-               prop_burst_equals_legacy_sequence ] );
+        :: Alcotest.test_case "multi-segment troupe calls, pinned digests" `Quick
+             test_multiseg_golden
+        :: qcheck [ prop_charge_span_equals_loop ] );
       ( "burst x cluster",
-        Alcotest.test_case "fixed seed, burst x domains" `Quick
-          test_cluster_burst_invariant_fixed_seed
-        :: qcheck [ prop_cluster_burst_invariant ] );
+        Alcotest.test_case "fixed seed, domains {1,2,4}" `Quick test_cluster_invariant_fixed_seed
+        :: qcheck [ prop_cluster_invariant ] );
       ( "allocation",
         [ Alcotest.test_case "per-call budget" `Quick test_call_alloc_budget;
           Alcotest.test_case "retained state per call" `Quick test_retained_state_budget ] ) ]
