@@ -58,25 +58,36 @@ type incoming = {
   mutable i_parts : bytes option array;  (* emptied once assembled *)
   mutable i_ack_no : int;
   mutable i_complete : bool;
-  mutable i_postponed_ack : bool;
+  i_postponed_ack : bool;  (* true only in a [delivered_postponed] marker *)
   mutable i_body : bytes;  (* valid once complete *)
 }
 
-(* What a return message leaves behind once its exchange has taken the
-   body: complete, fully acknowledged, nothing to redeliver.  It only
-   answers late duplicates (with [total], ack number [total]), so one
-   shared record per [total] serves every delivered return.  Nothing
-   mutates a complete return record — the reassembly path is guarded by
-   [i_complete] and postponed acks apply to calls only — which is what
-   makes sharing them, across endpoints and domains, safe. *)
-let delivered_return =
-  Array.init 256 (fun total ->
-      { i_total = total;
-        i_parts = [||];
-        i_ack_no = total;
-        i_complete = true;
-        i_postponed_ack = false;
-        i_body = Bytes.empty })
+(* What a message leaves behind once it has been delivered: complete,
+   fully acknowledged, nothing to redeliver, no body.  It only answers
+   late duplicates (with [total], ack number [total]), so one shared
+   record per [total] serves every delivered message of that length.
+
+   - A return swaps its record for [delivered] once its exchange has
+     taken the body.
+   - A call swaps its record for [delivered] once the body has gone to
+     the handler, and for [delivered_postponed] once it has postponed
+     its ack (§4.2.2): a late duplicate then gets the ack it would have
+     got from the call's own record.
+
+   Nothing mutates a complete record — the reassembly path is guarded
+   by [i_complete], and postponing an ack replaces the marker instead of
+   setting its flag — which is what makes sharing them, across
+   endpoints and domains, safe. *)
+let delivered_marker ~postponed total =
+  { i_total = total;
+    i_parts = [||];
+    i_ack_no = total;
+    i_complete = true;
+    i_postponed_ack = postponed;
+    i_body = Bytes.empty }
+
+let delivered = Array.init 256 (delivered_marker ~postponed:false)
+let delivered_postponed = Array.init 256 (delivered_marker ~postponed:true)
 
 type reply = { from : Addr.t; result : (bytes, exn) result; reply_ctx : int }
 
@@ -412,7 +423,7 @@ let start_exchange t ~dst ~call_no out deliver =
   let ret_key = msg_key dst Segment.Return call_no in
   (match Itab.find_opt t.returns_in ret_key with
   | Some inc when inc.i_complete ->
-    Itab.replace t.returns_in ret_key delivered_return.(inc.i_total);
+    Itab.replace t.returns_in ret_key delivered.(inc.i_total);
     finish_exchange t x (Ok inc.i_body)
   | Some _ | None ->
     Host.run_pooled t.host ~label:"pairmsg.watchdog" (fun () ->
@@ -644,7 +655,7 @@ let deliver_call t ~src ~call_no body =
 
 (* Hand a complete return message to its exchange.  From then on the
    record only has to ack duplicates, so it is swapped for the shared
-   [delivered_return] marker and the body goes with the exchange.  A
+   [delivered] marker and the body goes with the exchange.  A
    return with no live exchange keeps its body: it may be a first-come
    return (§4.3.4) whose call has not been made yet, which
    [start_exchange] completes from it. *)
@@ -661,7 +672,7 @@ let deliver_return t ~src ~call_no key inc =
     (* The prune that ran on this completion may already have dropped
        the record; a marker must not bring it back. *)
     if Itab.mem t.returns_in key then
-      Itab.replace t.returns_in key delivered_return.(inc.i_total);
+      Itab.replace t.returns_in key delivered.(inc.i_total);
     finish_exchange t x (Ok inc.i_body)
   | None -> ()
 
@@ -717,7 +728,11 @@ let handle_data t ~src seg =
           t.completions <- t.completions + 1;
           if t.completions mod 64 = 0 then prune t;
           match msg_type with
-          | Segment.Call -> deliver_call t ~src ~call_no inc.i_body
+          | Segment.Call ->
+            (* The prune that ran on this completion may already have
+               dropped the record; a marker must not bring it back. *)
+            if Itab.mem tbl key then Itab.replace tbl key delivered.(inc.i_total);
+            deliver_call t ~src ~call_no inc.i_body
           | Segment.Return -> deliver_return t ~src ~call_no key inc
           | Segment.Probe | Segment.Probe_ack | Segment.Reject -> ()
         end
@@ -730,7 +745,9 @@ let handle_data t ~src seg =
         msg_type = Segment.Call && inc.i_complete
         && not (Itab.mem t.outgoing (msg_key src Segment.Return call_no))
       in
-      if awaiting_reply && not inc.i_postponed_ack then inc.i_postponed_ack <- true
+      if awaiting_reply && not inc.i_postponed_ack then begin
+        if Itab.mem tbl key then Itab.replace tbl key delivered_postponed.(inc.i_total)
+      end
       else send_ack t ~dst:src ~msg_type ~total:inc.i_total ~ack_no:inc.i_ack_no ~call_no
     end
   end

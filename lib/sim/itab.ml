@@ -10,9 +10,11 @@
 
    Deletions leave tombstones (key [-2]); the table resizes — which
    also sweeps tombstones — when live entries plus tombstones fill half
-   the capacity.  A removed slot keeps its last value until the slot is
-   reused or the table resizes; values are small per-call records, so
-   the transient retention is bounded and harmless. *)
+   the capacity.  A removed slot's value is overwritten with [filler],
+   so the table retains exactly its live values: a record removed from
+   a table that is rarely written again (a sweep that empties most of
+   it, say) is not kept alive until the slot is reused.  Only slots
+   whose key is live are ever read, so the filler is never observed. *)
 
 type 'a t = {
   mutable keys : int array;
@@ -23,6 +25,12 @@ type 'a t = {
 
 let empty_slot = -1
 let tombstone = -2
+
+(* What an unused value slot holds.  It is an immediate, so it retains
+   nothing, and [vals] is always created from it, never from a caller's
+   value: a [float t] therefore never gets a flat float array, which
+   could not hold it. *)
+let filler : 'a. 'a = Obj.magic 0
 
 let create ?(initial = 16) () =
   let rec pow2 n = if n >= initial then n else pow2 (2 * n) in
@@ -72,7 +80,7 @@ let resize t =
   let cap = Array.length old_keys in
   let cap = if 2 * t.live >= cap then 2 * cap else cap in
   t.keys <- Array.make cap empty_slot;
-  t.vals <- (if t.live = 0 then [||] else Array.make cap old_vals.(0));
+  t.vals <- (if t.live = 0 then [||] else Array.make cap filler);
   t.fill <- 0;
   let live = t.live in
   t.live <- 0;
@@ -83,13 +91,13 @@ let resize t =
 
 let replace t key v =
   if key < 0 then invalid_arg "Itab.replace: negative key";
-  if t.vals = [||] then t.vals <- Array.make (Array.length t.keys) v;
+  if Array.length t.vals = 0 then t.vals <- Array.make (Array.length t.keys) filler;
   let i = if t.live = 0 then -1 else find_slot t key (slot_of t key) in
   if i >= 0 then t.vals.(i) <- v
   else begin
     if 2 * (t.fill + 1) > Array.length t.keys then begin
       resize t;
-      if t.vals = [||] then t.vals <- Array.make (Array.length t.keys) v
+      if Array.length t.vals = 0 then t.vals <- Array.make (Array.length t.keys) filler
     end;
     insert_fresh t key v (slot_of t key)
   end
@@ -100,6 +108,7 @@ let remove t key =
     let i = find_slot t key (slot_of t key) in
     if i >= 0 then begin
       t.keys.(i) <- tombstone;
+      t.vals.(i) <- filler;
       t.live <- t.live - 1
     end
   end

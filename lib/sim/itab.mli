@@ -3,7 +3,9 @@
     Used by the protocol stack for per-call state keyed by small
     composites (peer address, message type, call number) packed into a
     single int.  Unlike a generic [Hashtbl] over a key tuple, the
-    steady-state find/replace/remove path allocates nothing.
+    steady-state find/replace/remove path allocates nothing.  The
+    table retains exactly its live values: [remove] and an overwriting
+    [replace] drop the table's reference to the old value at once.
 
     Keys must be non-negative; [-1] and [-2] are reserved as the empty
     and tombstone markers.  Operations raise [Invalid_argument] on a
@@ -23,7 +25,8 @@ val replace : 'a t -> int -> 'a -> unit
 (** Insert or overwrite the binding for a key. *)
 
 val remove : 'a t -> int -> unit
-(** Remove the binding if present; no-op otherwise. *)
+(** Remove the binding if present; no-op otherwise.  The slot keeps no
+    reference to the removed value. *)
 
 val iter : (int -> 'a -> unit) -> 'a t -> unit
 (** Iterate over live bindings in unspecified order.  The callback must

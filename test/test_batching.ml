@@ -331,9 +331,67 @@ let test_retained_state_budget () =
          done;
          per_call := Float.of_int (live_words () - before) /. Float.of_int calls));
   Engine.run engine;
-  let budget = 32.0 in
+  let budget = 24.0 in
   if not (!per_call <= budget) then
     Alcotest.failf "a completed call leaves %.1f live words behind (budget %.0f)" !per_call
+      budget
+
+(* The scenario's shape of the same question: several client runtimes
+   spread their calls over several troupes, so each server sees every
+   [troupes]-th call number of each client, and the run goes on past
+   the RPC layer's retention period (10 s simulated) until its sweeps
+   have retired every many-to-one record.  What is still live then
+   beyond the idle testbed is what the protocol never lets go of: the
+   clients' delivered-return markers and the servers' dedup window, in
+   tables sized by their peak: 43.4 words per completed call, against a
+   budget with ~30% headroom.  Removed records left in table slots, or
+   message bodies kept for calls already handed to the handler, break
+   the budget. *)
+let test_retained_state_spread () =
+  let engine = Engine.create () in
+  let net = Net.create engine () in
+  let env = Syscall.make net () in
+  let troupes = 4 and clients = 6 and calls_each = 400 in
+  let troupes =
+    Array.init troupes (fun j ->
+        let members =
+          List.init 3 (fun i ->
+              let h = Net.add_host net ~name:(Printf.sprintf "server%d.%d" j i) () in
+              let rt = Runtime.create env h ~port:50 () in
+              Runtime.module_addr rt (Runtime.export rt (fun _ctx ~proc_no:_ body -> body)))
+        in
+        Troupe.make ~id:(Int64.of_int (100 + j)) ~members)
+  in
+  let completed = ref 0 in
+  let runtimes =
+    List.init clients (fun c ->
+        let rt = Runtime.create env (Net.add_host net ~name:(Printf.sprintf "client%d" c) ()) () in
+        ignore
+          (Runtime.spawn_thread rt (fun ctx ->
+               for k = 1 to calls_each do
+                 let troupe = troupes.((c + k) mod Array.length troupes) in
+                 ignore (Runtime.call_troupe ctx troupe ~proc_no:0 (Bytes.create 64));
+                 incr completed
+               done));
+        rt)
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  Engine.run engine;
+  let after = live_words () in
+  ignore (Sys.opaque_identity (engine, net, troupes, runtimes));
+  if !completed <> clients * calls_each then
+    Alcotest.failf "%d of %d calls completed" !completed (clients * calls_each);
+  if Engine.now engine < 10.0 then
+    Alcotest.failf "the run ended at %.1f s, inside the first retention period"
+      (Engine.now engine);
+  let per_call = Float.of_int (after - before) /. Float.of_int !completed in
+  let budget = 56.0 in
+  if not (per_call <= budget) then
+    Alcotest.failf "a completed call leaves %.1f live words behind (budget %.0f)" per_call
       budget
 
 let () =
@@ -350,4 +408,6 @@ let () =
         :: qcheck [ prop_cluster_invariant ] );
       ( "allocation",
         [ Alcotest.test_case "per-call budget" `Quick test_call_alloc_budget;
-          Alcotest.test_case "retained state per call" `Quick test_retained_state_budget ] ) ]
+          Alcotest.test_case "retained state per call" `Quick test_retained_state_budget;
+          Alcotest.test_case "retained state, calls spread over troupes" `Quick
+            test_retained_state_spread ] ) ]

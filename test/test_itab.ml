@@ -1,0 +1,152 @@
+(* Tests for [Itab], the flat int-keyed table under the protocol
+   stack's per-call state: a model test against [Hashtbl], and a check
+   that the table retains exactly its live values. *)
+
+open Circus_sim
+
+(* ------------------------------------------------------------------ *)
+(* Model test.  Keys come from three clusters: small consecutive ints,
+   multiples of 2^24 (which all hash to one slot at any capacity the
+   runs reach, so they build long probe chains) and a few large keys.
+   Long runs of inserts and removes over them go through tombstone
+   sweeps at the same capacity and several doublings.  Values are
+   floats, the element type a flat float array could not hold beside
+   the table's filler. *)
+
+type op =
+  | Replace of int * float
+  | Remove of int
+  | Find of int
+  | Mem of int
+  | Iter
+  | Fold
+  | Length
+
+let show_op = function
+  | Replace (k, v) -> Printf.sprintf "replace %d %g" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Iter -> "iter"
+  | Fold -> "fold"
+  | Length -> "length"
+
+let gen_key =
+  QCheck.Gen.(
+    frequency
+      [ (5, int_bound 63);
+        (3, map (fun a -> a lsl 24) (int_bound 40));
+        (1, map (fun a -> (a lsl 50) lor 7) (int_bound 7)) ])
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [ (6, map2 (fun k v -> Replace (k, float_of_int v)) gen_key (int_bound 1000));
+        (4, map (fun k -> Remove k) gen_key);
+        (2, map (fun k -> Find k) gen_key);
+        (1, map (fun k -> Mem k) gen_key);
+        (1, return Iter);
+        (1, return Fold);
+        (1, return Length) ])
+
+let bindings_of_itab t =
+  let acc = ref [] in
+  Itab.iter (fun k v -> acc := (k, v) :: !acc) t;
+  List.sort compare !acc
+
+let bindings_of_model m = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [])
+
+let run_ops ops =
+  let t = Itab.create ~initial:8 () in
+  let m = Hashtbl.create 16 in
+  List.for_all
+    (fun op ->
+      match op with
+      | Replace (k, v) ->
+        Itab.replace t k v;
+        Hashtbl.replace m k v;
+        Itab.length t = Hashtbl.length m
+      | Remove k ->
+        Itab.remove t k;
+        Hashtbl.remove m k;
+        Itab.length t = Hashtbl.length m
+      | Find k -> Itab.find_opt t k = Hashtbl.find_opt m k
+      | Mem k -> Itab.mem t k = Hashtbl.mem m k
+      | Iter -> bindings_of_itab t = bindings_of_model m
+      | Fold ->
+        List.sort compare (Itab.fold (fun k v acc -> (k, v) :: acc) t []) = bindings_of_model m
+      | Length -> Itab.length t = Hashtbl.length m)
+    ops
+  && bindings_of_itab t = bindings_of_model m
+
+let prop_matches_hashtbl =
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+      QCheck.Gen.(list_size (int_range 0 600) gen_op)
+  in
+  QCheck.Test.make ~name:"itab matches Hashtbl model" ~count:300 arb run_ops
+
+(* ------------------------------------------------------------------ *)
+(* Release.  A value removed from the table, or overwritten by
+   [replace], must be collectable at once, not when its slot happens to
+   be reused or the table next resizes; live values must stay. *)
+
+let test_release () =
+  let n = 48 in
+  let t = Itab.create () in
+  let weak = Weak.create (2 * n) in
+  (* Fresh heap blocks, reachable only from the table and [weak]. *)
+  let fill () =
+    for k = 0 to n - 1 do
+      let v = Bytes.make 16 (Char.chr k) in
+      Weak.set weak k (Some v);
+      Itab.replace t k v
+    done;
+    for k = 0 to n - 1 do
+      if k mod 3 = 0 then Itab.remove t k
+      else if k mod 3 = 1 then begin
+        let v = Bytes.make 16 'o' in
+        Weak.set weak (n + k) (Some v);
+        Itab.replace t k v
+      end
+    done
+  in
+  fill ();
+  let check what =
+    Gc.full_major ();
+    for k = 0 to n - 1 do
+      let collected = not (Weak.check weak k) in
+      let expect = k mod 3 <> 2 in
+      if collected <> expect then
+        Alcotest.failf "%s: first value of key %d %s" what k
+          (if expect then "is still reachable" else "was collected");
+      if k mod 3 = 1 && not (Weak.check weak (n + k)) then
+        Alcotest.failf "%s: replacing value of key %d was collected" what k
+    done
+  in
+  check "after remove/replace";
+  (* Grow the table through two doublings; the new slots must not be
+     filled from a value the table no longer holds. *)
+  for k = 1000 to 1000 + (4 * n) do
+    Itab.replace t k (Bytes.make 1 'x')
+  done;
+  for k = 1000 to 1000 + (4 * n) do
+    Itab.remove t k
+  done;
+  check "after growth";
+  for k = 0 to n - 1 do
+    let expect =
+      if k mod 3 = 0 then None
+      else if k mod 3 = 1 then Some (Bytes.make 16 'o')
+      else Some (Bytes.make 16 (Char.chr k))
+    in
+    Alcotest.(check (option bytes)) (Printf.sprintf "key %d" k) expect (Itab.find_opt t k)
+  done;
+  ignore (Sys.opaque_identity t)
+
+let () =
+  Alcotest.run "circus_itab"
+    [ ( "itab",
+        Alcotest.test_case "removed and overwritten values are released" `Quick test_release
+        :: List.map QCheck_alcotest.to_alcotest [ prop_matches_hashtbl ] ) ]
