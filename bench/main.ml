@@ -1,10 +1,8 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation, printing the paper's published numbers alongside
-   the simulated measurements, then times one Bechamel micro-benchmark
-   per experiment.
+   the simulated measurements.
 
-   Run with: dune exec bench/main.exe
-   (pass --quick to skip the Bechamel pass; --help lists the options)
+   Run with: dune exec bench/main.exe (--help lists the options)
 
    CI runs [--smoke --json out.json]: a sub-minute pass over the
    Table 4.1 experiment with reduced iteration counts that writes the
@@ -12,8 +10,6 @@
    as a build artifact so regressions in the simulated performance
    model show up in the workflow run. *)
 
-open Bechamel
-open Toolkit
 open Circus_workloads
 
 let line = String.make 78 '-'
@@ -238,49 +234,6 @@ let print_cc_ablation rows =
      programming-in-the-large (SS5.5)."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: one micro-benchmark per table/figure, timing a reduced run
-   of each experiment harness. *)
-
-let bechamel_tests =
-  [ Test.make ~name:"t4.1-circus3"
-      (Staged.stage (fun () -> ignore (Workloads.circus_row ~iterations:5 ~n:3 ())));
-    Test.make ~name:"t4.1-udp"
-      (Staged.stage (fun () -> ignore (Workloads.udp_row ~iterations:20 ())));
-    Test.make ~name:"t4.2-syscalls" (Staged.stage (fun () -> ignore (Workloads.table_4_2 ())));
-    Test.make ~name:"t4.3-profile"
-      (Staged.stage (fun () -> ignore (Workloads.circus_row ~iterations:5 ~n:2 ())));
-    Test.make ~name:"f4.8-multicast"
-      (Staged.stage (fun () -> ignore (Workloads.circus_row ~iterations:5 ~multicast:true ~n:3 ())));
-    Test.make ~name:"a4.4-maxexp"
-      (Staged.stage (fun () -> ignore (Workloads.theorem_4_3 ~trials:2_000 ())));
-    Test.make ~name:"a5.1-deadlock"
-      (Staged.stage (fun () -> ignore (Workloads.eq_5_1 ~trials:2_000 ())));
-    Test.make ~name:"f5.1-broadcast"
-      (Staged.stage (fun () ->
-           ignore (Workloads.ordered_broadcast_run ~members:3 ~broadcasters:2 ~each:2 ())));
-    Test.make ~name:"f6.3-availability"
-      (Staged.stage (fun () -> ignore (Workloads.availability_rows ~horizon:50_000.0 ()))) ]
-
-let run_bechamel () =
-  section "Bechamel micro-benchmarks (one per table/figure; reduced workloads)";
-  let test = Test.make_grouped ~name:"bench" ~fmt:"%s %s" bechamel_tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:30 ~stabilize:true ~quota:(Time.second 0.3) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "%-28s | %14s\n" "experiment" "per run";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ ns ] ->
-           if ns > 1e9 then Printf.printf "%-28s | %11.2f s \n" name (ns /. 1e9)
-           else if ns > 1e6 then Printf.printf "%-28s | %11.2f ms\n" name (ns /. 1e6)
-           else Printf.printf "%-28s | %11.2f us\n" name (ns /. 1e3)
-         | Some _ | None -> Printf.printf "%-28s | %14s\n" name "n/a")
-
-(* ------------------------------------------------------------------ *)
 (* Smoke mode: Table 4.1 with reduced iteration counts, exported as
    JSON for the CI artifact.  Deterministic — the simulation is seeded
    — so two runs of the same build produce byte-identical files; the
@@ -300,7 +253,7 @@ let run_smoke ~json_path =
     close_out oc;
     Printf.printf "\nwrote %s\n" path
 
-let main quick smoke json_path =
+let main smoke json_path =
   if smoke then run_smoke ~json_path
   else begin
     print_endline "Circus benchmark harness: regenerating the paper's tables and figures.";
@@ -319,13 +272,14 @@ let main quick smoke json_path =
     print_availability (Workloads.availability_rows ()) (Workloads.replacement_time_examples ());
     print_waiting_policy_ablation (Workloads.waiting_policy_ablation ());
     print_cc_ablation (Workloads.concurrency_control_ablation ());
-    if not quick then run_bechamel ();
     print_endline "\nall experiments complete."
   end
 
 let () =
   let open Cmdliner in
-  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let smoke =
+    Arg.(value & flag & info [ "smoke" ] ~doc:"Table 4.1 only, with reduced iteration counts.")
+  in
   let json =
     Arg.(
       value
@@ -336,8 +290,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.v (Cmd.info "main" ~doc)
-          Term.(
-            const main
-            $ flag "quick" "Skip the Bechamel pass."
-            $ flag "smoke" "Table 4.1 only, with reduced iteration counts."
-            $ json)))
+          Term.(const main $ smoke $ json)))

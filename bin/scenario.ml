@@ -156,10 +156,18 @@ let spec =
 
 let path_opt name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let cmd =
   let domains =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "domains" ] ~docv:"N" ~doc:"OCaml domains to run the shards on.")
   in
   let chaos =
@@ -170,7 +178,7 @@ let cmd =
   in
   let trace_cap =
     Arg.(
-      value & opt int 65_536
+      value & opt positive_int 65_536
       & info [ "trace-cap" ] ~docv:"N" ~doc:"Trace ring capacity per shard.")
   in
   let no_causal =

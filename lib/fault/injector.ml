@@ -2,6 +2,7 @@ open Circus_sim
 open Circus_net
 module Trace = Circus_trace.Trace
 module Tev = Circus_trace.Event
+module Export = Circus_trace.Export
 
 let emit ?host name args = if Trace.on () then Trace.emit ~cat:"fault" ?host ~args name
 
@@ -101,45 +102,17 @@ let inject_cluster cluster plan =
 (* ------------------------------------------------------------------ *)
 (* Fault-trace rendering *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let add_arg_value b = function
-  | Tev.Int i -> Buffer.add_string b (string_of_int i)
-  | Tev.I32 i -> Buffer.add_string b (Int32.to_string i)
-  | Tev.I64 i -> Buffer.add_string b (Int64.to_string i)
-  | Tev.Float f -> Buffer.add_string b (Tev.float_repr f)
-  | Tev.Str s -> add_json_string b s
-  | Tev.Bool v -> Buffer.add_string b (if v then "true" else "false")
-
 let render_line (e : Tev.t) =
   let b = Buffer.create 96 in
-  Buffer.add_string b "{\"t\":";
-  Buffer.add_string b (Tev.float_repr e.Tev.time);
-  Buffer.add_string b ",\"name\":";
-  add_json_string b e.Tev.name;
-  Buffer.add_string b (Printf.sprintf ",\"host\":%d" e.Tev.host);
+  Export.add_args b
+    [ ("t", Tev.Float e.Tev.time); ("name", Tev.Str e.Tev.name); ("host", Tev.Int e.Tev.host) ];
   if e.Tev.args <> [] then begin
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        add_json_string b k;
-        Buffer.add_char b ':';
-        add_arg_value b v)
-      e.Tev.args;
+    (* Reopen the object to nest the arguments. *)
+    Buffer.truncate b (Buffer.length b - 1);
+    Buffer.add_string b ",\"args\":";
+    Export.add_args b e.Tev.args;
     Buffer.add_char b '}'
   end;
-  Buffer.add_char b '}';
   Buffer.contents b
 
 let fault_trace_lines () =

@@ -9,6 +9,10 @@ val chrome : Trace.sink -> string
     Hosts map to processes, fibers to threads; causal events whose
     parent lives on another host/fiber get flow arrows. *)
 
+val add_args : Buffer.t -> (string * Event.arg) list -> unit
+(** Append [args] as one JSON object, keys in list order, with the
+    exporters' string escaping and {!Event.float_repr} floats. *)
+
 val jsonl_to_file : Trace.sink -> string -> unit
 val chrome_to_file : Trace.sink -> string -> unit
 
