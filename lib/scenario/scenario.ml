@@ -337,10 +337,7 @@ let run ?(domains = 1) ?chaos ?(tracing = false) ?trace_capacity ?(causal = fals
                for _w = 1 to spec.pool do
                  ignore
                    (Runtime.spawn_thread crt ~label:"scenario-worker" (fun ctx ->
-                        let rec loop () =
-                          (match Mailbox.recv ~timeout:0.5 q with
-                          | None -> ()
-                          | Some (t0, svc, cx) -> (
+                        Mailbox.serve ~idle:0.5 q (fun (t0, svc, cx) ->
                             if Causal.on () then begin
                               (* Adopt the request's context (clearing
                                  any leftover from the previous
@@ -357,10 +354,7 @@ let run ?(domains = 1) ?chaos ?(tracing = false) ?trace_capacity ?(causal = fals
                               if Causal.on () then ignore (Causal.step ~host:whost "done");
                               Metrics.observe ms "scenario.latency" (Engine.now engine -. t0);
                               Metrics.incr ms "scenario.ok"
-                            | exception _ -> Metrics.incr ms "scenario.failed"));
-                          loop ()
-                        in
-                        loop ()))
+                            | exception _ -> Metrics.incr ms "scenario.failed")))
                done)
              stacks;
            let crt0, sc0, _ = stacks.(0) in

@@ -31,8 +31,28 @@ type t = {
   some_self : t option;
 }
 
+(* A suspension point one fiber parks on again and again (see [park]).
+   What a [suspend] allocates per parking is built once here: [fired]
+   stands for the waker's one-shot ref, [abort] is what [Suspended]
+   holds, [slot] is the resume event a [kick] schedules, and the
+   continuation stays in [k] while the fiber stays parked. *)
+type 'a park = {
+  owner : t;
+  arm : unit -> unit;
+  poll : unit -> 'a option;
+  on_abort : unit -> unit;
+  mutable k : ('a, unit) Effect.Deep.continuation option;
+  (* Set by the first of [unpark], [kick] and an abort, cleared when
+     the fiber parks again: later wakes of the same parking are no-ops,
+     as for a [suspend] waker. *)
+  mutable fired : bool;
+  abort : exn -> unit;
+  slot : unit -> unit;
+}
+
 type _ Effect.t +=
   | Suspend : ('a waker -> unit) * (unit -> unit) -> 'a Effect.t
+  | Park : 'a park -> 'a Effect.t
   | Sleep : float -> unit Effect.t
   | Self : t Effect.t
 
@@ -91,6 +111,55 @@ let finish fiber =
   fiber.terminate_callbacks <- [];
   List.iter (fun f -> f ()) callbacks
 
+(* The head of every resume: the fiber is running again, and the
+   trace says whether it resumes with a value or an exception. *)
+let resumed fiber ok =
+  fiber.state <- Running;
+  if Trace.on () then
+    Trace.emit ~cat:"fiber" ~fiber:fiber.id ~args:[ ("ok", Circus_trace.Event.Bool ok) ] "resume"
+
+(* The resume event's body, shared by every suspension. *)
+let resume fiber k r =
+  resumed fiber (Result.is_ok r);
+  enter fiber (fun () ->
+      match r with Ok v -> Effect.Deep.continue k v | Error e -> Effect.Deep.discontinue k e)
+
+let[@inline] block fiber abort =
+  if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "block";
+  fiber.state <- Suspended abort
+
+let park_k p = match p.k with Some k -> k | None -> invalid_arg "Fiber.park: not parked"
+
+(* Abandon the parking: unhook now, in the aborter's context (see the
+   [Suspend] handler), and discontinue in a resume event. *)
+let abort_parked p e =
+  p.fired <- true;
+  p.on_abort ();
+  let k = park_k p in
+  ignore (Engine.schedule p.owner.engine_ ~delay:0.0 (fun () -> resume p.owner k (Error e)))
+
+(* Park (again): exactly a fresh [suspend]'s blocking half. *)
+let repark p =
+  if p.owner.cancel_requested then abort_parked p Cancelled
+  else begin
+    p.fired <- false;
+    block p.owner p.abort;
+    p.arm ()
+  end
+
+(* The resume slot of a [kick]: the event a resume would have used, but
+   the fiber is continued only when the poll yields a value.  Otherwise
+   it parks again from here, with the same trace events and the same
+   engine calls, in the same order, as a fiber that resumed, found
+   nothing and parked anew. *)
+let poll_slot p =
+  resumed p.owner true;
+  match p.poll () with
+  | Some v ->
+    let k = park_k p in
+    enter p.owner (fun () -> Effect.Deep.continue k v)
+  | None -> repark p
+
 let spawn engine ?(label = "fiber") f =
   let id = Engine.next_fiber_id engine in
   let rec fiber =
@@ -131,30 +200,18 @@ let spawn engine ?(label = "fiber") f =
                     fired := true;
                     (match !timer with Some h -> Engine.cancel h | None -> ());
                     ignore
-                      (Engine.schedule engine ~delay:0.0 (fun () ->
-                           fiber.state <- Running;
-                           if Trace.on () then
-                             Trace.emit ~cat:"fiber" ~fiber:fiber.id
-                               ~args:[ ("ok", Circus_trace.Event.Bool false) ]
-                               "resume";
-                           enter fiber (fun () -> Effect.Deep.discontinue k e)))
+                      (Engine.schedule engine ~delay:0.0 (fun () -> resume fiber k (Error e)))
                   end
                 in
                 if fiber.cancel_requested then wake_err Cancelled
                 else begin
-                  if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "block";
-                  fiber.state <- Suspended wake_err;
+                  block fiber wake_err;
                   timer :=
                     Some
                       (Engine.schedule engine ~delay:duration (fun () ->
                            if not !fired then begin
                              fired := true;
-                             fiber.state <- Running;
-                             if Trace.on () then
-                               Trace.emit ~cat:"fiber" ~fiber:fiber.id
-                                 ~args:[ ("ok", Circus_trace.Event.Bool true) ]
-                                 "resume";
-                             enter fiber (fun () -> Effect.Deep.continue k ())
+                             resume fiber k (Ok ())
                            end))
                 end)
           | Suspend (register, on_abort) ->
@@ -172,26 +229,19 @@ let spawn engine ?(label = "fiber") f =
                        would find the doomed waiter still registered and
                        deliver the signal to a corpse. *)
                     (match r with Error _ -> on_abort () | Ok _ -> ());
-                    ignore
-                      (Engine.schedule engine ~delay:0.0 (fun () ->
-                           fiber.state <- Running;
-                           if Trace.on () then
-                             Trace.emit ~cat:"fiber" ~fiber:fiber.id
-                               ~args:
-                                 [ ("ok", Circus_trace.Event.Bool (Result.is_ok r)) ]
-                               "resume";
-                           enter fiber (fun () ->
-                               match r with
-                               | Ok v -> Effect.Deep.continue k v
-                               | Error e -> Effect.Deep.discontinue k e)))
+                    ignore (Engine.schedule engine ~delay:0.0 (fun () -> resume fiber k r))
                   end
                 in
                 if fiber.cancel_requested then wake (Error Cancelled)
                 else begin
-                  if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "block";
-                  fiber.state <- Suspended (fun e -> wake (Error e));
+                  block fiber (fun e -> wake (Error e));
                   register wake
                 end)
+          | Park p ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                p.k <- Some k;
+                repark p)
           | _ -> None)
     }
   in
@@ -212,6 +262,37 @@ let label t = t.label_
 let id t = t.id
 let no_cleanup () = ()
 let suspend ?(on_abort = no_cleanup) register = Effect.perform (Suspend (register, on_abort))
+
+let park_create ~arm ~poll ~on_abort =
+  let owner = self () in
+  let rec p =
+    { owner;
+      arm;
+      poll;
+      on_abort;
+      k = None;
+      fired = true;
+      abort = (fun e -> if not p.fired then abort_parked p e);
+      slot = (fun () -> poll_slot p) }
+  in
+  p
+
+let park p =
+  if p.owner != self () then invalid_arg "Fiber.park: not the park's fiber";
+  Effect.perform (Park p)
+
+let unpark p v =
+  if not p.fired then begin
+    p.fired <- true;
+    let k = park_k p in
+    ignore (Engine.schedule p.owner.engine_ ~delay:0.0 (fun () -> resume p.owner k (Ok v)))
+  end
+
+let kick p =
+  if not p.fired then begin
+    p.fired <- true;
+    ignore (Engine.schedule p.owner.engine_ ~delay:0.0 p.slot)
+  end
 
 let ff_streak_cap = 1024
 

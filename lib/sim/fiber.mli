@@ -71,6 +71,40 @@ val suspend : ?on_abort:(unit -> unit) -> ('a waker -> unit) -> 'a
     paying for a [try]/[with] around the suspension on the hot path.
     It does not run on [Ok _] resumptions. *)
 
+type 'a park
+(** A suspension point that one fiber parks on again and again, such as
+    a server's idle wait on its request queue.  Its waker, abort
+    function and resume-slot closure are built once: a {!kick} that
+    parks the fiber again allocates only its resume event and what
+    [arm] allocates. *)
+
+val park_create :
+  arm:(unit -> unit) -> poll:(unit -> 'a option) -> on_abort:(unit -> unit) -> 'a park
+(** [park_create ~arm ~poll ~on_abort] is a park owned by the calling
+    fiber.  [arm] registers the parking (the [register] of
+    {!suspend}); it runs each time the fiber parks, after the ["block"]
+    trace event.  [poll] runs in the resume slot of a {!kick}.
+    [on_abort] is {!suspend}'s. *)
+
+val park : 'a park -> 'a
+(** Block the owning fiber on the park, as {!suspend} with the park's
+    [arm] and [on_abort] would, until {!unpark} or a successful poll
+    resumes it with a value, or cancellation raises {!Cancelled}. *)
+
+val unpark : 'a park -> 'a -> unit
+(** [unpark p v] resumes the parked fiber with [v] — a {!suspend}
+    waker called with [Ok v].  The first of {!unpark}, {!kick} and an
+    abort wins; the others are no-ops until the fiber parks again. *)
+
+val kick : 'a park -> unit
+(** Schedule the delay-0 resume event that [unpark] would, but run
+    [poll] in it instead of resuming.  [Some v] resumes the fiber with
+    [v].  [None] parks it again without resuming it: a cancellation
+    requested meanwhile aborts the parking, and otherwise the slot
+    emits ["block"] and calls [arm] again.  The trace events and the
+    engine calls are those of a fiber that resumed, found nothing and
+    parked anew. *)
+
 val cancel : t -> unit
 (** Request cancellation: a suspended fiber is woken with {!Cancelled};
     a running one receives it at its next suspension point.  Cancelling

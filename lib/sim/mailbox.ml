@@ -1,9 +1,17 @@
+(* A blocked receiver.  Waiters form an intrusive doubly-linked FIFO
+   through [prev]/[next], closed by the mailbox's sentinel, so a waiter
+   that times out or is cancelled unlinks itself in O(1): the queue
+   holds only live waiters, and a [serve] loop reuses one waiter for
+   all of its parkings. *)
 type 'a waiter = {
-  mutable active : bool;
-  (* Written once inside [Fiber.suspend]; mutable (with a dummy
-     initial value) so the waiter can be allocated before suspending,
-     letting the cancellation cleanup reach it without an extra ref
-     cell on the hot receive path. *)
+  mutable linked : bool;
+  mutable prev : 'a waiter;
+  mutable next : 'a waiter;
+  (* Called with [Ok (Some v)] by [send] and with [Ok None] by the
+     waiter's expiry.  Written once inside [Fiber.suspend]; mutable
+     (with a dummy initial value) so the waiter can be allocated before
+     suspending, letting the cancellation cleanup reach it without an
+     extra ref cell on the hot receive path. *)
   mutable wake : 'a option Fiber.waker;
   mutable timer : Engine.handle option;
 }
@@ -15,62 +23,71 @@ type watcher = { watcher_id : int; notify : unit -> unit }
 type 'a t = {
   engine : Engine.t;
   items : 'a Queue.t;
-  mutable waiters : 'a waiter Queue.t;
-  (* Waiters deactivated by timeout or cancellation that are still
-     sitting in [waiters].  Kept so they can be swept eagerly rather
-     than lingering until some future [send] happens to pop them. *)
-  mutable inactive : int;
+  (* Sentinel of the waiter FIFO: [head.next] is the oldest waiter,
+     [head.prev] the newest. *)
+  head : 'a waiter;
+  mutable waiting : int;
   mutable watchers : watcher list;
   mutable next_watcher : int;
 }
 
 let create engine =
-  { engine;
-    items = Queue.create ();
-    waiters = Queue.create ();
-    inactive = 0;
-    watchers = [];
-    next_watcher = 0 }
+  let rec head = { linked = false; prev = head; next = head; wake = dummy_wake; timer = None } in
+  { engine; items = Queue.create (); head; waiting = 0; watchers = []; next_watcher = 0 }
 
-(* Rebuild [waiters] without the dead entries once they dominate; the
-   floor keeps small queues alone.  O(n) amortized against the >n/2
-   dead entries removed. *)
-let maybe_compact t =
-  if t.inactive > 8 && 2 * t.inactive > Queue.length t.waiters then begin
-    let keep = Queue.create () in
-    Queue.iter (fun w -> if w.active then Queue.push w keep) t.waiters;
-    t.waiters <- keep;
-    t.inactive <- 0
-  end
+let waiter t = { linked = false; prev = t.head; next = t.head; wake = dummy_wake; timer = None }
 
-(* Deactivate a waiter that remains queued (timed out or cancelled). *)
+let link t w =
+  let last = t.head.prev in
+  w.prev <- last;
+  w.next <- t.head;
+  last.next <- w;
+  t.head.prev <- w;
+  w.linked <- true;
+  t.waiting <- t.waiting + 1
+
+(* An unlinked waiter points back at the sentinel.  Stale links would
+   chain: a waiter popped by [send] would keep the one after it, that
+   one the next, and so on, all alive for as long as anything holds the
+   first, such as its cancelled timeout event still queued in the
+   engine: every later waiter of the mailbox, ~35 words each. *)
+let unlink t w =
+  w.prev.next <- w.next;
+  w.next.prev <- w.prev;
+  w.prev <- t.head;
+  w.next <- t.head;
+  w.linked <- false;
+  t.waiting <- t.waiting - 1
+
+(* A waiter whose parking is abandoned (cancelled): leave the queue and
+   disarm the timeout.  A waiter that never entered the queue — its
+   fiber was cancelled before it parked — or already left it has
+   nothing to undo. *)
 let retire t w =
-  if w.active then begin
-    w.active <- false;
-    (match w.timer with Some h -> Engine.cancel h | None -> ());
-    w.timer <- None;
-    t.inactive <- t.inactive + 1;
-    maybe_compact t
+  if w.linked then begin
+    unlink t w;
+    match w.timer with
+    | Some h ->
+      Engine.cancel h;
+      w.timer <- None
+    | None -> ()
   end
 
-(* Pop waiters until one that has not timed out or been cancelled. *)
-let rec pop_active_waiter t =
-  match Queue.take_opt t.waiters with
-  | None -> None
-  | Some w ->
-    if w.active then Some w
-    else begin
-      t.inactive <- t.inactive - 1;
-      pop_active_waiter t
-    end
+let expire t w () =
+  if w.linked then begin
+    unlink t w;
+    w.timer <- None;
+    w.wake (Ok None)
+  end
 
 let send t v =
-  (match pop_active_waiter t with
-  | Some w ->
-    w.active <- false;
-    (match w.timer with Some h -> Engine.cancel h | None -> ());
-    w.wake (Ok (Some v))
-  | None -> Queue.push v t.items);
+  (if t.waiting > 0 then begin
+     let w = t.head.next in
+     unlink t w;
+     (match w.timer with Some h -> Engine.cancel h | None -> ());
+     w.wake (Ok (Some v))
+   end
+   else Queue.push v t.items);
   match t.watchers with
   | [] -> ()
   | [ w ] -> w.notify ()
@@ -82,7 +99,7 @@ let recv ?timeout t =
   match Queue.take_opt t.items with
   | Some v -> Some v
   | None ->
-    let w = { active = true; wake = dummy_wake; timer = None } in
+    let w = waiter t in
     Fiber.suspend
       (* Cancelled (or otherwise discontinued) while parked: retire the
          waiter eagerly.  Beyond reclaiming memory this keeps a later
@@ -91,23 +108,37 @@ let recv ?timeout t =
       ~on_abort:(fun () -> retire t w)
       (fun wake ->
         w.wake <- wake;
-        Queue.push w t.waiters;
+        link t w;
         match timeout with
         | None -> ()
-        | Some duration ->
-          w.timer <-
-            Some
-              (Engine.schedule t.engine ~delay:duration (fun () ->
-                   if w.active then begin
-                     w.active <- false;
-                     w.timer <- None;
-                     t.inactive <- t.inactive + 1;
-                     maybe_compact t;
-                     wake (Ok None)
-                   end)))
+        | Some duration -> w.timer <- Some (Engine.schedule t.engine ~delay:duration (expire t w)))
+
+(* [recv ~timeout:idle] in a loop, with one waiter and one park for
+   every iteration.  An expiry does not resume the fiber: it kicks the
+   park, whose resume slot takes an item that arrived meanwhile or
+   re-links the waiter at the tail and re-arms the timer, as the
+   literal loop's next [recv] would (DESIGN.md "Suspension
+   discipline"). *)
+let serve ~idle t f =
+  let w = waiter t in
+  let expire = expire t w in
+  let park =
+    Fiber.park_create
+      ~arm:(fun () ->
+        link t w;
+        w.timer <- Some (Engine.schedule t.engine ~delay:idle expire))
+      ~poll:(fun () -> Queue.take_opt t.items)
+      ~on_abort:(fun () -> retire t w)
+  in
+  w.wake <- (function Ok (Some v) -> Fiber.unpark park v | Ok None | Error _ -> Fiber.kick park);
+  let rec loop () =
+    (match Queue.take_opt t.items with Some v -> f v | None -> f (Fiber.park park));
+    loop ()
+  in
+  loop ()
 
 let length t = Queue.length t.items
-let waiting t = Queue.length t.waiters - t.inactive
+let waiting t = t.waiting
 let clear t = Queue.clear t.items
 
 let watch t notify =

@@ -15,6 +15,16 @@ val recv : ?timeout:float -> 'a t -> 'a option
     [None] only if [timeout] (virtual seconds) expires first.  Must run
     in a fiber. *)
 
+val serve : idle:float -> 'a t -> ('a -> unit) -> 'b
+(** [serve ~idle q f] behaves exactly as the loop
+    [while true do Option.iter f (recv ~timeout:idle q) done]: the same
+    items reach [f] at the same instants, and the engine runs the same
+    events in the same order and emits the same trace.  Only the cost
+    differs: an expiry with nothing to take re-arms the receiver in its
+    resume slot without resuming the fiber, and one waiter serves every
+    iteration.  Returns only by an exception from [f] or from
+    cancellation.  Must run in a fiber. *)
+
 val try_recv : 'a t -> 'a option
 (** Non-blocking dequeue. *)
 
@@ -22,9 +32,9 @@ val length : 'a t -> int
 (** Messages currently queued (excluding any being awaited). *)
 
 val waiting : 'a t -> int
-(** Receivers currently blocked in {!recv}.  Waiters whose timeout
-    expired or whose fiber was cancelled do not count and are
-    reclaimed eagerly rather than lingering until a future {!send}. *)
+(** Receivers currently blocked in {!recv} or {!serve}.  A waiter
+    leaves the queue as soon as its timeout expires or its fiber is
+    cancelled, so neither lingers until a future {!send}. *)
 
 val clear : 'a t -> unit
 

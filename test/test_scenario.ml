@@ -152,6 +152,34 @@ let test_validate_rejects () =
      foot-gun: traffic before binding completes melts the registry. *)
   bad (fun s -> { s with Scenario.warmup = 0.1 })
 
+(* Cross-commit golden: the MD5s of the report and of the merged trace
+   of two short 200-host worlds at one domain, the idle-heavy poisson
+   shape perfbench measures and a burst world under a chaos plan.  A
+   change that claims a byte-identical simulated schedule (a faster
+   park, a cheaper event) must leave both digests alone; any move is
+   schedule drift, and only a deliberate model change may re-record
+   them. *)
+let golden_world ?chaos ~arrival ~seed ~expect_report ~expect_trace () =
+  let spec =
+    { Scenario.default with Scenario.seed; hosts = 200; duration = 1.0; arrival }
+  in
+  let r = Scenario.run ~domains:1 ?chaos ~tracing:true ~trace_capacity:1_000_000 spec in
+  Alcotest.(check int) "no trace events dropped" 0 r.Scenario.trace_dropped;
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "report md5" expect_report (md5 (Scenario.report_json spec r));
+  Alcotest.(check string) "trace md5" expect_trace
+    (md5 (Export.jsonl_events r.Scenario.trace_events))
+
+let test_golden_poisson () =
+  golden_world ~arrival:Scenario.Poisson ~seed:1000
+    ~expect_report:"ca6338d10ffceebf2c635aad63bf7475"
+    ~expect_trace:"f38b8aa52ee1c96f36d2edb646179336" ()
+
+let test_golden_burst_chaos () =
+  golden_world ~chaos:5 ~arrival:Scenario.Burst ~seed:2000
+    ~expect_report:"4e7395725a4d11acb0bc2127c7372561"
+    ~expect_trace:"3ecb435b1d90e3f56b80886a6ba68987" ()
+
 (* ------------------------------------------------------------------ *)
 (* Placement *)
 
@@ -279,6 +307,9 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "burst seed 3: five d4 runs = d1" `Quick
             test_fixed_seed_repeated_d4 ] );
+      ( "golden",
+        [ Alcotest.test_case "poisson 200 hosts d1" `Quick test_golden_poisson;
+          Alcotest.test_case "burst 200 hosts d1, chaos" `Quick test_golden_burst_chaos ] );
       ( "placement",
         [ Alcotest.test_case "distinct and balanced" `Quick test_placement_distinct_and_balanced;
           Alcotest.test_case "deterministic" `Quick test_placement_deterministic;

@@ -584,6 +584,172 @@ let test_mailbox_cancelled_recv_not_lost () =
   Engine.run engine;
   Alcotest.(check (option int)) "message reached the live receiver" (Some 42) !got
 
+(* A fiber whose cancellation was requested before it parked raises at
+   the park without ever entering the waiter queue, so nothing may be
+   subtracted from [waiting] on its way out. *)
+let test_mailbox_cancelled_before_park () =
+  let engine = Engine.create () in
+  let mb : int Mailbox.t = Mailbox.create engine in
+  let raised = ref false in
+  ignore
+    (Fiber.spawn engine (fun () ->
+         Fiber.cancel (Fiber.self ());
+         match Mailbox.recv mb with
+         | _ -> ()
+         | exception Fiber.Cancelled -> raised := true));
+  Engine.run engine;
+  Alcotest.(check bool) "recv raised Cancelled" true !raised;
+  Alcotest.(check int) "no waiter counted" 0 (Mailbox.waiting mb);
+  ignore (Fiber.spawn engine (fun () -> ignore (Mailbox.recv mb)));
+  Engine.run engine;
+  Alcotest.(check int) "a later receiver counts" 1 (Mailbox.waiting mb)
+
+(* Popped waiters must not hold each other: a receiver served while
+   an older one's cancelled timeout is still queued is collectable once
+   its fiber ends. *)
+let test_mailbox_popped_waiters_collectable () =
+  let engine = Engine.create () in
+  let mb : int Mailbox.t = Mailbox.create engine in
+  (* A live event before the timeout keeps the cancelled timer queued. *)
+  ignore (Engine.schedule engine ~delay:100.0 ignore);
+  ignore (Fiber.spawn engine (fun () -> ignore (Mailbox.recv ~timeout:1000.0 mb)));
+  let receivers = Weak.create 10 in
+  for i = 0 to 9 do
+    Weak.set receivers i (Some (Fiber.spawn engine (fun () -> ignore (Mailbox.recv mb))))
+  done;
+  ignore
+    (Fiber.spawn engine (fun () ->
+         for i = 0 to 10 do
+           Fiber.sleep 1.0;
+           Mailbox.send mb i
+         done));
+  Engine.run ~until:50.0 engine;
+  Gc.full_major ();
+  Alcotest.(check int) "cancelled timeout still queued" 1 (Engine.cancelled_pending engine);
+  for i = 0 to 9 do
+    if Weak.check receivers i then Alcotest.failf "receiver %d still reachable" i
+  done
+
+(* [Mailbox.serve ~idle] against the literal [recv ~timeout:idle] loop
+   it replaces.  A schedule puts [workers] servers on one mailbox and
+   drives it with sends and at most one cancellation, all on a 0.25 s
+   grid, so idle expiries (every 0.5 s) and sends can share an instant.
+   An [Early] action is scheduled before any fiber runs, so it precedes
+   every expiry due at its instant; a [Late] one is scheduled 0.25 s
+   ahead, after the expiry due at its instant was armed, so it lands
+   between that expiry and its resume slot. *)
+type timing = Early | Late
+
+type idle_schedule = {
+  workers : int;
+  sends : (int * timing * int) list;  (* grid instant, timing, handling steps *)
+  cancel : (int * int * timing) option;  (* worker, grid instant, timing *)
+}
+
+let grid = 0.25
+let idle = 0.5
+let horizon = 5.0
+
+let at_grid engine step timing f =
+  let at = Float.of_int step *. grid in
+  match timing with
+  | Late when step > 0 ->
+    ignore
+      (Engine.schedule_abs engine ~at:(at -. grid) (fun () ->
+           ignore (Engine.schedule engine ~delay:grid f)))
+  | Early | Late -> ignore (Engine.schedule_abs engine ~at f)
+
+(* Run one schedule; [serve] picks the loop.  Returns the handled
+   (time, worker, item) sequence, the events executed and the trace. *)
+let run_idle_schedule ~serve sched =
+  let engine = Engine.create () in
+  let sink = Engine.enable_tracing ~capacity:100_000 engine in
+  let mb = Mailbox.create engine in
+  let handled = ref [] in
+  let handle wid (item, steps) =
+    handled := (Engine.now engine, wid, item) :: !handled;
+    (* Odd items swallow a cancellation raised while they are handled,
+       so the loop itself must then notice it at the next park. *)
+    try if steps > 0 then Fiber.sleep (Float.of_int steps *. grid)
+    with Fiber.Cancelled when item land 1 = 1 -> ()
+  in
+  let fibers =
+    Array.init sched.workers (fun wid ->
+        Fiber.spawn engine (fun () ->
+            if serve then Mailbox.serve ~idle mb (handle wid)
+            else
+              while true do
+                Option.iter (handle wid) (Mailbox.recv ~timeout:idle mb)
+              done))
+  in
+  List.iteri
+    (fun item (step, timing, steps) ->
+      at_grid engine step timing (fun () -> Mailbox.send mb (item, steps)))
+    sched.sends;
+  Option.iter
+    (fun (wid, step, timing) ->
+      at_grid engine step timing (fun () -> Fiber.cancel fibers.(wid mod sched.workers)))
+    sched.cancel;
+  let events = Engine.run_counted ~until:horizon engine in
+  Circus_trace.Trace.stop ();
+  ( List.rev !handled,
+    events,
+    Mailbox.waiting mb,
+    Circus_trace.Export.jsonl_events (Circus_trace.Trace.sink_events sink) )
+
+let check_idle_equivalent sched =
+  let handled, events, waiting, trace = run_idle_schedule ~serve:true sched in
+  let handled', events', waiting', trace' = run_idle_schedule ~serve:false sched in
+  Alcotest.(check (list (triple (float 0.0) int int))) "handled" handled' handled;
+  Alcotest.(check int) "events executed" events' events;
+  Alcotest.(check int) "waiting" waiting' waiting;
+  Alcotest.(check string) "trace" trace' trace
+
+(* The three cancellation points, with a send between an expiry and
+   its slot in each: worker 0 parks at 0 and its first expiry is due
+   at 0.5. *)
+let test_serve_cancel_parked () =
+  check_idle_equivalent
+    { workers = 2; sends = [ (2, Late, 0); (6, Early, 1) ]; cancel = Some (0, 1, Early) }
+
+let test_serve_cancel_between_expiry_and_slot () =
+  List.iter
+    (fun sends -> check_idle_equivalent { workers = 1; sends; cancel = Some (0, 4, Late) })
+    [ [ (2, Late, 0) ]; [ (2, Late, 0); (4, Late, 0) ] ]
+
+let test_serve_cancel_handling () =
+  List.iter
+    (fun (sends, cancel) -> check_idle_equivalent { workers = 2; sends; cancel = Some cancel })
+    [ (* Item 0 lets Cancelled end worker 0's loop. *)
+      ([ (1, Early, 3); (2, Late, 0) ], (0, 2, Early));
+      (* Worker 1 swallows it in item 1, takes item 2 from the queue
+         before worker 0's resume slot runs, and raises at its next
+         park. *)
+      ([ (0, Early, 0); (1, Early, 3); (2, Late, 0) ], (1, 2, Early)) ]
+
+let prop_serve_matches_recv_loop =
+  let timing = QCheck.Gen.map (fun b -> if b then Early else Late) QCheck.Gen.bool in
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun workers sends cancel -> { workers; sends; cancel })
+        (int_range 1 3)
+        (list_size (int_range 0 12) (triple (int_bound 16) timing (int_bound 3)))
+        (opt (triple (int_bound 2) (int_bound 16) timing)))
+  in
+  let print s =
+    Printf.sprintf "workers %d, %d sends, cancel %s" s.workers (List.length s.sends)
+      (match s.cancel with
+      | None -> "none"
+      | Some (w, step, t) ->
+        Printf.sprintf "worker %d at step %d (%s)" w step (if t = Early then "early" else "late"))
+  in
+  QCheck.Test.make ~name:"serve ~idle matches the recv ~timeout loop" ~count:300
+    (QCheck.make ~print gen)
+    (fun sched ->
+      check_idle_equivalent sched;
+      true)
+
 let test_condition_signal_broadcast () =
   let engine = Engine.create () in
   let cond = Condition.create () in
@@ -691,7 +857,17 @@ let () =
             test_mailbox_timeout_reclaims_waiters;
           Alcotest.test_case "mailbox cancelled recv not lost" `Quick
             test_mailbox_cancelled_recv_not_lost;
+          Alcotest.test_case "mailbox cancelled before park" `Quick
+            test_mailbox_cancelled_before_park;
+          Alcotest.test_case "mailbox popped waiters collectable" `Quick
+            test_mailbox_popped_waiters_collectable;
           Alcotest.test_case "condition signal+broadcast" `Quick test_condition_signal_broadcast;
           Alcotest.test_case "condition cancelled waiter dropped" `Quick
             test_condition_cancelled_waiter_dropped;
-          Alcotest.test_case "condition timeout" `Quick test_condition_timeout ] ) ]
+          Alcotest.test_case "condition timeout" `Quick test_condition_timeout ] );
+      ( "serve",
+        [ Alcotest.test_case "cancel while parked" `Quick test_serve_cancel_parked;
+          Alcotest.test_case "cancel between expiry and slot" `Quick
+            test_serve_cancel_between_expiry_and_slot;
+          Alcotest.test_case "cancel while handling" `Quick test_serve_cancel_handling ]
+        @ qcheck [ prop_serve_matches_recv_loop ] ) ]
