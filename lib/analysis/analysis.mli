@@ -17,8 +17,6 @@ val harmonic : int -> float
 val expected_max_exponential : n:int -> mean:float -> float
 (** Theorem 4.3: E[max of n iid exponentials] = H_n · mean. *)
 
-val sample_max_exponential : Circus_sim.Prng.t -> n:int -> mean:float -> float
-
 val monte_carlo_max_exponential :
   Circus_sim.Prng.t -> n:int -> mean:float -> trials:int -> float
 (** Empirical mean of the max over [trials] samples. *)

@@ -17,6 +17,11 @@ let probe_alive ctx (member : Circus_net.Addr.module_addr) =
     raise Fiber.Cancelled
   | exception _ -> true (* errors other than unreachability are proof of life *)
 
+(* One sweep; returns the number of members removed.  All registered
+   members are probed concurrently (a dead member must not stall the
+   sweep for the full pairmsg crash timeout), the sweep waits at most
+   [probe_timeout], and probes still outstanding at the deadline are
+   cancelled and counted as dead. *)
 let collect_once ?(probe_timeout = default_probe_timeout) client ctx =
   let rt = Client.runtime client in
   let host = Runtime.host rt in

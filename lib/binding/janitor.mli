@@ -15,10 +15,3 @@ val spawn :
     [probe_timeout] (default 1 s) bounds how long each sweep waits for
     its liveness probes; members still silent at the deadline are
     treated as dead. *)
-
-val collect_once : ?probe_timeout:float -> Client.t -> Circus_rpc.Runtime.ctx -> int
-(** One sweep; returns the number of members removed.  All registered
-    members are probed concurrently (a dead member must not stall the
-    sweep for the full pairmsg crash timeout), the sweep waits at most
-    [probe_timeout] (default 1 s), and probes still outstanding at the
-    deadline are cancelled and counted as dead. *)

@@ -3,7 +3,6 @@ open Circus_rpc
 module Codec = Circus_wire.Codec
 
 let ringmaster_port = 111
-let ringmaster_troupe_id = 1L
 
 (* Name-hash partitioning.  Partition [p]'s registry troupe identifies
    itself with the reserved id [1 + p] (partition 0 is the legacy

@@ -18,13 +18,6 @@
 open Circus_net
 open Circus_rpc
 
-val ringmaster_port : int
-(** The well-known port (111). *)
-
-val ringmaster_troupe_id : Ids.Troupe_id.t
-(** The reserved troupe ID (1) under which (single-partition)
-    Ringmaster members identify themselves. *)
-
 (** {2 Name-hash partitioning}
 
     One replicated registry troupe serializes every bind in the
@@ -39,15 +32,13 @@ val ringmaster_troupe_id : Ids.Troupe_id.t
 
 val partition_troupe_id : int -> Ids.Troupe_id.t
 (** The reserved troupe ID ([1 + p]) under which partition [p]'s
-    members identify themselves.  [partition_troupe_id 0 =
-    ringmaster_troupe_id]. *)
-
-val name_hash : string -> int64
-(** FNV-1a (64-bit) over the name's bytes — a fixed function so all
-    parties agree, unlike [Hashtbl.hash]. *)
+    members identify themselves; partition 0's ID 1 is the
+    single-partition Ringmaster's. *)
 
 val partition_of_name : partitions:int -> string -> int
-(** Which partition owns [name], in [[0, partitions)]. *)
+(** Which partition owns [name], in [[0, partitions)]: the FNV-1a
+    (64-bit) hash of its bytes modulo [partitions] — a fixed function
+    so all parties agree, unlike [Hashtbl.hash]. *)
 
 val partition_of_id : Ids.Troupe_id.t -> int
 (** The partition that minted an assigned troupe id (recovered from the

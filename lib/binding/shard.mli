@@ -28,8 +28,6 @@ val runtime : t -> Runtime.t
 val client : t -> int -> Client.t
 (** The underlying per-partition client. *)
 
-val partition_of : t -> string -> int
-
 val resolve : t -> Ids.Troupe_id.t -> Addr.t list option
 
 val member_resolver : Troupe.t array -> Ids.Troupe_id.t -> Addr.t list option

@@ -25,6 +25,5 @@ type formula =
 type spec = { vars : string list; formula : formula }
 
 val arity : spec -> int
-val pp_value : Format.formatter -> value -> unit
 val pp : spec -> Format.formatter -> formula -> unit
 val pp_spec : Format.formatter -> spec -> unit

@@ -135,11 +135,6 @@ and parse_atom st =
     | _ -> Ast.Property (v, attr))
   | _ -> fail "expected an atom"
 
-let parse_formula ~vars source =
-  let st = { tokens = tokenize source; vars } in
-  let f = parse_or st in
-  match peek st with Eof -> f | _ -> fail "trailing input after formula"
-
 let parse source =
   let tokens = tokenize source in
   let st = { tokens; vars = [] } in

@@ -16,4 +16,3 @@
 exception Parse_error of string
 
 val parse : string -> Ast.spec
-val parse_formula : vars:string list -> string -> Ast.formula

@@ -32,7 +32,9 @@ val eval : Ast.formula -> machine array -> bool
     and properties false. *)
 
 val satisfies : Ast.spec -> machine list -> bool
-(** Do these (distinct) machines, in order, satisfy the spec? *)
+(** Do these (distinct) machines, in order, satisfy the spec?  The
+    generate-and-test oracle the tests check {!instantiate}'s pruned
+    search against. *)
 
 val instantiate : Ast.spec -> universe:machine list -> machine list option
 (** The first satisfying assignment of distinct machines in universe

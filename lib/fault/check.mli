@@ -1,8 +1,8 @@
 (** Post-run consistency checking for chaos experiments.
 
-    After a fault schedule has run to quiescence, the harness asserts
-    the two properties Cooper's design promises to preserve across
-    member crashes and partitions:
+    These are test oracles.  After a fault schedule has run to
+    quiescence, the harness asserts the two properties Cooper's design
+    promises to preserve across member crashes and partitions (§4.3):
 
     - {e replica-state equivalence}: every surviving, never-disturbed
       troupe member agrees on the observable state ({!agree_on},
@@ -17,6 +17,7 @@
 type violation = { subject : string; detail : string }
 
 val pp_violation : Format.formatter -> violation -> unit
+(** Renders a violation for a failing test's message. *)
 
 val exactly_once : (string * int) list -> violation list
 (** [(call identity, execution count)] pairs; every count must be

@@ -13,28 +13,7 @@ type action =
 type step = { at : float; action : action }
 type t = step list
 
-let crash ~at host = { at; action = Crash host }
-let restart ~at host = { at; action = Restart host }
-let partition ~at ~duration groups = { at; action = Partition { groups; duration } }
-let heal ~at = { at; action = Heal }
-let loss_burst ~at ~rate ~duration = { at; action = Loss_burst { rate; duration } }
-let dup_burst ~at ~rate ~duration = { at; action = Dup_burst { rate; duration } }
-
-let delay_burst ~at ~extra_mean ~duration =
-  { at; action = Delay_burst { extra_mean; duration } }
-
-let corrupt_burst ~at ~rate ~duration = { at; action = Corrupt_burst { rate; duration } }
 let sort steps = List.stable_sort (fun a b -> Float.compare a.at b.at) steps
-
-let action_name = function
-  | Crash _ -> "crash"
-  | Restart _ -> "restart"
-  | Partition _ -> "partition"
-  | Heal -> "heal"
-  | Loss_burst _ -> "loss_burst"
-  | Dup_burst _ -> "dup_burst"
-  | Delay_burst _ -> "delay_burst"
-  | Corrupt_burst _ -> "corrupt_burst"
 
 let validate plan =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -25,17 +25,6 @@ type step = { at : float; action : action }
 type t = step list
 (** Sorted by [at], ties in list order. *)
 
-(** {1 Constructors} *)
-
-val crash : at:float -> int -> step
-val restart : at:float -> int -> step
-val partition : at:float -> duration:float -> int list list -> step
-val heal : at:float -> step
-val loss_burst : at:float -> rate:float -> duration:float -> step
-val dup_burst : at:float -> rate:float -> duration:float -> step
-val delay_burst : at:float -> extra_mean:float -> duration:float -> step
-val corrupt_burst : at:float -> rate:float -> duration:float -> step
-
 val sort : step list -> t
 (** Stable sort by [at]; equal-time steps keep their list order. *)
 
@@ -45,7 +34,6 @@ val validate : t -> (unit, string) result
     and no restart of an up one (per the plan's own bookkeeping). *)
 
 val pp : Format.formatter -> t -> unit
-val action_name : action -> string
 
 (** {1 Random plans} *)
 

@@ -42,33 +42,3 @@ let types p =
 
 let errors p = List.filter_map (function Error_decl e -> Some e | _ -> None) p.decls
 let procs p = List.filter_map (function Proc_decl pr -> Some pr | _ -> None) p.decls
-
-let rec pp_ty ppf = function
-  | Boolean -> Format.pp_print_string ppf "BOOLEAN"
-  | Cardinal -> Format.pp_print_string ppf "CARDINAL"
-  | Long_cardinal -> Format.pp_print_string ppf "LONG CARDINAL"
-  | Integer -> Format.pp_print_string ppf "INTEGER"
-  | Long_integer -> Format.pp_print_string ppf "LONG INTEGER"
-  | String -> Format.pp_print_string ppf "STRING"
-  | Unspecified -> Format.pp_print_string ppf "UNSPECIFIED"
-  | Named n -> Format.pp_print_string ppf n
-  | Enumeration cases ->
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (n, v) -> Format.fprintf ppf "%s(%d)" n v))
-      cases
-  | Array (n, t) -> Format.fprintf ppf "ARRAY %d OF %a" n pp_ty t
-  | Sequence t -> Format.fprintf ppf "SEQUENCE OF %a" pp_ty t
-  | Record fields ->
-    Format.fprintf ppf "RECORD [%a]"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf f -> Format.fprintf ppf "%s: %a" f.field_name pp_ty f.field_type))
-      fields
-  | Choice cases ->
-    Format.fprintf ppf "CHOICE OF {%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (n, v, t) -> Format.fprintf ppf "%s(%d) => %a" n v pp_ty t))
-      cases

@@ -49,4 +49,3 @@ type program = {
 val types : program -> (string * ty) list
 val errors : program -> error_decl list
 val procs : program -> proc_decl list
-val pp_ty : Format.formatter -> ty -> unit

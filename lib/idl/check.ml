@@ -7,10 +7,6 @@ let resolve program name =
   | Some ty -> ty
   | None -> fail "undeclared type %s" name
 
-let rec expand program = function
-  | Ast.Named name -> expand program (resolve program name)
-  | ty -> ty
-
 let distinct ~what names =
   let sorted = List.sort compare names in
   let rec scan = function

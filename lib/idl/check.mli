@@ -15,6 +15,3 @@ val check : Ast.program -> unit
 
 val resolve : Ast.program -> string -> Ast.ty
 (** Look up a named type; raises {!Check_error} if undeclared. *)
-
-val expand : Ast.program -> Ast.ty -> Ast.ty
-(** Chase [Named] links to a structural type. *)

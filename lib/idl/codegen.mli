@@ -18,6 +18,3 @@
 
 val generate : Ast.program -> string
 (** OCaml source text for the checked program. *)
-
-val ocaml_name : string -> string
-(** The value-level OCaml identifier for an interface name. *)

@@ -106,33 +106,6 @@ let rec codec program (ty : Ast.ty) : value Codec.t =
                fun r -> Ch (name, Codec.read c r) ))
            cases)
 
-let rec conforms program (ty : Ast.ty) v =
-  match (Check.expand program ty, v) with
-  | Ast.Boolean, Bool _ -> true
-  | Ast.Cardinal, Card n -> n >= 0 && n <= 0xffff
-  | Ast.Long_cardinal, Long_card _ -> true
-  | Ast.Integer, Int n -> n >= -0x8000 && n <= 0x7fff
-  | Ast.Long_integer, Long_int _ -> true
-  | Ast.String, Str _ -> true
-  | Ast.Unspecified, Word n -> n >= 0 && n <= 0xffff
-  | Ast.Enumeration cases, Enum name -> List.mem_assoc name cases
-  | Ast.Array (n, elem), Arr vs ->
-    List.length vs = n && List.for_all (conforms program elem) vs
-  | Ast.Sequence elem, Seq vs -> List.for_all (conforms program elem) vs
-  | Ast.Record fields, Rec assoc ->
-    List.length fields = List.length assoc
-    && List.for_all
-         (fun f ->
-           match List.assoc_opt f.Ast.field_name assoc with
-           | Some fv -> conforms program f.Ast.field_type fv
-           | None -> false)
-         fields
-  | Ast.Choice cases, Ch (name, payload) -> (
-    match List.find_opt (fun (n, _, _) -> n = name) cases with
-    | Some (_, _, case_ty) -> conforms program case_ty payload
-    | None -> false)
-  | _ -> false
-
 let rec pp ppf = function
   | Bool b -> Format.pp_print_bool ppf b
   | Card n | Word n -> Format.pp_print_int ppf n

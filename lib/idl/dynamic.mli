@@ -26,6 +26,5 @@ exception Type_error of string
 val codec : Ast.program -> Ast.ty -> value Circus_wire.Codec.t
 (** Derive the external representation for a (checked) type. *)
 
-val conforms : Ast.program -> Ast.ty -> value -> bool
 val pp : Format.formatter -> value -> unit
 val equal : value -> value -> bool

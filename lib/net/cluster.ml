@@ -59,7 +59,6 @@ let create ?seed ?(params = Net.default_params) ~lps () =
     nets;
   t
 
-let parallel t = t.par
 let lp_count t = Array.length t.nets
 let net t i = t.nets.(i)
 let engine t i = Parallel.engine t.par i

@@ -16,7 +16,6 @@ val create : ?seed:int -> ?params:Net.params -> lps:int -> unit -> t
 (** [create ~lps:k ()] builds [k] shards.  [params.propagation] must
     be positive — it is the conservative lookahead. *)
 
-val parallel : t -> Circus_sim.Parallel.t
 val lp_count : t -> int
 val net : t -> int -> Net.t
 val engine : t -> int -> Circus_sim.Engine.t

@@ -65,7 +65,6 @@ let engine t = t.engine
 let is_alive t = t.alive
 let incarnation t = t.incarnation
 let attributes t = t.attributes
-let attribute t key = List.assoc_opt key t.attributes
 
 let spawn t ?label f =
   let label = match label with Some l -> l | None -> t.name ^ "/fiber" in

@@ -29,7 +29,6 @@ val is_alive : t -> bool
 val incarnation : t -> int
 
 val attributes : t -> (string * attribute_value) list
-val attribute : t -> string -> attribute_value option
 
 val spawn : t -> ?label:string -> (unit -> unit) -> Circus_sim.Fiber.t
 (** Spawn a fiber on this host; it is cancelled if the host crashes.
@@ -63,7 +62,9 @@ val on_restart : t -> (unit -> unit) -> unit
     bumped).  Unlike {!on_crash} hooks these survive crashes — they
     model what the machine does on boot, letting a fault injector bounce
     a host without knowing what services it was running.  Hooks run
-    oldest-first. *)
+    oldest-first.  A restarted fail-stop host (§2.2) comes back as a new
+    incarnation with no state; the chaos tests use this hook to
+    re-export its troupe member. *)
 
 val gettimeofday : t -> float
 (** Local clock: engine time plus this host's constant offset.  The
@@ -108,4 +109,6 @@ val charge_span :
     {!use_cpu}. *)
 
 val cpu_time : t -> float
-(** Total CPU seconds consumed on this host since creation. *)
+(** Total CPU seconds consumed on this host since creation: the
+    per-host CPU time behind Table 4.1's measurements, read by the
+    tests that check what a call or a crashed member was charged. *)

@@ -87,38 +87,3 @@ let by_syscall t =
     acc := (t.names.(i), Float.Array.get t.times i, t.counts.(i)) :: !acc
   done;
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !acc
-
-let snapshot t =
-  let n = t.n_cells in
-  { totals = { user = t.totals.user; kernel = t.totals.kernel };
-    names = Array.sub t.names 0 n;
-    times = Float.Array.sub t.times 0 n;
-    counts = Array.sub t.counts 0 n;
-    n_cells = n }
-
-let diff ~after ~before =
-  let find_before name =
-    let rec go i =
-      if i >= before.n_cells then -1
-      else if String.equal before.names.(i) name then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let n = after.n_cells in
-  let times = Float.Array.sub after.times 0 n in
-  let counts = Array.sub after.counts 0 n in
-  for i = 0 to n - 1 do
-    let j = find_before after.names.(i) in
-    if j >= 0 then begin
-      Float.Array.set times i (Float.Array.get times i -. Float.Array.get before.times j);
-      counts.(i) <- counts.(i) - before.counts.(j)
-    end
-  done;
-  { totals =
-      { user = after.totals.user -. before.totals.user;
-        kernel = after.totals.kernel -. before.totals.kernel };
-    names = Array.sub after.names 0 n;
-    times;
-    counts;
-    n_cells = n }

@@ -23,8 +23,3 @@ val total : t -> float
 
 val by_syscall : t -> (string * float * int) list
 (** [(name, cpu_seconds, calls)] per system call, sorted by name. *)
-
-val snapshot : t -> t
-(** Copy of the current counters (for before/after differencing). *)
-
-val diff : after:t -> before:t -> t

@@ -20,9 +20,6 @@ let default_params =
     duplication = 0.0;
     mtu = 1472 }
 
-let lan ?(loss = 0.0) ?(duplication = 0.0) ?(jitter_mean = default_params.jitter_mean) () =
-  { default_params with loss; duplication; jitter_mean }
-
 (* [ctx] is out-of-band causal metadata (a [Circus_trace.Causal.ctx]):
    it rides the in-flight datagram but contributes zero wire bytes —
    [payload] alone sizes every charge, MTU check, and transit delay —
@@ -253,14 +250,6 @@ let reachable t a b =
 
 let stats t = t.stats
 
-let reset_stats t =
-  t.stats.sent <- 0;
-  t.stats.delivered <- 0;
-  t.stats.dropped <- 0;
-  t.stats.duplicated <- 0;
-  t.stats.corrupted <- 0;
-  t.stats.bytes_sent <- 0
-
 (* {2 Transient fault knobs} *)
 
 let clamp_rate name r =
@@ -276,15 +265,6 @@ let set_extra_delay_mean t m =
 
 let set_corrupt_rate t r = t.faults.corrupt_rate <- clamp_rate "set_corrupt_rate" r
 let extra_loss t = t.faults.extra_loss
-let extra_duplication t = t.faults.extra_duplication
-let extra_delay_mean t = t.faults.extra_delay_mean
-let corrupt_rate t = t.faults.corrupt_rate
-
-let clear_faults t =
-  t.faults.extra_loss <- 0.0;
-  t.faults.extra_duplication <- 0.0;
-  t.faults.extra_delay_mean <- 0.0;
-  t.faults.corrupt_rate <- 0.0
 
 (* Datagram lifecycle events share one argument shape so trace
    assertions can follow a packet across send/dup/drop/deliver. *)

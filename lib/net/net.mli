@@ -24,8 +24,6 @@ val default_params : params
 (** 10 Mb/s Ethernet-like: 0.2 ms propagation, 0.8 us/byte, 0.3 ms mean
     jitter, lossless, 1472-byte MTU. *)
 
-val lan : ?loss:float -> ?duplication:float -> ?jitter_mean:float -> unit -> params
-
 type datagram = {
   src : Addr.t;
   dst : Addr.t;
@@ -125,8 +123,10 @@ val set_partition_for : t -> Addr.host_id list list -> duration:float -> unit
     non-positive duration. *)
 
 val reachable : t -> Addr.host_id -> Addr.host_id -> bool
-(** O(1): {!set_partition} precomputes a per-host bitmask of group
-    memberships, so the per-datagram test is one [land]. *)
+(** Whether the current partition (§4.3.5) lets a datagram from the
+    first host reach the second; the tests' oracle for partition
+    episodes.  O(1): {!set_partition} precomputes a per-host bitmask of
+    group memberships, so the per-datagram test is one [land]. *)
 
 (** {2 Transient fault knobs}
 
@@ -157,13 +157,8 @@ val set_corrupt_rate : t -> float -> unit
     duplication so each copy fails independently. *)
 
 val extra_loss : t -> float
-val extra_duplication : t -> float
-val extra_delay_mean : t -> float
-val corrupt_rate : t -> float
-
-val clear_faults : t -> unit
-(** Reset every fault knob to zero (partitions are separate: use
-    {!heal_partition}). *)
+(** The current extra loss rate: a test oracle for the injector's loss
+    bursts (a newer burst outlives an older one's expiry). *)
 
 (** {1 Statistics} *)
 
@@ -177,4 +172,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit

@@ -60,10 +60,6 @@ let sendmsg env ?meter sock ~dst payload =
   charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
   Net.send env.net ~src:(Net.socket_addr sock) ~dst payload
 
-let sendmsg_multicast env ?meter sock ~dsts payload =
-  charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
-  Net.send_multicast env.net ~src:(Net.socket_addr sock) ~dsts payload
-
 (* Vectored burst, the body of [sendmsg_vec] and
    [sendmsg_multicast_vec]: one [Host.charge_span] over a run of
    datagrams, [inject] putting each on the wire.  Each element is

@@ -82,10 +82,6 @@ val sendmsg_vec :
     fully charged and injected, element [i] and everything after it not
     at all — a burst is never left half-charged for a segment. *)
 
-val sendmsg_multicast : env -> ?meter:Meter.t -> Net.socket -> dsts:Addr.t list -> bytes -> unit
-(** One [sendmsg]-priced transmission reaching every destination — the
-    Ethernet multicast capability §4.3.7 wishes for. *)
-
 val sendmsg_multicast_vec :
   env ->
   ?meter:Meter.t ->
@@ -95,8 +91,9 @@ val sendmsg_multicast_vec :
   dsts:Addr.t list ->
   bytes array ->
   unit
-(** Vectored {!sendmsg_multicast}: per segment, one [sendmsg]-priced
-    charge reaching every destination, with the same per-element
+(** Multicast {!sendmsg_vec}: per segment, one [sendmsg]-priced
+    transmission reaching every destination — the Ethernet multicast
+    capability §4.3.7 wishes for — with the same per-element
     [user_cost]/[on_segment] interleaving and exception contract as
     {!sendmsg_vec}. *)
 

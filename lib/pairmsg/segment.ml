@@ -69,8 +69,6 @@ let decode b =
           call_no;
           data }
 
-let is_data t = (not t.ack) && (t.msg_type = Call || t.msg_type = Return) && t.seg_no >= 1
-
 let pp ppf t =
   let type_name =
     match t.msg_type with

@@ -43,7 +43,6 @@ val decode : bytes -> t option
 (** [None] on malformed datagrams (treated as lost, per the checksum
     assumption of §2.2). *)
 
-val is_data : t -> bool
 val pp : Format.formatter -> t -> unit
 
 val split_message : mtu:int -> bytes -> bytes array

@@ -17,8 +17,6 @@ let client env host ~dst ?meter () =
   let sock = Net.udp_bind (Syscall.net env) host () in
   { env; host; sock; dst; meter }
 
-let client_meter c = c.meter
-
 exception Echo_timeout of Addr.t
 
 let echo c ?(timeout = 1.0) ?(max_retries = 10) payload =

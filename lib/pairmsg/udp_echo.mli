@@ -14,7 +14,6 @@ val start_server : Syscall.env -> Host.t -> port:int -> unit
 type client
 
 val client : Syscall.env -> Host.t -> dst:Addr.t -> ?meter:Meter.t -> unit -> client
-val client_meter : client -> Meter.t
 
 exception Echo_timeout of Addr.t
 (** The destination never answered within the retry budget. *)

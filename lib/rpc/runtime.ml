@@ -103,7 +103,6 @@ let root_tag (thread : Ids.Thread_id.t) =
        (Int64.shift_left (Int64.of_int thread.Ids.Thread_id.origin) 32)
        (Int64.of_int thread.Ids.Thread_id.pid))
 
-let endpoint t = t.endpoint
 let meter t = Endpoint.meter t.endpoint
 let host t = t.host
 let addr t = Endpoint.addr t.endpoint

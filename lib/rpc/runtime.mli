@@ -60,21 +60,25 @@ val create :
   Syscall.env -> Host.t -> ?port:int -> ?config:config -> ?meter:Meter.t ->
   ?pairmsg_config:Endpoint.config -> unit -> t
 
-val endpoint : t -> Endpoint.t
 val meter : t -> Meter.t
 val host : t -> Host.t
 val addr : t -> Addr.t
 val close : t -> unit
 
 val thread_id : ctx -> Ids.Thread_id.t
+(** The distributed thread of control this context belongs to (§3.4.1):
+    every replicated call it makes carries this ID, which is how a
+    server recognises the copies of one call from the client troupe's
+    members. *)
+
 val runtime : ctx -> t
 
 val call_tag : ctx -> int64
 (** Identity of the replicated call this context is executing (0 for a
     locally-minted base context).  Together with {!thread_id} it names a
     replicated call uniquely, so a server can count executions per
-    (thread, tag) — the exactly-once invariant checked by the fault
-    harness. *)
+    (thread, tag) — the §3.4.1 exactly-once invariant checked by the
+    fault harness. *)
 
 val next_call_seq : ctx -> int64
 (** Allocate the per-thread call sequence number the next call would

@@ -19,12 +19,6 @@ let validate = function
     else if period <= 0.0 then Error "diurnal: period must be > 0"
     else Ok ()
 
-let mean_rate = function
-  | Poisson { rate } -> rate
-  | Onoff { rate_on; rate_off; mean_on; mean_off } ->
-    ((rate_on *. mean_on) +. (rate_off *. mean_off)) /. (mean_on +. mean_off)
-  | Diurnal { base; peak; period = _ } -> (base +. peak) /. 2.0
-
 type t = {
   prng : Prng.t;
   process : process;

@@ -22,9 +22,6 @@ type process =
 
 val validate : process -> (unit, string) result
 
-val mean_rate : process -> float
-(** Long-run average arrivals/s, for sizing populations. *)
-
 type t
 
 val create : ?start:float -> Prng.t -> process -> t

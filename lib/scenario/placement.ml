@@ -27,8 +27,6 @@ let server_count t =
 let host_load t host_id =
   match Hashtbl.find_opt t.load host_id with Some r -> !r | None -> 0
 
-let lp_load t lp = t.lp_load.(lp)
-
 (* LPs that have at least one server, cheapest first (ties by index). *)
 let lps_by_load t =
   let eligible = ref [] in

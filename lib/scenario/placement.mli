@@ -27,8 +27,6 @@ val server_attributes : lp:int -> (string * Host.attribute_value) list
     number) — pass to [Cluster.add_host ~attributes]. *)
 
 val server_count : t -> int
-val host_load : t -> Addr.host_id -> int
-val lp_load : t -> int -> int
 
 val place : t -> caller_lp:int -> replicas:int -> (Solver.machine list, string) result
 (** Choose [replicas] distinct hosts for one troupe and charge their

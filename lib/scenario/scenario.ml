@@ -106,12 +106,14 @@ let validate spec =
   else if spec.replicas < 1 then Error "replicas must be >= 1"
   else if spec.rm_partitions < 1 || spec.rm_replicas < 1 then
     Error "rm_partitions and rm_replicas must be >= 1"
-  else if spec.clients < 1 || spec.think <= 0.0 then Error "need clients >= 1 and think > 0"
+  else if spec.clients < 1 || not (Float.is_finite spec.think && spec.think > 0.0) then
+    Error "need clients >= 1 and a finite think > 0"
   else if spec.frontends < 1 then Error "frontends must be >= 1"
   else if spec.pool < 1 then Error "pool must be >= 1"
   else if not (spec.locality >= 0.0 && spec.locality <= 1.0) then
     Error "locality must be in [0, 1]"
   else if spec.payload < 0 then Error "payload must be >= 0"
+  else if not (Float.is_finite spec.warmup) then Error "warmup must be finite"
   else if spec.warmup < reg_start +. (reg_cost *. Float.of_int (max_owned spec)) then
     Error
       (Printf.sprintf
@@ -119,7 +121,8 @@ let validate spec =
           register costs ~%.2fs; traffic before registration completes overloads the binding \
           hosts"
          spec.warmup (max_owned spec) reg_cost)
-  else if spec.duration <= 0.0 then Error "duration must be > 0"
+  else if not (Float.is_finite spec.duration && spec.duration > 0.0) then
+    Error "duration must be finite and > 0"
   else if servers < spec.replicas then
     Error
       "not enough hosts: need rm_partitions*rm_replicas + lps*frontends client hosts + >= \

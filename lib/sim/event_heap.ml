@@ -33,8 +33,7 @@ type event = {
   cell : cell;
 }
 
-let dummy_cell = { cancelled_pending = 0 }
-let sentinel = { seq = max_int; run = ignore; live = false; cell = dummy_cell }
+let sentinel = { seq = max_int; run = ignore; live = false; cell = { cancelled_pending = 0 } }
 
 type t = {
   mutable times : Float.Array.t;

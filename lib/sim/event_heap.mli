@@ -29,9 +29,6 @@ type event = {
   cell : cell;
 }
 
-val dummy_cell : cell
-(** A cell for events not owned by any engine (tests, {!sentinel}). *)
-
 val sentinel : event
 (** Fills empty pool cells; never [live], so it can never execute. *)
 

@@ -97,12 +97,9 @@ let () =
       | Some f -> f.ctx <- c
       | None -> Domain.DLS.get ambient_fallback := c)
 
-let default_uncaught fiber e =
+let uncaught fiber e =
   Printf.eprintf "fiber %d (%s): uncaught exception\n%!" fiber.id fiber.label_;
   raise e
-
-let uncaught_handler = ref default_uncaught
-let set_uncaught_handler f = uncaught_handler := f
 
 let finish fiber =
   if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "end";
@@ -178,7 +175,7 @@ let spawn engine ?(label = "fiber") f =
       exnc =
         (fun e ->
           finish fiber;
-          match e with Cancelled -> () | e -> !uncaught_handler fiber e);
+          match e with Cancelled -> () | e -> uncaught fiber e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -365,8 +362,6 @@ let sleep_busy duration =
     let remaining = target -. Engine.now eng in
     Effect.perform (Sleep (if remaining > 0.0 then remaining else 0.0))
   end
-
-let yield () = sleep 0.0
 
 let cancel fiber =
   match fiber.state with

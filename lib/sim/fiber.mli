@@ -6,8 +6,8 @@
     effect handlers, so protocol code is written in direct style.
 
     All blocking operations ({!sleep}, {!suspend}, and everything in
-    {!Ivar}, {!Mailbox}, {!Condition}) must be called from inside a
-    fiber; calling them elsewhere raises [Effect.Unhandled]. *)
+    {!Mailbox} and {!Condition}) must be called from inside a fiber;
+    calling them elsewhere raises [Effect.Unhandled]. *)
 
 type t
 (** A spawned fiber. *)
@@ -22,9 +22,9 @@ exception Cancelled
 
 val spawn : Engine.t -> ?label:string -> (unit -> unit) -> t
 (** [spawn engine f] creates a fiber that starts running [f] when the
-    engine next reaches the current instant.  Uncaught exceptions other
-    than {!Cancelled} are passed to the handler installed with
-    {!set_uncaught_handler} (default: re-raise, aborting the run). *)
+    engine next reaches the current instant.  An uncaught exception
+    other than {!Cancelled} is reported on stderr with the fiber's id
+    and label, then re-raised, aborting the run. *)
 
 val self : unit -> t
 (** The currently executing fiber. *)
@@ -54,10 +54,6 @@ val try_fast_sleep : t -> float -> bool
     for the same duration.  Used by [Host.charge_span] to advance
     through a burst of derived charge instants with at most one real
     sleep.  [fiber] must be the currently executing fiber. *)
-
-val yield : unit -> unit
-(** Reschedule at the current instant, letting other ready fibers
-    run. *)
 
 val suspend : ?on_abort:(unit -> unit) -> ('a waker -> unit) -> 'a
 (** [suspend register] blocks the current fiber and calls [register]
@@ -110,8 +106,6 @@ val cancel : t -> unit
     a running one receives it at its next suspension point.  Cancelling
     a terminated fiber is a no-op. *)
 
-val is_terminated : t -> bool
-
 val join : t -> unit
 (** Block until the given fiber terminates (normally, by exception, or
     by cancellation). *)
@@ -119,6 +113,3 @@ val join : t -> unit
 val on_terminate : t -> (unit -> unit) -> unit
 (** Register a callback run when the fiber terminates; runs immediately
     if it already has. *)
-
-val set_uncaught_handler : (t -> exn -> unit) -> unit
-(** Install a global handler for exceptions escaping fiber bodies. *)

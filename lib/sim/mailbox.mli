@@ -26,7 +26,8 @@ val serve : idle:float -> 'a t -> ('a -> unit) -> 'b
     cancellation.  Must run in a fiber. *)
 
 val try_recv : 'a t -> 'a option
-(** Non-blocking dequeue. *)
+(** Non-blocking dequeue.  Callable outside a fiber, so a test can read
+    what a run delivered to a socket after {!Engine.run} returns. *)
 
 val length : 'a t -> int
 (** Messages currently queued (excluding any being awaited). *)
@@ -34,7 +35,8 @@ val length : 'a t -> int
 val waiting : 'a t -> int
 (** Receivers currently blocked in {!recv} or {!serve}.  A waiter
     leaves the queue as soon as its timeout expires or its fiber is
-    cancelled, so neither lingers until a future {!send}. *)
+    cancelled, so neither lingers until a future {!send}; the tests
+    check that reclamation through this count. *)
 
 val clear : 'a t -> unit
 

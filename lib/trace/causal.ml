@@ -357,24 +357,4 @@ module Invariant = struct
           | _ -> ())
       events;
     match !bad with Some msg -> Error msg | None -> Ok ()
-
-  (* No reply may precede its call: a request's first vote/collate
-     must come after its first call event. *)
-  let reply_after_call events =
-    let called : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-    let bad = ref None in
-    List.iter
-      (fun (e : Event.t) ->
-        if !bad = None && String.equal e.Event.cat cat then
-          match (e.Event.name, Event.int_arg e "req") with
-          | "call", Some r -> Hashtbl.replace called r ()
-          | ("vote" | "collate"), Some r ->
-            if not (Hashtbl.mem called r) then
-              bad :=
-                Some
-                  (Printf.sprintf "reply event %s for req %d at seq %d precedes its call"
-                     e.Event.name r e.Event.seq)
-          | _ -> ())
-      events;
-    match !bad with Some msg -> Error msg | None -> Ok ()
 end

@@ -16,8 +16,6 @@ type ctx = int
 
 val none : ctx
 val req_of : ctx -> int
-val span_of : ctx -> int
-val pack : req:int -> span:int -> ctx
 
 val on : unit -> bool
 val set_enabled : bool -> unit
@@ -112,8 +110,8 @@ val waterfall : ?top:int -> analysis -> string
 module Invariant : sig
   val quorum_execution : quorum:int -> Event.t list -> (unit, string) result
   (** Every collated reply has at least [quorum] distinct replica
-      executions of its request as causal predecessors. *)
-
-  val reply_after_call : Event.t list -> (unit, string) result
-  (** No vote/collate event precedes its request's call event. *)
+      executions of its request as causal predecessors: the §4.3
+      replicated call waits for a quorum of members before its
+      collator decides.  A test oracle; that a reply follows its call
+      is {!Trace.Expect.follows} over this category. *)
 end

@@ -71,4 +71,3 @@ let int_arg e key =
   | Some (I64 i) -> Some (Int64.to_int i)
   | _ -> None
 
-let str_arg e key = match arg e key with Some (Str s) -> Some s | _ -> None

@@ -41,7 +41,5 @@ val float_repr : float -> string
 
 val phase_letter : phase -> string
 val pp : Format.formatter -> t -> unit
-val pp_arg : Format.formatter -> arg -> unit
 val arg : t -> string -> arg option
 val int_arg : t -> string -> int option
-val str_arg : t -> string -> string option

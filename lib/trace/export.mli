@@ -1,13 +1,15 @@
 (** Deterministic trace exporters: same seed, same bytes. *)
 
 val jsonl : Trace.sink -> string
-(** One JSON object per line per event, oldest first. *)
+(** One JSON object per line per event, oldest first.  The byte-pinned
+    trace goldens of the tests compare this string. *)
 
 val chrome : Trace.sink -> string
 (** Chrome [trace_event] JSON, loadable in Perfetto
     ({{:https://ui.perfetto.dev}ui.perfetto.dev}) or about://tracing.
     Hosts map to processes, fibers to threads; causal events whose
-    parent lives on another host/fiber get flow arrows. *)
+    parent lives on another host/fiber get flow arrows.  The tests'
+    Chrome golden compares this string. *)
 
 val add_args : Buffer.t -> (string * Event.arg) list -> unit
 (** Append [args] as one JSON object, keys in list order, with the

@@ -43,7 +43,6 @@ val quantile : t -> string -> float -> float option
     Raises [Invalid_argument] if [q] is outside [0, 1]. *)
 
 val counters : t -> (string * int) list
-val histograms : t -> (string * histogram_snapshot) list
 
 val to_json : t -> string
 (** One-line deterministic JSON object. *)

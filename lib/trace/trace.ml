@@ -103,7 +103,6 @@ let metrics () = match active () with Some s -> Some s.metrics | None -> None
 (* Inspection *)
 
 let sink_events s = Ring.to_list s.ring
-let sink_metrics s = s.metrics
 let sink_dropped s = Ring.dropped s.ring
 let sink_clear s =
   Ring.clear s.ring;

@@ -94,9 +94,7 @@ val dropped : unit -> int
 val clear : unit -> unit
 
 val sink_events : sink -> Event.t list
-val sink_metrics : sink -> Metrics.t
 val sink_dropped : sink -> int
-val sink_clear : sink -> unit
 
 (** {1 Trace-based assertions}
 
@@ -109,7 +107,12 @@ module Expect : sig
   exception Failed of string
 
   val count : ?cat:string -> ?name:string -> ?where:(Event.t -> bool) -> int -> unit
+  (** Exactly [n] matching events. *)
+
   val at_least : ?cat:string -> ?name:string -> ?where:(Event.t -> bool) -> int -> unit
+  (** At least [n] matching events, for tests that only need a protocol
+      step to have happened (a retransmission, a drop). *)
+
   val none : ?cat:string -> ?name:string -> ?where:(Event.t -> bool) -> unit -> unit
 
   val ordered : before:(Event.t -> bool) -> after:(Event.t -> bool) -> unit -> unit
@@ -118,8 +121,11 @@ module Expect : sig
   val follows : before:(Event.t -> bool) -> after:(Event.t -> bool) -> unit -> unit
   (** Causal variant of {!ordered}: every [after] event must be
       preceded by a [before] event carrying the same ["req"] arg
-      (request id), as {!Causal} events do. *)
+      (request id), as {!Causal} events do.  The one checker for
+      same-request precedence, e.g. no vote or collate before its
+      call. *)
 
   val well_nested : unit -> unit
-  (** Begin/End events balance per (host, fiber) scope. *)
+  (** Begin/End events balance per (host, fiber) scope: the oracle for
+      the span nesting the Chrome exporter relies on. *)
 end

@@ -23,6 +23,9 @@ let export_coordinator rt ?timeout () =
           "coordinate";
       Codec.encode bool_codec verdict)
 
+(* Server-member side: report readiness to the client troupe's
+   coordinator and learn the verdict.  Blocks until every server member
+   has reported or the coordinator gave up. *)
 let ready_to_commit ctx ~coordinator ready =
   let answer = Runtime.call_troupe ctx coordinator ~proc_no:0 (Codec.encode bool_codec ready) in
   Codec.decode bool_codec answer

@@ -25,11 +25,6 @@ val export_coordinator : Runtime.t -> ?timeout:float -> unit -> int
     vote is missing when the coordinator times out (deadlock or crash),
     it answers [false]. *)
 
-val ready_to_commit : Runtime.ctx -> coordinator:Troupe.t -> bool -> bool
-(** Server-member side: report readiness to the client troupe's
-    coordinator and learn the verdict.  Blocks until every server
-    member has reported or the coordinator gave up. *)
-
 type outcome = Committed | Aborted of string
 
 val run :

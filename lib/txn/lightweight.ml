@@ -19,14 +19,12 @@ type t = {
 type savepoint = int  (* undo-log length at the savepoint *)
 
 let create engine = { lm = Lock_manager.create engine; store = Hashtbl.create 64; next_id = 0 }
-let lock_manager t = t.lm
 
 let begin_txn t =
   t.next_id <- t.next_id + 1;
   { id = t.next_id; active = true; undo = [] }
 
 let txn_id txn = txn.id
-let is_active txn = txn.active
 
 let check txn = if not txn.active then raise Txn_aborted
 

@@ -23,11 +23,9 @@ exception Deadlock
 exception Txn_aborted
 
 val create : Circus_sim.Engine.t -> t
-val lock_manager : t -> Lock_manager.t
 
 val begin_txn : t -> txn
 val txn_id : txn -> int
-val is_active : txn -> bool
 
 val get : t -> txn -> string -> bytes option
 (** Read a key under a read lock. *)
@@ -44,6 +42,9 @@ val abort : t -> txn -> unit
 type savepoint
 
 val savepoint : t -> txn -> savepoint
+(** Mark the undo log for a later {!rollback_to} (§5.2's nested
+    transactions, single-threaded). *)
+
 val rollback_to : t -> txn -> savepoint -> unit
 (** Undo updates made since the savepoint (subtransaction abort);
     locks acquired since are retained, as in Moss's algorithm where

@@ -72,8 +72,3 @@ let release_all t ~txn =
     t.table
 
 let holders t ~key = match Hashtbl.find_opt t.table key with Some e -> e.granted | None -> []
-
-let locks_held t ~txn =
-  Hashtbl.fold
-    (fun key e acc -> if List.mem_assoc txn e.granted then key :: acc else acc)
-    t.table []

@@ -20,4 +20,3 @@ val release_all : t -> txn:int -> unit
 (** End of transaction: release every lock held, waking waiters. *)
 
 val holders : t -> key:string -> (int * mode) list
-val locks_held : t -> txn:int -> string list

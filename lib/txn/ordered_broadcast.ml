@@ -94,7 +94,6 @@ let export rt t =
       | _ -> raise Runtime.Bad_interface)
 
 let delivered t = t.delivered
-let queue_length t = List.length t.queue
 
 let atomic_broadcast ctx troupe body =
   (* A deterministic, replica-agreed message identifier. *)

@@ -27,7 +27,6 @@ val export : Runtime.t -> t -> int
     1 = [accept_time]); returns the module number. *)
 
 val delivered : t -> int
-val queue_length : t -> int
 
 val atomic_broadcast : Runtime.ctx -> Troupe.t -> bytes -> unit
 (** Client side (Figure 5.1): propose at the whole troupe, collect all

@@ -31,13 +31,3 @@ let reaches t start target =
   dfs start
 
 let would_deadlock t ~waiter ~holders = List.exists (fun h -> reaches t h waiter) holders
-
-let cycle_from t start =
-  let rec dfs path n =
-    if List.mem n path then Some (n :: path)
-    else
-      List.fold_left
-        (fun acc next -> match acc with Some _ -> acc | None -> dfs (n :: path) next)
-        None (successors t n)
-  in
-  dfs [] start

@@ -17,5 +17,3 @@ val remove_txn : t -> int -> unit
 val would_deadlock : t -> waiter:int -> holders:int list -> bool
 (** Would adding edges [waiter -> holders] close a cycle? *)
 
-val cycle_from : t -> int -> int list option
-(** A cycle reachable from the given node, if any (for diagnostics). *)

@@ -5,7 +5,6 @@ exception Underflow
 
 let writer () = Buffer.create 64
 let contents w = Buffer.to_bytes w
-let writer_length = Buffer.length
 let reset = Buffer.clear
 
 (* One scratch writer per domain, reused across encodes: [contents]
@@ -52,10 +51,6 @@ let write_bytes w b = Buffer.add_bytes w b
 let write_string w s = Buffer.add_string w s
 
 let reader data = { data; stop = Bytes.length data; pos = 0 }
-
-let reader_sub data ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length data then raise Underflow;
-  { data; stop = pos + len; pos }
 
 let remaining r = r.stop - r.pos
 

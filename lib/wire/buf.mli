@@ -11,7 +11,6 @@ exception Underflow
 
 val writer : unit -> writer
 val contents : writer -> bytes
-val writer_length : writer -> int
 
 val reset : writer -> unit
 (** Empty the writer, keeping its internal storage for reuse. *)
@@ -32,7 +31,6 @@ val write_bytes : writer -> bytes -> unit
 val write_string : writer -> string -> unit
 
 val reader : bytes -> reader
-val reader_sub : bytes -> pos:int -> len:int -> reader
 val remaining : reader -> int
 
 val read_u8 : reader -> int

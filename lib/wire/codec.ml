@@ -209,7 +209,3 @@ let fix f =
       read = (fun r -> (Lazy.force self).read r) }
   in
   wrapped
-
-let delayed f =
-  let memo = lazy (f ()) in
-  { write = (fun w v -> (Lazy.force memo).write w v); read = (fun r -> (Lazy.force memo).read r) }

@@ -64,6 +64,7 @@ val custom : write:(Buf.writer -> 'a -> unit) -> read:(Buf.reader -> 'a) -> 'a t
     externalizing than the stub compiler" (§7.2). *)
 
 val fix : ('a t -> 'a t) -> 'a t
-(** Codec for recursive types. *)
-
-val delayed : (unit -> 'a t) -> 'a t
+(** Codec for recursive types, for the hand-written externalizers of
+    {!custom}: the stub compiler rejects recursive Courier types
+    (§7.1.4), so a recursive data structure needs the programmer's own
+    externalization (§7.2). *)

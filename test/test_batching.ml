@@ -89,7 +89,8 @@ let prop_charge_span_equals_loop =
 
 let multiseg_digest ~n ~seed =
   let engine = Engine.create ~seed () in
-  let net = Net.create engine ~params:(Net.lan ~loss:0.05 ~duplication:0.1 ()) () in
+  let params = { Net.default_params with loss = 0.05; duplication = 0.1 } in
+  let net = Net.create engine ~params () in
   let env = Syscall.make net () in
   let members =
     List.init n (fun i ->
@@ -187,7 +188,7 @@ module Cluster_plan = Circus_fault.Plan
 module Injector = Circus_fault.Injector
 
 let cluster_run ~seed ~domains =
-  let params = { (Net.lan ~loss:0.05 ~duplication:0.1 ()) with propagation = 2e-3 } in
+  let params = { Net.default_params with loss = 0.05; duplication = 0.1; propagation = 2e-3 } in
   let c = Cluster.create ~seed ~params ~lps:4 () in
   Cluster.enable_tracing c;
   let hosts = Array.init 4 (fun i -> Cluster.add_host c ~name:(Printf.sprintf "h%d" i) ()) in

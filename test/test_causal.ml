@@ -38,6 +38,14 @@ let with_causal w f =
       let v = f () in
       (v, Trace.events ()))
 
+(* Causal events named one of [names]. *)
+let causal names (e : Event.t) = String.equal e.Event.cat Causal.cat && List.mem e.Event.name names
+
+(* No reply precedes its call: every vote and collate follows a call
+   event of the same request. *)
+let reply_after_call () =
+  Trace.Expect.follows ~before:(causal [ "call" ]) ~after:(causal [ "vote"; "collate" ]) ()
+
 let echo_troupe w n =
   let members =
     List.init n (fun i ->
@@ -130,17 +138,15 @@ let test_ctx_survives_crash_restart () =
         let fresh, _ = echo_troupe w 2 in
         let fresh = { fresh with Troupe.id = 42L } in
         let r2 = client_call w fresh (bytes_of "again") in
-        Alcotest.(check string) "post-restart call" "again" (string_of r2))
+        Alcotest.(check string) "post-restart call" "again" (string_of r2);
+        reply_after_call ())
   in
   (match reqs_of evs with
   | [ _; _ ] -> ()
   | rs -> Alcotest.failf "expected two distinct request ids, saw %d" (List.length rs));
   let a = Causal.analyze ~terminal:"collate" evs in
   Alcotest.(check int) "both chains complete" 2 (List.length a.Causal.paths);
-  Alcotest.(check int) "no truncated chains" 0 a.Causal.incomplete;
-  match Causal.Invariant.reply_after_call evs with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg
+  Alcotest.(check int) "no truncated chains" 0 a.Causal.incomplete
 
 (* ------------------------------------------------------------------ *)
 (* Trace-level invariants and Expect.follows *)
@@ -148,11 +154,18 @@ let test_ctx_survives_crash_restart () =
 let test_invariants_clean_call () =
   let w = make_world ~seed:3 () in
   let troupe, _ = echo_troupe w 3 in
-  let (_, evs) = with_causal w (fun () -> client_call w troupe (bytes_of "q")) in
+  let (_, evs) =
+    with_causal w (fun () ->
+        ignore (client_call w troupe (bytes_of "q"));
+        reply_after_call ();
+        (* The precedence check must actually bite: every vote comes
+           before the collate that counts it, so no vote follows a
+           collate of its request. *)
+        match Trace.Expect.follows ~before:(causal [ "collate" ]) ~after:(causal [ "vote" ]) () with
+        | () -> Alcotest.fail "a vote cannot follow its collate"
+        | exception Trace.Expect.Failed _ -> ())
+  in
   (match Causal.Invariant.quorum_execution ~quorum:3 evs with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  (match Causal.Invariant.reply_after_call evs with
   | Ok () -> ()
   | Error msg -> Alcotest.fail msg);
   (* The quorum invariant must actually bite: demanding more
@@ -167,13 +180,10 @@ let test_expect_follows () =
   let ((), _) =
     with_causal w (fun () ->
         ignore (client_call w troupe (bytes_of "f"));
-        let is name e =
-          String.equal e.Event.cat Causal.cat && String.equal e.Event.name name
-        in
         (* Same-request ordering: every execution follows its call. *)
-        Trace.Expect.follows ~before:(is "call") ~after:(is "exec_done") ();
+        Trace.Expect.follows ~before:(causal [ "call" ]) ~after:(causal [ "exec_done" ]) ();
         (* And the reverse direction must fail: no call follows a vote. *)
-        match Trace.Expect.follows ~before:(is "vote") ~after:(is "call") () with
+        match Trace.Expect.follows ~before:(causal [ "vote" ]) ~after:(causal [ "call" ]) () with
         | () -> Alcotest.fail "call cannot follow a vote"
         | exception Trace.Expect.Failed _ -> ())
   in

@@ -219,7 +219,8 @@ let test_wait_majority_server_policy () =
 (* Stress: loss + duplication + reordering, multi-segment payloads *)
 
 let test_stress_lossy_many_to_many () =
-  let w = make_world ~params:(Net.lan ~loss:0.25 ~duplication:0.15 ~jitter_mean:0.002 ()) ~seed:23 () in
+  let params = { Net.default_params with loss = 0.25; duplication = 0.15; jitter_mean = 0.002 } in
+  let w = make_world ~params ~seed:23 () in
   let executions = ref 0 in
   let members =
     List.init 2 (fun _ ->

@@ -191,23 +191,26 @@ let episode_violations ep =
 (* ------------------------------------------------------------------ *)
 (* Plan DSL and generator *)
 
+(* A hand-written plan step. *)
+let step at action = { Plan.at; action }
+
 let test_validate_rejects () =
   let bad msg plan =
     match Plan.validate plan with
     | Ok () -> Alcotest.failf "validate accepted %s" msg
     | Error _ -> ()
   in
-  bad "negative time" [ Plan.crash ~at:(-1.0) 0 ];
-  bad "unsorted" [ Plan.crash ~at:2.0 0; Plan.restart ~at:1.0 0 ];
-  bad "crash of a down host" [ Plan.crash ~at:1.0 0; Plan.crash ~at:2.0 0 ];
-  bad "restart of an up host" [ Plan.restart ~at:1.0 0 ];
-  bad "zero-duration burst" [ Plan.loss_burst ~at:1.0 ~rate:0.5 ~duration:0.0 ];
-  bad "rate above 1" [ Plan.loss_burst ~at:1.0 ~rate:1.5 ~duration:1.0 ];
+  bad "negative time" [ step (-1.0) (Plan.Crash 0) ];
+  bad "unsorted" [ step 2.0 (Plan.Crash 0); step 1.0 (Plan.Restart 0) ];
+  bad "crash of a down host" [ step 1.0 (Plan.Crash 0); step 2.0 (Plan.Crash 0) ];
+  bad "restart of an up host" [ step 1.0 (Plan.Restart 0) ];
+  bad "zero-duration burst" [ step 1.0 (Plan.Loss_burst { rate = 0.5; duration = 0.0 }) ];
+  bad "rate above 1" [ step 1.0 (Plan.Loss_burst { rate = 1.5; duration = 1.0 }) ];
   Alcotest.(check bool) "well-formed plan accepted" true
     (Plan.validate
-       [ Plan.crash ~at:1.0 0;
-         Plan.loss_burst ~at:1.5 ~rate:0.3 ~duration:1.0;
-         Plan.restart ~at:2.0 0 ]
+       [ step 1.0 (Plan.Crash 0);
+         step 1.5 (Plan.Loss_burst { rate = 0.3; duration = 1.0 });
+         step 2.0 (Plan.Restart 0) ]
     = Ok ())
 
 let prop_random_plans_valid =
@@ -278,8 +281,8 @@ let test_burst_epoch_guard () =
   let engine = Engine.create () in
   let net = Net.create engine () in
   Fault.inject net
-    [ Plan.loss_burst ~at:1.0 ~rate:0.5 ~duration:1.0;
-      Plan.loss_burst ~at:1.5 ~rate:0.9 ~duration:2.0 ];
+    [ step 1.0 (Plan.Loss_burst { rate = 0.5; duration = 1.0 });
+      step 1.5 (Plan.Loss_burst { rate = 0.9; duration = 2.0 }) ];
   let probe at f = ignore (Engine.schedule_abs engine ~at (fun () -> f ())) in
   let at_1_2 = ref nan and at_2_2 = ref nan and at_4_0 = ref nan in
   probe 1.2 (fun () -> at_1_2 := Net.extra_loss net);
@@ -295,7 +298,7 @@ let test_inject_rejects_invalid () =
   let engine = Engine.create () in
   let net = Net.create engine () in
   Alcotest.(check bool) "invalid plan rejected" true
-    (try Fault.inject net [ Plan.restart ~at:1.0 0 ]; false with Invalid_argument _ -> true)
+    (try Fault.inject net [ step 1.0 (Plan.Restart 0) ]; false with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Fail-stop CPU accounting: a crashed machine burns no CPU.  A stale
@@ -309,7 +312,7 @@ let test_crashed_host_rejects_charges () =
   let victim = Net.add_host net ~name:"victim" () in
   let other = Net.add_host net ~name:"other" () in
   Fault.inject net
-    [ Plan.crash ~at:1.0 (Host.id victim); Plan.restart ~at:2.0 (Host.id victim) ];
+    [ step 1.0 (Plan.Crash (Host.id victim)); step 2.0 (Plan.Restart (Host.id victim)) ];
   let meter = Meter.create () in
   let rejected = ref false in
   let frozen_total = ref nan and frozen_meter = ref nan in
@@ -368,7 +371,7 @@ let test_crash_restart_rejoin () =
                   (kv_handlers m')))));
   let incarnation0 = Host.incarnation v.m_host in
   Fault.inject (System.net sys)
-    [ Plan.crash ~at:1.5 (Host.id v.m_host); Plan.restart ~at:3.0 (Host.id v.m_host) ];
+    [ step 1.5 (Plan.Crash (Host.id v.m_host)); step 3.0 (Plan.Restart (Host.id v.m_host)) ];
   let client = System.process sys ~name:"client" () in
   ignore
     (System.spawn client (fun ctx ->

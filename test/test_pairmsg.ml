@@ -108,7 +108,7 @@ let test_call_multisegment () =
   Alcotest.(check bool) "multi-segment echoed" true (answer = big)
 
 let test_call_over_lossy_network () =
-  let w = make_world ~params:(Net.lan ~loss:0.2 ~duplication:0.1 ()) ~seed:7 () in
+  let w = make_world ~params:{ Net.default_params with loss = 0.2; duplication = 0.1 } ~seed:7 () in
   let server = echo_server w ~port:50 in
   let ok =
     run_client w (fun () ->
@@ -124,7 +124,7 @@ let test_call_over_lossy_network () =
   Alcotest.(check bool) "all calls survive 20% loss" true ok
 
 let test_multisegment_over_lossy_network () =
-  let w = make_world ~params:(Net.lan ~loss:0.15 ()) ~seed:3 () in
+  let w = make_world ~params:{ Net.default_params with loss = 0.15 } ~seed:3 () in
   let server = echo_server w ~port:50 in
   let big = String.init 8_000 (fun i -> Char.chr (i * 7 mod 256)) in
   let answer =
@@ -136,7 +136,7 @@ let test_multisegment_over_lossy_network () =
 
 let test_exactly_once_execution () =
   (* Heavy duplication: the handler must still run once per call. *)
-  let w = make_world ~params:(Net.lan ~duplication:0.5 ()) ~seed:11 () in
+  let w = make_world ~params:{ Net.default_params with duplication = 0.5 } ~seed:11 () in
   let executions = ref 0 in
   let ep_server = Endpoint.create w.env w.server_host ~port:50 () in
   Endpoint.serve ep_server (fun ~src:_ body ->
@@ -474,7 +474,7 @@ let test_window_late_duplicate_return () =
      its exchange has finished; the server's unacknowledged final
      return keeps being retransmitted with please-ack until the client
      acks it. *)
-  let w = make_world ~params:(Net.lan ~duplication:1.0 ()) ~seed:5 () in
+  let w = make_world ~params:{ Net.default_params with duplication = 1.0 } ~seed:5 () in
   let _sink = Engine.enable_tracing w.engine in
   Fun.protect ~finally:Trace.stop (fun () ->
       let server = echo_server w ~port:50 in
@@ -611,7 +611,7 @@ let test_udp_echo () =
   Alcotest.(check string) "echo" "datagram" answer
 
 let test_udp_echo_retries_on_loss () =
-  let w = make_world ~params:(Net.lan ~loss:0.4 ()) ~seed:5 () in
+  let w = make_world ~params:{ Net.default_params with loss = 0.4 } ~seed:5 () in
   Udp_echo.start_server w.env w.server_host ~port:7;
   let answer =
     run_client w (fun () ->
@@ -679,7 +679,7 @@ let test_stream_echo () =
   Alcotest.(check string) "echo over stream" "stream-data" answer
 
 let test_stream_large_message_lossy () =
-  let w = make_world ~params:(Net.lan ~loss:0.1 ()) ~seed:13 () in
+  let w = make_world ~params:{ Net.default_params with loss = 0.1 } ~seed:13 () in
   let listener = Stream.listen w.env w.server_host ~port:9 in
   ignore
     (Host.spawn w.server_host (fun () ->
@@ -703,7 +703,7 @@ let test_stream_large_message_lossy () =
   Alcotest.(check bool) "large message intact over loss" true (answer = big)
 
 let test_stream_messages_in_order () =
-  let w = make_world ~params:(Net.lan ~loss:0.1 ()) ~seed:21 () in
+  let w = make_world ~params:{ Net.default_params with loss = 0.1 } ~seed:21 () in
   let listener = Stream.listen w.env w.server_host ~port:9 in
   let received = ref [] in
   ignore

@@ -50,7 +50,7 @@ let test_implicit_acks_minimize_traffic () =
    missing segment promptly (§4.2.4): under loss, a multi-segment call
    still completes well within a couple of retransmission intervals. *)
 let test_out_of_order_ack_speeds_recovery () =
-  let w = make_world ~params:(Net.lan ~loss:0.3 ()) ~seed:77 () in
+  let w = make_world ~params:{ Net.default_params with loss = 0.3 } ~seed:77 () in
   let server_ep = Endpoint.create w.env w.server ~port:50 () in
   Endpoint.serve server_ep (fun ~src:_ body -> body);
   let big = Bytes.create 6000 in
@@ -71,7 +71,7 @@ let test_out_of_order_ack_speeds_recovery () =
    retransmission with please-ack (§4.3.7 + §4.2.2). *)
 let test_multicast_recovers_from_loss () =
   let engine = Engine.create ~seed:31 () in
-  let net = Net.create engine ~params:(Net.lan ~loss:0.35 ()) () in
+  let net = Net.create engine ~params:{ Net.default_params with loss = 0.35 } () in
   let env = Syscall.make net () in
   let client_host = Net.add_host net () in
   let servers =

@@ -9,7 +9,7 @@ let check_float = Alcotest.(check (float 1e-9))
 
 (* Build a detached event (tests drive the heap directly, no engine). *)
 let mk_event ?(live = true) ~seq () =
-  { Event_heap.seq; run = ignore; live; cell = Event_heap.dummy_cell }
+  { Event_heap.seq; run = ignore; live; cell = { Event_heap.cancelled_pending = 0 } }
 
 (* Pop the minimum as its (time, seq) key. *)
 let pop_key h =
@@ -454,6 +454,12 @@ let test_fiber_join () =
                 done_order := "parent" :: !done_order;
                 Alcotest.(check (list string)) "order" [ "parent"; "child" ] !done_order))))
 
+(* [on_terminate] runs its callback at once on a terminated fiber. *)
+let terminated f =
+  let t = ref false in
+  Fiber.on_terminate f (fun () -> t := true);
+  !t
+
 let test_fiber_cancel_sleeping () =
   let engine = Engine.create () in
   let reached = ref false in
@@ -467,7 +473,7 @@ let test_fiber_cancel_sleeping () =
   Engine.run engine;
   Alcotest.(check bool) "not reached" false !reached;
   Alcotest.(check bool) "cleanup ran" true !cleaned;
-  Alcotest.(check bool) "terminated" true (Fiber.is_terminated f);
+  Alcotest.(check bool) "terminated" true (terminated f);
   check_float "stopped early" 1.0 (Engine.now engine)
 
 let test_fiber_cancel_before_start () =
@@ -477,27 +483,7 @@ let test_fiber_cancel_before_start () =
   Fiber.cancel f;
   Engine.run engine;
   Alcotest.(check bool) "never ran" false !ran;
-  Alcotest.(check bool) "terminated" true (Fiber.is_terminated f)
-
-let test_ivar_rendezvous () =
-  let engine = Engine.create () in
-  let iv = Ivar.create () in
-  let got = ref 0 in
-  ignore (Fiber.spawn engine (fun () -> got := Ivar.read iv));
-  ignore
-    (Fiber.spawn engine (fun () ->
-         Fiber.sleep 5.0;
-         Ivar.fill iv 42));
-  Engine.run engine;
-  Alcotest.(check int) "value" 42 !got;
-  check_float "waited" 5.0 (Engine.now engine)
-
-let test_ivar_double_fill () =
-  let iv = Ivar.create () in
-  Ivar.fill iv 1;
-  Alcotest.(check bool) "second fill refused" false (Ivar.try_fill iv 2);
-  Alcotest.check_raises "fill raises" (Invalid_argument "Ivar.fill: already filled") (fun () ->
-      Ivar.fill iv 3)
+  Alcotest.(check bool) "terminated" true (terminated f)
 
 let test_mailbox_fifo () =
   let engine = Engine.create () in
@@ -847,9 +833,7 @@ let () =
           Alcotest.test_case "cancel before start" `Quick test_fiber_cancel_before_start ]
         @ qcheck [ prop_fiber_sleep_monotone ] );
       ( "sync",
-        [ Alcotest.test_case "ivar rendezvous" `Quick test_ivar_rendezvous;
-          Alcotest.test_case "ivar double fill" `Quick test_ivar_double_fill;
-          Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;
+        [ Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "mailbox timeout" `Quick test_mailbox_timeout;
           Alcotest.test_case "mailbox message after timeout" `Quick
             test_mailbox_timeout_then_message_not_lost;
