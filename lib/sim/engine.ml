@@ -128,17 +128,21 @@ let[@inline] maybe_compact t =
   end
 
 (* An event is due now exactly when its clamped time equals the clock,
-   i.e. when [at <= now]; otherwise its time is [at] itself (a NaN [at]
-   fails the test and goes to the heap). *)
+   i.e. when [at <= now]; otherwise, when [at > now], its time is [at]
+   itself.  Only NaN fails both tests: in the heap it would compare
+   neither before nor after anything, breaking the time order, so it is
+   rejected — on the heap path only, so the ring path gains no
+   compare. *)
 let[@inline] enqueue t ~at f =
   let seq = t.seq in
-  t.seq <- seq + 1;
   let ev = { seq; run = f; live = true; cell = t.cell } in
   if at <= t.clock.now then Ready.push t.ready ev
-  else begin
+  else if at > t.clock.now then begin
     maybe_compact t;
     Event_heap.push t.heap ~time:at ev
-  end;
+  end
+  else invalid_arg "Engine.schedule: event time is NaN";
+  t.seq <- seq + 1;
   ev
 
 let schedule_abs t ~at f = enqueue t ~at f
@@ -167,6 +171,12 @@ let[@inline] heap_first t =
   let now = t.clock.now in
   ht < now || (ht = now && Event_heap.top_seq t.heap < (Ready.peek t.ready).seq)
 
+(* Run a live event that has just left its queue. *)
+let[@inline] exec ev =
+  ev.live <- false;
+  if Trace.on () then Trace.incr "engine.events";
+  ev.run ()
+
 (* Execute the globally minimal (time, seq) event across ring and heap.
    Cancelled events are dropped without advancing the clock; a ring
    event runs at [now], so only a heap event moves the clock. *)
@@ -186,9 +196,7 @@ and fire t ev =
     step t
   end
   else begin
-    ev.live <- false;
-    if Trace.on () then Trace.incr "engine.events";
-    ev.run ();
+    exec ev;
     true
   end
 
@@ -337,22 +345,51 @@ let next_time t =
    at [limit] so every logical process agrees on the window boundary
    regardless of where its last event fell.  Returns the number of
    events executed, which the coordinator sums into the scaling
-   numbers. *)
+   numbers.
+
+   Each queued event is decided once: the loop takes the (time, seq)
+   minimum of the two queue heads, stops if its time reaches [limit],
+   and otherwise pops it and either runs it or, if it was cancelled,
+   drops it.  A cancelled head cannot change the outcome: every live
+   event lies at or after it, so stopping at it stops exactly where the
+   first live event would, and dropping it leaves the live events'
+   order alone. *)
 let run_window ?(max_events = 50_000_000) t ~limit =
+  let clock = t.clock in
   let executed = ref 0 in
   let continue_run = ref true in
-  t.clock.horizon <- limit;
+  clock.horizon <- limit;
   while !continue_run && !executed < max_events do
-    if next_time t >= limit then begin
-      if limit > t.clock.now then t.clock.now <- limit;
-      continue_run := false
+    if Ready.length t.ready > 0 && not (heap_first t) then begin
+      if clock.now >= limit then continue_run := false
+      else begin
+        let ev = Ready.pop t.ready in
+        if ev.live then begin
+          exec ev;
+          incr executed
+        end
+        else note_dropped t
+      end
     end
     else begin
-      ignore (step t);
-      incr executed
+      (* [top_time] is [infinity] on an empty heap. *)
+      let time = Event_heap.top_time t.heap in
+      if time >= limit then begin
+        if limit > clock.now then clock.now <- limit;
+        continue_run := false
+      end
+      else begin
+        let ev = Event_heap.pop_exn t.heap in
+        if ev.live then begin
+          clock.now <- time;
+          exec ev;
+          incr executed
+        end
+        else note_dropped t
+      end
     end
   done;
-  t.clock.horizon <- infinity;
+  clock.horizon <- infinity;
   if !executed >= max_events then
     invalid_arg "Engine.run_window: max_events exceeded (runaway simulation?)";
   !executed

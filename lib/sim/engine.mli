@@ -47,11 +47,13 @@ val enable_tracing : ?capacity:int -> t -> Circus_trace.Trace.sink
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] runs [f] at [now t +. delay].  Negative
-    delays are clamped to 0. *)
+    delays are clamped to 0.  Raises [Invalid_argument] if the time is
+    NaN (a NaN [delay]), which has no place in the (time, seq) order;
+    nothing is queued then. *)
 
 val schedule_abs : t -> at:float -> (unit -> unit) -> handle
 (** [schedule_abs t ~at f] runs [f] at absolute time [at] (clamped to
-    [now t]). *)
+    [now t]).  Raises [Invalid_argument] if [at] is NaN. *)
 
 val cancel : handle -> unit
 (** Prevent a pending event from firing.  A no-op if it already fired
@@ -92,9 +94,6 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 val run_counted : ?until:float -> ?max_events:int -> t -> int
 (** {!run}, returning the number of events executed — the parallel
     engine's per-LP accounting hook. *)
-
-val step : t -> bool
-(** Execute the single next event.  [false] if the queue was empty. *)
 
 val next_time : t -> float
 (** Time of the next live queued event (after discarding cancelled

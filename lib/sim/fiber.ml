@@ -25,9 +25,9 @@ type t = {
      this fiber is currently working on behalf of.  Per-fiber rather
      than domain-local so it survives parks/resumes untouched. *)
   mutable ctx : int;
-  (* [Some self], built once at spawn: [enter] stores it into the
-     domain's [current] on every resume instead of allocating a fresh
-     option each time. *)
+  (* [Some self], built once at spawn: [enter] and [transfer] store it
+     into the domain's [current] on every resume instead of allocating
+     a fresh option each time. *)
   some_self : t option;
 }
 
@@ -115,11 +115,20 @@ let resumed fiber ok =
   if Trace.on () then
     Trace.emit ~cat:"fiber" ~fiber:fiber.id ~args:[ ("ok", Circus_trace.Event.Bool ok) ] "resume"
 
+(* Continue [k] on [fiber] with [r]: [enter] with its body written in
+   place, because without flambda [enter fiber (fun () -> ...)]
+   allocates that closure on every resume. *)
+let transfer fiber k r =
+  let current = Domain.DLS.get current in
+  let prev = !current in
+  current := fiber.some_self;
+  (match r with Ok v -> Effect.Deep.continue k v | Error e -> Effect.Deep.discontinue k e);
+  current := prev
+
 (* The resume event's body, shared by every suspension. *)
 let resume fiber k r =
   resumed fiber (Result.is_ok r);
-  enter fiber (fun () ->
-      match r with Ok v -> Effect.Deep.continue k v | Error e -> Effect.Deep.discontinue k e)
+  transfer fiber k r
 
 let[@inline] block fiber abort =
   if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "block";
@@ -152,9 +161,7 @@ let repark p =
 let poll_slot p =
   resumed p.owner true;
   match p.poll () with
-  | Some v ->
-    let k = park_k p in
-    enter p.owner (fun () -> Effect.Deep.continue k v)
+  | Some v -> transfer p.owner (park_k p) (Ok v)
   | None -> repark p
 
 let spawn engine ?(label = "fiber") f =

@@ -101,6 +101,12 @@ let with_lp t i f =
 
 let post t ~src ~dst ~at thunk =
   if src = dst then invalid_arg "Parallel.post: src = dst (schedule locally instead)";
+  (* NaN would pass the lookahead check below, and an infinite arrival
+     would never be drained: [window_start] stops the run at infinity. *)
+  if not (Float.is_finite at) then
+    invalid_arg
+      (Printf.sprintf "Parallel.post: non-finite arrival time (lp %d -> lp %d arriving at %g)" src
+         dst at);
   if at < t.cur_limit then
     invalid_arg
       (Printf.sprintf
@@ -119,25 +125,33 @@ let post t ~src ~dst ~at thunk =
    released.  Draining on the owning domain at the start of its round
    would race with producers already running that round: what a drain
    picks up (and so the seq its arrivals get, and the channel's
-   [min_pending] it resets) would depend on thread timing. *)
+   [min_pending] it resets) would depend on thread timing.
+
+   Most channels are empty at most barriers, and draining one would
+   still cost an atomic store and a closure, so empty ones are skipped.
+   The test is [is_empty], which is exact, not [min_pending]: a NaN
+   arrival pushed straight into a channel never lowers it. *)
 let drain_all t =
   Array.iter
     (fun (l : Lp.t) ->
       let inbound = t.chans.(l.id) in
       for src = 0 to Array.length inbound - 1 do
-        Lp.Channel.drain inbound.(src) ~f:(fun ~arrival thunk ->
-            ignore (Engine.schedule_abs l.engine ~at:arrival thunk))
+        let c = inbound.(src) in
+        if not (Lp.Channel.is_empty c) then
+          Lp.Channel.drain c ~f:(fun ~arrival thunk ->
+              ignore (Engine.schedule_abs l.engine ~at:arrival thunk))
       done)
     t.lps
 
 (* One LP's share of a round, on its owning domain.  [final] is the
    inclusive last pass of a [run ~until]: events at exactly [limit]
    execute (Engine.run's semantics); in a regular window they wait for
-   the barrier at [limit]. *)
+   the barrier at [limit].  An untraced run installed [None] once, at
+   the start of [run], so only a traced one switches sinks per LP. *)
 let run_round t ~owned ~limit ~final =
   Array.iter
     (fun (l : Lp.t) ->
-      Trace.use l.sink;
+      if t.tracing then Trace.use l.sink;
       let n =
         if final then Engine.run_counted ~until:limit l.engine
         else Engine.run_window l.engine ~limit
@@ -246,6 +260,10 @@ let run ?until ?(max_events = 50_000_000) ?(domains = 1) t =
   else begin
     let d = max 1 (min domains k) in
     let base = executed t in
+    (* Worker domains start with an empty sink slot; the coordinator's
+       is emptied here, so an untraced run records nothing into the
+       caller's sink, exactly as when each LP installed its own [None]. *)
+    if not t.tracing then Trace.use None;
     (* Initial scan on the calling domain: nothing else is running yet. *)
     for i = 0 to k - 1 do
       t.next_times.(i) <- Engine.next_time t.lps.(i).Lp.engine

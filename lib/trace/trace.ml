@@ -5,8 +5,9 @@
    1.  Zero allocation when disabled.  Instrumentation sites throughout
        the simulator guard every emission with [if Trace.on () then
        ...]; the argument lists, strings, and event records are only
-       built when a sink is installed.  With tracing off the hot path
-       pays one load of a mutable bool.
+       built when a loud sink is installed.  With no loud sink
+       installed anywhere in the process the hot path pays one load of
+       an atomic counter (see [loud] below).
 
    2.  Determinism.  Events carry the simulated clock and a global
        emission sequence number.  Because the engine is deterministic,
@@ -22,9 +23,9 @@
        parallel engine runs one logical process per domain, each
        recording into its own sink, and unsynchronized writes to a
        shared ring would be both a data race and a determinism hole.
-       On the hot path this costs one DLS load (an array index off the
-       domain record) instead of one ref load — noise next to the
-       event construction it guards. *)
+       [on ()] reads the slot only when some domain has a loud sink
+       installed; [with_sink] and [emit] always read it, because a
+       quiet sink still records direct emits. *)
 
 type sink = {
   ring : Event.t Ring.t;
@@ -42,15 +43,28 @@ type sink = {
 
 let slot : sink option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-let[@inline] on () =
-  match !(Domain.DLS.get slot) with Some s -> not s.quiet | None -> false
+(* The number of installed loud (non-quiet) sinks, across all domains.
+   Invariant: it is at least the number of domains whose slot holds a
+   loud sink — [use] raises it before installing one and lowers it only
+   after removing one.  So a zero count proves this domain's slot holds
+   no loud sink, and [on ()] answers without the DLS lookup; a positive
+   count falls through to the exact per-domain check. *)
+let loud = Atomic.make 0
+
+let[@inline] is_loud = function Some s -> not s.quiet | None -> false
+let[@inline] on () = Atomic.get loud > 0 && is_loud !(Domain.DLS.get slot)
 
 let default_capacity = 65_536
 
 let make_sink ?(capacity = default_capacity) ?cats ?(quiet = false) ~clock () =
   { ring = Ring.create ~capacity; metrics = Metrics.create (); clock; cats; quiet; seq = 0 }
 
-let use s = Domain.DLS.get slot := s
+let use s =
+  let r = Domain.DLS.get slot in
+  let was_loud = is_loud !r in
+  if is_loud s then Atomic.incr loud;
+  r := s;
+  if was_loud then Atomic.decr loud
 
 let install sink =
   use (Some sink);

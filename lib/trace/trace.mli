@@ -5,11 +5,11 @@
     {!Metrics.t} registry.  Each OCaml domain has its own sink slot
     (the parallel engine records one trace per logical process and
     merges them deterministically at export); single-domain programs
-    see the familiar "one global sink" behaviour.  When no sink is
-    installed the recorder costs one domain-local load:
-    instrumentation sites must guard emission with
-    [if Trace.on () then Trace.emit ...] so argument lists are never
-    allocated for a disabled trace.
+    see the familiar "one global sink" behaviour.  While no domain has
+    a loud (non-quiet) sink installed, {!on} costs one load of a
+    process-wide counter: instrumentation sites must guard emission
+    with [if Trace.on () then Trace.emit ...] so argument lists are
+    never allocated for a disabled trace.
 
     Because the simulation engine is deterministic, two runs with equal
     seeds produce identical event streams — the exporters in {!Export}
@@ -19,7 +19,8 @@
 type sink
 
 val on : unit -> bool
-(** True iff a sink is installed and recording on the calling domain. *)
+(** True iff a loud (non-quiet) sink is installed on the calling
+    domain. *)
 
 val start :
   ?capacity:int -> ?cats:string list -> ?quiet:bool -> clock:(unit -> float) -> unit -> sink
@@ -46,7 +47,8 @@ val use : sink option -> unit
     s)] resumes recording into an existing sink, [use None] is
     {!stop}.  The parallel engine uses this to point each worker
     domain at its logical process's sink without creating a fresh
-    one. *)
+    one.  Every install and removal goes through [use], which keeps
+    the process-wide count of loud sinks that gates {!on}. *)
 
 (** {1 Emission} *)
 

@@ -91,6 +91,17 @@ let test_post_validation () =
      Parallel.post t ~src:0 ~dst:0 ~at:5.0 (fun () -> ());
      Alcotest.fail "src = dst accepted"
    with Invalid_argument _ -> ());
+  (* NaN passes the lookahead check, and an infinite arrival would
+     never be drained: both are rejected, naming the two LPs. *)
+  List.iter
+    (fun at ->
+      Alcotest.check_raises
+        (Printf.sprintf "arrival %g rejected" at)
+        (Invalid_argument
+           (Printf.sprintf "Parallel.post: non-finite arrival time (lp 0 -> lp 1 arriving at %g)"
+              at))
+        (fun () -> Parallel.post t ~src:0 ~dst:1 ~at (fun () -> ())))
+    [ Float.nan; infinity; neg_infinity ];
   (* A lookahead violation raised inside a round must surface from
      [run], whichever domain ran the offending LP. *)
   let violated = ref false in
@@ -132,6 +143,35 @@ let test_k1_matches_sequential () =
     Export.jsonl_events (Trace.sink_events sink)
   in
   Alcotest.(check string) "k=1 trace equals sequential engine" seq_trace par_trace
+
+(* ------------------------------------------------------------------ *)
+(* Sinks across runs: a traced run leaves no sink behind, and an
+   untraced multi-LP run records nothing into the caller's sink, which
+   is restored when it returns. *)
+
+let test_sinks_across_runs () =
+  let ticking ~traced =
+    let t = Parallel.create ~lps:2 ~lookahead:1.0 () in
+    if traced then Parallel.enable_tracing t;
+    for i = 0 to 1 do
+      Parallel.with_lp t i (fun () -> schedule_ticks (Parallel.engine t i))
+    done;
+    t
+  in
+  Trace.stop ();
+  let traced = ticking ~traced:true in
+  Parallel.run ~domains:2 traced;
+  Alcotest.(check int) "traced run recorded" 10 (List.length (Parallel.merged_events traced));
+  Alcotest.(check bool) "no sink left on after a traced run" false (Trace.on ());
+  let untraced = ticking ~traced:false in
+  let sink = Trace.start ~clock:(fun () -> 0.0) () in
+  Fun.protect ~finally:Trace.stop @@ fun () ->
+  Parallel.run ~domains:2 untraced;
+  Alcotest.(check int) "untraced run ticked" 10 (Parallel.executed untraced);
+  Alcotest.(check int) "caller's sink recorded nothing" 0 (List.length (Trace.sink_events sink));
+  Alcotest.(check bool) "caller's sink restored" true
+    (match Trace.active () with Some s -> s == sink | None -> false);
+  Alcotest.(check bool) "caller's sink still on" true (Trace.on ())
 
 (* ------------------------------------------------------------------ *)
 (* Cluster: cross-shard datagrams arrive through the channels. *)
@@ -252,6 +292,7 @@ let () =
           Alcotest.test_case "stream stability" `Quick test_stream_stable ] );
       ("channel", [ Alcotest.test_case "fifo across spill" `Quick test_channel_fifo_spill ]);
       ("post", [ Alcotest.test_case "validation and propagation" `Quick test_post_validation ]);
+      ("sinks", [ Alcotest.test_case "across runs" `Quick test_sinks_across_runs ]);
       ( "degradation",
         [ Alcotest.test_case "k=1 equals sequential" `Quick test_k1_matches_sequential ] );
       ( "cluster",

@@ -202,6 +202,27 @@ let test_engine_event_order () =
   Alcotest.(check (list string)) "fifo at same time" [ "a"; "b"; "c" ] (List.rev !log);
   check_float "clock" 2.0 (Engine.now engine)
 
+(* A NaN time has no place in the (time, seq) order.  Queued, it made
+   later events run out of time order and left the clock at NaN; now
+   scheduling it raises and queues nothing. *)
+let test_engine_nan_time_rejected () =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let record tag () = log := (tag, Engine.now engine) :: !log in
+  let nan_rejected = Invalid_argument "Engine.schedule: event time is NaN" in
+  ignore (Engine.schedule engine ~delay:1.0 (record "a"));
+  Alcotest.check_raises "nan delay" nan_rejected (fun () ->
+      ignore (Engine.schedule engine ~delay:Float.nan (record "nan")));
+  Alcotest.check_raises "nan at" nan_rejected (fun () ->
+      ignore (Engine.schedule_abs engine ~at:Float.nan (record "nan")));
+  ignore (Engine.schedule engine ~delay:2.0 (record "b"));
+  ignore (Engine.schedule engine ~delay:0.5 (record "c"));
+  Alcotest.(check int) "nothing queued for nan" 3 (Engine.pending engine);
+  Engine.run engine;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "time order" [ ("c", 0.5); ("a", 1.0); ("b", 2.0) ] (List.rev !log);
+  check_float "clock" 2.0 (Engine.now engine)
+
 let test_engine_cancel () =
   let engine = Engine.create () in
   let fired = ref false in
@@ -814,6 +835,7 @@ let () =
         @ qcheck [ prop_prng_float_range; prop_prng_int_range ] );
       ( "engine",
         [ Alcotest.test_case "event order" `Quick test_engine_event_order;
+          Alcotest.test_case "nan time rejected" `Quick test_engine_nan_time_rejected;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;

@@ -11,6 +11,7 @@ module Metrics = Circus_trace.Metrics
 module Trace = Circus_trace.Trace
 module Event = Circus_trace.Event
 module Export = Circus_trace.Export
+module Causal = Circus_trace.Causal
 module Codec = Circus_wire.Codec
 
 (* Every test that installs a sink must remove it, or it leaks into the
@@ -168,6 +169,34 @@ let test_disabled_is_silent () =
   Trace.incr "ignored";
   Alcotest.(check int) "no events" 0 (List.length (Trace.events ()));
   Alcotest.(check int) "no dropped" 0 (Trace.dropped ())
+
+(* [on ()] answers for loud sinks only.  A quiet causal sink leaves it
+   false, so the guarded firehose sites stay asleep, while direct
+   causal emits still record.  Each install and removal keeps the
+   loud-sink count that gates [on ()] in step: after every transition
+   [on ()] must say whether the installed sink is loud. *)
+let test_on_gate () =
+  Trace.stop ();
+  let quiet = Trace.start ~cats:[ Causal.cat ] ~quiet:true ~clock:(fun () -> 0.0) () in
+  Fun.protect ~finally:Trace.stop (fun () ->
+      Alcotest.(check bool) "quiet sink: off" false (Trace.on ());
+      ignore (Causal.root ~host:0 "call");
+      Trace.emit ~cat:"fiber" "filtered";
+      Alcotest.(check int) "causal event recorded" 1 (List.length (Trace.sink_events quiet));
+      let loud = Trace.start ~clock:(fun () -> 0.0) () in
+      let expect label on = Alcotest.(check bool) label on (Trace.on ()) in
+      expect "start: on" true;
+      Trace.use (Some loud);
+      expect "loud replaces itself: on" true;
+      Trace.use (Some quiet);
+      expect "quiet replaces loud: off" false;
+      Trace.use (Some loud);
+      expect "loud replaces quiet: on" true;
+      Trace.stop ();
+      expect "stop: off" false;
+      ignore (Trace.start ~clock:(fun () -> 0.0) ());
+      expect "start again: on" true);
+  Alcotest.(check bool) "stopped: off" false (Trace.on ())
 
 let test_emit_records_clock_and_seq () =
   with_manual_sink (fun sink now ->
@@ -409,6 +438,7 @@ let () =
           Alcotest.test_case "json deterministic" `Quick test_metrics_json_deterministic ] );
       ( "recorder",
         [ Alcotest.test_case "disabled is silent" `Quick test_disabled_is_silent;
+          Alcotest.test_case "on gate" `Quick test_on_gate;
           Alcotest.test_case "clock and seq" `Quick test_emit_records_clock_and_seq;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "span exception" `Quick test_span_exception_still_nested;
