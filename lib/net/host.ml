@@ -36,11 +36,11 @@ type t = {
 }
 
 and pool = {
-  (* Parked worker continuations, ready to be handed a task.  Storing
-     the wakers directly (rather than queueing tasks through a
-     mailbox) makes a dispatch one list pop and one delay-0 resume
-     event — no queue nodes, no watcher bookkeeping. *)
-  mutable idle : (unit -> unit) Fiber.waker list;
+  (* Parked workers, ready to be handed a task.  Storing their parks
+     directly (rather than queueing tasks through a mailbox) makes a
+     dispatch one list pop and one delay-0 resume event — no queue
+     nodes, no watcher bookkeeping. *)
+  mutable idle : (unit -> unit) Fiber.park list;
   pool_incarnation : int;
 }
 
@@ -102,21 +102,38 @@ let run_pooled t ?(label = "pool.worker") f =
         p
     in
     match pool.idle with
-    | w :: rest ->
+    | p :: rest ->
       pool.idle <- rest;
       (* Resumes the parked worker one delay-0 event from now — the
          same slot a fresh fiber's first run would occupy. *)
-      w (Ok f)
+      Fiber.unpark p f
     | [] ->
-      let rec worker_loop task =
-        (* A task dispatched just before a crash still resumes its
-           worker (the wake was already in flight); the guard drops it,
-           matching the cancelled-at-crash fate of a spawned fiber. *)
-        if t.alive && t.incarnation = pool.pool_incarnation then task ();
-        if t.alive && t.incarnation = pool.pool_incarnation then
-          worker_loop (Fiber.suspend (fun wake -> pool.idle <- wake :: pool.idle))
+      let worker () =
+        (* A worker waits between tasks on one reusable park: each wait
+           is the [suspend] it replaces, event for event, without the
+           waker, ref and closures a [suspend] builds.  Idle workers
+           wait long, so those were promoted.  [arm] offers the park
+           to dispatchers; it needs the park, hence [self]. *)
+        let self = ref None in
+        let park =
+          Fiber.park_create
+            ~arm:(fun () ->
+              match !self with Some p -> pool.idle <- p :: pool.idle | None -> ())
+            ~poll:(fun () -> None)
+            ~on_abort:ignore
+        in
+        self := Some park;
+        let rec loop task =
+          (* A task dispatched just before a crash still resumes its
+             worker (the wake was already in flight); the guard drops
+             it, matching the cancelled-at-crash fate of a spawned
+             fiber. *)
+          if t.alive && t.incarnation = pool.pool_incarnation then task ();
+          if t.alive && t.incarnation = pool.pool_incarnation then loop (Fiber.park park)
+        in
+        loop f
       in
-      ignore (spawn t ~label (fun () -> worker_loop f))
+      ignore (spawn t ~label worker)
   end
 
 let crash t =

@@ -37,7 +37,7 @@ type outgoing = {
   o_dst : Addr.t;
   o_type : Segment.msg_type;
   o_call_no : int32;
-  o_segments : bytes array;
+  mutable o_segments : bytes array;  (* [[||]] once acknowledged *)
   mutable o_acked : int;  (* highest consecutively acked segment number *)
   mutable o_done : bool;
   mutable o_failed : bool;
@@ -321,6 +321,9 @@ let finish_outgoing t out =
           ("dst", Tev.Int out.o_dst.Addr.host) ]
       "msg_acked";
   out.o_done <- true;
+  (* Nothing resends an acknowledged message, but its retransmit chain
+     holds the record until the chain's next wake: drop the data now. *)
+  out.o_segments <- [||];
   Itab.remove t.outgoing (msg_key out.o_dst out.o_type out.o_call_no)
 
 (* ------------------------------------------------------------------ *)

@@ -37,11 +37,14 @@ and export = {
 and m2o_state = Waiting | Executing | Done of Rpc_msg.return_msg
 
 and m2o = {
-  m2o_call : Rpc_msg.call;
+  mutable m2o_call : Rpc_msg.call;  (* [executed_call] once [Done] *)
   mutable m2o_expected : int;  (* max_int until the client troupe is resolved *)
-  (* src, that member's paired-message call number, its arguments;
+  (* Each member that called, with its paired-message call number;
      newest first *)
-  mutable m2o_received : (Addr.t * int32 * bytes) list;
+  mutable m2o_received : (Addr.t * int32) list;
+  (* The arguments of the calls received while [Waiting], newest first;
+     emptied once [Done] *)
+  mutable m2o_args : bytes list;
   mutable m2o_replied : Addr.t list;
   mutable m2o_state : m2o_state;
   mutable m2o_timer : Engine.handle option;
@@ -149,7 +152,7 @@ let send_return t ~dst ~pair_no msg =
 
 let reply_waiters t m2o msg =
   List.iter
-    (fun (src, pair_no, _) ->
+    (fun (src, pair_no) ->
       if not (List.exists (Addr.equal src) m2o.m2o_replied) then begin
         m2o.m2o_replied <- src :: m2o.m2o_replied;
         send_return t ~dst:src ~pair_no msg
@@ -185,6 +188,17 @@ let cancel_straggler m2o =
     Engine.cancel h
   | None -> ()
 
+(* What an executed entry keeps of its call: nothing ([execute] reads
+   the call only while the entry is [Waiting]). *)
+let executed_call =
+  { Rpc_msg.thread = { Ids.Thread_id.origin = 0; pid = 0 };
+    seq = 0L;
+    client_troupe = Ids.Troupe_id.none;
+    server_troupe = Ids.Troupe_id.none;
+    module_no = 0;
+    proc_no = 0;
+    args = Bytes.empty }
+
 let[@inline] is_waiting m2o =
   match m2o.m2o_state with Waiting -> true | Executing | Done _ -> false
 
@@ -200,7 +214,7 @@ let rec execute t export m2o =
       match export.dispatch with
       | Simple f -> f ctx ~proc_no:call.Rpc_msg.proc_no call.Rpc_msg.args
       | Collated f ->
-        let args_in_arrival_order = List.rev_map (fun (_, _, args) -> args) m2o.m2o_received in
+        let args_in_arrival_order = List.rev m2o.m2o_args in
         f ctx ~proc_no:call.Rpc_msg.proc_no ~expected:m2o.m2o_expected args_in_arrival_order
     in
     (* The server-side execution as a span on this host's track; the
@@ -248,7 +262,7 @@ let rec execute t export m2o =
          find it already waiting (§4.3.4).  Deterministic members share
          the paired-message call number of the member that called. *)
       match (t.resolver call.Rpc_msg.client_troupe, m2o.m2o_received) with
-      | Some members, (_, pair_no, _) :: _ ->
+      | Some members, (_, pair_no) :: _ ->
         List.iter
           (fun member ->
             if not (List.exists (Addr.equal member) m2o.m2o_replied) then begin
@@ -258,6 +272,10 @@ let rec execute t export m2o =
           members
       | _, _ -> ())
     | Wait_all | Wait_majority | First_come _ -> ());
+    (* From here on the entry only answers late members: it keeps the
+       result, who was replied to and who called, not the arguments. *)
+    m2o.m2o_call <- executed_call;
+    m2o.m2o_args <- [];
     (* Forget the call after the retention period; later duplicates are
        answered by the paired message layer's own replay suppression.
        Retirement is batched: entries are stamped with their deadline
@@ -390,6 +408,7 @@ let handle_call t ~src ~pair_no (call : Rpc_msg.call) =
             { m2o_call = call;
               m2o_expected = max_int;
               m2o_received = [];
+              m2o_args = [];
               m2o_replied = [];
               m2o_state = Waiting;
               m2o_timer = None;
@@ -400,8 +419,10 @@ let handle_call t ~src ~pair_no (call : Rpc_msg.call) =
           m2o.m2o_expected <- expected_calls t call.Rpc_msg.client_troupe;
           (m2o, true)
       in
-      if not (List.exists (fun (a, _, _) -> Addr.equal a src) m2o.m2o_received) then
-        m2o.m2o_received <- (src, pair_no, call.Rpc_msg.args) :: m2o.m2o_received;
+      if not (List.exists (fun (a, _) -> Addr.equal a src) m2o.m2o_received) then begin
+        m2o.m2o_received <- (src, pair_no) :: m2o.m2o_received;
+        if is_waiting m2o then m2o.m2o_args <- call.Rpc_msg.args :: m2o.m2o_args
+      end;
       if Causal.on () then begin
         let c = Causal.current () in
         if c <> Causal.none then m2o.m2o_ctx <- c

@@ -1,8 +1,8 @@
 module Trace = Circus_trace.Trace
 
 type event = Event_heap.event = {
-  seq : int;
-  run : unit -> unit;
+  mutable seq : int;
+  mutable run : unit -> unit;
   mutable live : bool;
   cell : Event_heap.cell;
 }
@@ -127,37 +127,62 @@ let[@inline] maybe_compact t =
     t.cell.Event_heap.cancelled_pending <- c - removed
   end
 
-(* An event is due now exactly when its clamped time equals the clock,
-   i.e. when [at <= now]; otherwise, when [at > now], its time is [at]
-   itself.  Only NaN fails both tests: in the heap it would compare
-   neither before nor after anything, breaking the time order, so it is
-   rejected — on the heap path only, so the ring path gains no
-   compare. *)
-let[@inline] enqueue t ~at f =
-  let seq = t.seq in
-  let ev = { seq; run = f; live = true; cell = t.cell } in
+(* Queue [ev], which is not queued and carries the next seq.  An event
+   is due now exactly when its clamped time equals the clock, i.e. when
+   [at <= now]; otherwise, when [at > now], its time is [at] itself.
+   Only NaN fails both tests: in the heap it would compare neither
+   before nor after anything, breaking the time order, so it is
+   rejected, with nothing queued and no seq taken — on the heap path
+   only, so the ring path gains no compare. *)
+let[@inline] queue t ~at ev =
   if at <= t.clock.now then Ready.push t.ready ev
   else if at > t.clock.now then begin
     maybe_compact t;
     Event_heap.push t.heap ~time:at ev
   end
   else invalid_arg "Engine.schedule: event time is NaN";
-  t.seq <- seq + 1;
+  t.seq <- ev.seq + 1
+
+let[@inline] enqueue t ~at f =
+  let ev = { seq = t.seq; run = f; live = true; cell = t.cell } in
+  queue t ~at ev;
   ev
 
 let schedule_abs t ~at f = enqueue t ~at f
 
-let schedule t ~delay f =
-  let delay = if delay < 0.0 then 0.0 else delay in
-  enqueue t ~at:(t.clock.now +. delay) f
+let[@inline] clamp delay = if delay < 0.0 then 0.0 else delay
+let schedule t ~delay f = enqueue t ~at:(t.clock.now +. clamp delay) f
+
+(* What a cancelled event runs instead of its closure.  A cancelled
+   event may sit in the heap until its time comes (or a compaction), and
+   must not keep what its closure captured alive that long: a pairmsg
+   watchdog holds its whole exchange for the 0.5 s probe interval. *)
+let cancelled () = ()
+
+(* A reusable timer: an unqueued event built once, queued again by
+   [rearm] each time it has fired, so a fiber's sleeps or a server's
+   idle expiries allocate no event. *)
+let timer t f = { seq = -1; run = f; live = false; cell = t.cell }
+
+(* [live] is set only once the event is queued: a NaN time raises in
+   [queue] and leaves the timer unqueued. *)
+let rearm t ev ~delay =
+  if ev.live then invalid_arg "Engine.rearm: timer still queued";
+  if ev.run == cancelled then invalid_arg "Engine.rearm: timer cancelled";
+  if ev.cell != t.cell then invalid_arg "Engine.rearm: timer of another engine";
+  ev.seq <- t.seq;
+  queue t ~at:(t.clock.now +. clamp delay) ev;
+  ev.live <- true
 
 (* [live] is cleared both here and when the event fires, so cancelling
    a spent handle is a true no-op: it must not count an event that is
    no longer queued, or the stale count would keep [maybe_compact]
-   rebuilding the heap on every push. *)
+   rebuilding the heap on every push — and it must not drop the closure
+   of a fired timer its owner may still re-arm. *)
 let cancel ev =
   if ev.live then begin
     ev.live <- false;
+    ev.run <- cancelled;
     ev.cell.Event_heap.cancelled_pending <- ev.cell.Event_heap.cancelled_pending + 1
   end
 
@@ -317,7 +342,8 @@ let run_counted ?until ?(max_events = 50_000_000) t =
       drop_cancelled t;
       if Ready.length t.ready = 0 && Event_heap.is_empty t.heap then continue_run := false
       else if head_time t > horizon then begin
-        t.clock.now <- horizon;
+        (* A horizon behind the clock leaves it where it is. *)
+        if horizon > t.clock.now then t.clock.now <- horizon;
         continue_run := false
       end
       else begin

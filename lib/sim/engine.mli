@@ -56,9 +56,25 @@ val schedule_abs : t -> at:float -> (unit -> unit) -> handle
     [now t]).  Raises [Invalid_argument] if [at] is NaN. *)
 
 val cancel : handle -> unit
-(** Prevent a pending event from firing.  A no-op if it already fired
-    or was already cancelled: such a call neither runs nor counts
-    anything, so spent handles may be cancelled freely. *)
+(** Prevent a pending event from firing.  The event drops its closure
+    at once, so a cancelled event still waiting in the queue for its
+    time keeps nothing alive.  A no-op if it already fired or was
+    already cancelled: such a call neither runs nor counts anything, so
+    spent handles may be cancelled freely. *)
+
+val timer : t -> (unit -> unit) -> handle
+(** [timer t f] is a reusable timer that runs [f] each time it fires.
+    It starts unqueued; {!rearm} queues it.  Built once, it lets a
+    wait that recurs (a fiber's sleeps, a server's idle expiries)
+    allocate no event per arming. *)
+
+val rearm : t -> handle -> delay:float -> unit
+(** [rearm t h ~delay] queues the timer [h] of [t], fresh from {!timer}
+    or fired since it was last queued, exactly as [schedule t ~delay]
+    would queue a new event: it takes the same seq and goes to the same
+    queue.  Raises [Invalid_argument] if [h] is still queued, was
+    cancelled (its closure is gone; build a new timer), or belongs to
+    another engine, and on a NaN [delay], as {!schedule} does. *)
 
 val sleep_drain : t -> target:float -> cancelled:(unit -> bool) -> bool
 (** [sleep_drain t ~target ~cancelled] is {!Fiber.sleep_busy}'s fast
@@ -89,7 +105,8 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     next event lies beyond [until], or after [max_events] events
     (default 50 million, a runaway guard).  The clock is left at the
     time of the last event executed (or at [until] if given and
-    reached). *)
+    reached); it never moves backwards, so an [until] behind the clock
+    leaves it where it is. *)
 
 val run_counted : ?until:float -> ?max_events:int -> t -> int
 (** {!run}, returning the number of events executed — the parallel

@@ -26,9 +26,11 @@
    keep the count of cancelled-but-still-queued events current. *)
 type cell = { mutable cancelled_pending : int }
 
+(* [seq] and [run] are mutable for the engine's reusable timers: a
+   re-armed timer takes a fresh seq, and a cancel drops its closure. *)
 type event = {
-  seq : int;
-  run : unit -> unit;
+  mutable seq : int;
+  mutable run : unit -> unit;
   mutable live : bool;
   cell : cell;
 }
@@ -112,7 +114,8 @@ let sift_up h i =
   seqs.(!i) <- seq;
   slots.(!i) <- slot
 
-(* Hole-based sift-down over positions [0, n) of the key at [start]. *)
+(* Hole-based sift-down over positions [0, n) of the key at [start];
+   [compact]'s heapify. *)
 let sift_down h n start =
   let times = h.times and seqs = h.seqs and slots = h.slots in
   let time = Float.Array.unsafe_get times start in
@@ -164,6 +167,11 @@ let release h slot =
   h.free.(h.n_free) <- slot;
   h.n_free <- h.n_free + 1
 
+(* Bottom-up pop: the root's hole walks down to a leaf along the
+   smaller child, one compare per level, and the last key fills it from
+   below with a sift-up.  The last key of a heap is usually among the
+   largest, so it rarely climbs far; a top-down sift would compare it
+   against the smaller child at every level as well. *)
 let pop_exn h =
   if h.size = 0 then invalid_arg "Event_heap.pop_exn: empty";
   let slot = h.slots.(0) in
@@ -172,11 +180,31 @@ let pop_exn h =
   let n = h.size - 1 in
   h.size <- n;
   if n > 0 then begin
-    (* Move the last key into the root's hole and sift it down. *)
-    Float.Array.unsafe_set h.times 0 (Float.Array.unsafe_get h.times n);
-    h.seqs.(0) <- h.seqs.(n);
-    h.slots.(0) <- h.slots.(n);
-    sift_down h n 0
+    let times = h.times and seqs = h.seqs and slots = h.slots in
+    (* Positions [0, n) form the heap; the key at [n] is the one to
+       re-insert, so the hole never descends onto it. *)
+    let i = ref 0 in
+    let l = ref 1 in
+    while !l < n do
+      let l' = !l in
+      let r = l' + 1 in
+      let c =
+        if r < n then begin
+          let tr = Float.Array.unsafe_get times r and tl = Float.Array.unsafe_get times l' in
+          if tr < tl || (tr = tl && seqs.(r) < seqs.(l')) then r else l'
+        end
+        else l'
+      in
+      Float.Array.unsafe_set times !i (Float.Array.unsafe_get times c);
+      seqs.(!i) <- seqs.(c);
+      slots.(!i) <- slots.(c);
+      i := c;
+      l := (2 * c) + 1
+    done;
+    Float.Array.unsafe_set times !i (Float.Array.unsafe_get times n);
+    seqs.(!i) <- seqs.(n);
+    slots.(!i) <- slots.(n);
+    sift_up h !i
   end;
   root
 

@@ -21,8 +21,10 @@ type cell = { mutable cancelled_pending : int }
     {!compact}. *)
 
 type event = {
-  seq : int;  (** engine-wide schedule sequence number; unique *)
-  run : unit -> unit;
+  mutable seq : int;
+      (** engine-wide schedule sequence number, unique among queued
+          events; a re-armed timer takes a fresh one *)
+  mutable run : unit -> unit;  (** what firing runs; a cancel drops it *)
   mutable live : bool;
       (** queued and neither fired nor cancelled; the engine clears it
           on both, so a cancel after firing is detectably late *)
@@ -55,7 +57,8 @@ val push : t -> time:float -> event -> unit
 
 val pop_exn : t -> event
 (** Remove and return the minimum event; raises [Invalid_argument]
-    when empty.  Its pool cell is reset to {!sentinel} and reused. *)
+    when empty.  Its pool cell is reset to {!sentinel} and reused.
+    Bottom-up: one key compare per level down, then a short sift-up. *)
 
 val compact : t -> int
 (** Drop every event that is not [live] and re-heapify in O(n);

@@ -29,12 +29,20 @@ type t = {
      into the domain's [current] on every resume instead of allocating
      a fresh option each time. *)
   some_self : t option;
+  (* The continuation of the pending [Sleep], or [no_sleep] once an
+     abort has taken it.  The only thing a sleep stores (see the [Sleep]
+     handler). *)
+  mutable sleep_k : (unit, unit) Effect.Deep.continuation;
 }
+
+(* [sleep_k]'s empty value: an immediate, compared by identity and
+   never continued. *)
+let no_sleep : (unit, unit) Effect.Deep.continuation = Obj.magic 0
 
 (* A suspension point one fiber parks on again and again (see [park]).
    What a [suspend] allocates per parking is built once here: [fired]
-   stands for the waker's one-shot ref, [abort] is what [Suspended]
-   holds, [slot] is the resume event a [kick] schedules, and the
+   stands for the waker's one-shot ref, [parked] is the fiber's
+   [Suspended] state, [slot] is the resume event a [kick] schedules, and the
    continuation stays in [k] while the fiber stays parked. *)
 type 'a park = {
   owner : t;
@@ -46,7 +54,7 @@ type 'a park = {
      the fiber parks again: later wakes of the same parking are no-ops,
      as for a [suspend] waker. *)
   mutable fired : bool;
-  abort : exn -> unit;
+  parked : state;
   slot : unit -> unit;
 }
 
@@ -130,9 +138,11 @@ let resume fiber k r =
   resumed fiber (Result.is_ok r);
   transfer fiber k r
 
-let[@inline] block fiber abort =
+(* [suspended] is a [Suspended] state: the sleep timer's and a park's
+   are built once, so blocking on them allocates nothing. *)
+let[@inline] block fiber suspended =
   if Trace.on () then Trace.emit ~cat:"fiber" ~fiber:fiber.id "block";
-  fiber.state <- Suspended abort
+  fiber.state <- suspended
 
 let park_k p = match p.k with Some k -> k | None -> invalid_arg "Fiber.park: not parked"
 
@@ -149,7 +159,7 @@ let repark p =
   if p.owner.cancel_requested then abort_parked p Cancelled
   else begin
     p.fired <- false;
-    block p.owner p.abort;
+    block p.owner p.parked;
     p.arm ()
   end
 
@@ -164,6 +174,17 @@ let poll_slot p =
   | Some v -> transfer p.owner (park_k p) (Ok v)
   | None -> repark p
 
+(* The sleep timer's abort, what a sleeping fiber's [Suspended] holds:
+   disarm the timer and discontinue in a resume event, once — a second
+   [cancel] before that event runs finds the continuation gone. *)
+let abort_sleep fiber timer e =
+  let k = fiber.sleep_k in
+  if k != no_sleep then begin
+    fiber.sleep_k <- no_sleep;
+    Engine.cancel timer;
+    ignore (Engine.schedule fiber.engine_ ~delay:0.0 (fun () -> resume fiber k (Error e)))
+  end
+
 let spawn engine ?(label = "fiber") f =
   let id = Engine.next_fiber_id engine in
   let rec fiber =
@@ -175,8 +196,14 @@ let spawn engine ?(label = "fiber") f =
       terminate_callbacks = [];
       ff_streak = 0;
       ctx = 0;
-      some_self = Some fiber }
+      some_self = Some fiber;
+      sleep_k = no_sleep }
   in
+  (* Built once per fiber, so a sleep allocates no event, closure, ref
+     or state: the timer's expiry resumes whatever continuation the
+     current sleep stored. *)
+  let sleep_timer = Engine.timer engine (fun () -> resume fiber fiber.sleep_k (Ok ())) in
+  let asleep = Suspended (abort_sleep fiber sleep_timer) in
   let handler : (unit, unit) Effect.Deep.handler =
     { retc = (fun () -> finish fiber);
       exnc =
@@ -189,34 +216,26 @@ let spawn engine ?(label = "fiber") f =
           | Self ->
             Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k fiber)
           | Sleep duration ->
-            (* Timer-only suspension: the expiry callback runs in the
-               engine loop and transfers control straight back to the
-               fiber — one event instead of the generic Suspend path's
-               timer + deferred-resume pair.  Cancellation still goes
-               through a scheduled discontinue so the canceller's stack
-               is never nested into ours. *)
+            (* Timer-only suspension on the fiber's own timer: the
+               expiry runs in the engine loop and transfers control
+               straight back to the fiber — one event instead of the
+               generic Suspend path's timer + deferred-resume pair.
+               Per sleep only the continuation is stored, into the
+               long-lived fiber record: [asleep] and the timer are
+               built once, and a re-armed timer is already in the
+               major heap, so the sleep makes no young pointer other
+               than [k] for the write barrier to remember.
+               Cancellation still goes through a scheduled discontinue
+               so the canceller's stack is never nested into ours. *)
             Some
               (fun (k : (a, unit) Effect.Deep.continuation) ->
-                let fired = ref false in
-                let timer = ref None in
-                let wake_err e =
-                  if not !fired then begin
-                    fired := true;
-                    (match !timer with Some h -> Engine.cancel h | None -> ());
-                    ignore
-                      (Engine.schedule engine ~delay:0.0 (fun () -> resume fiber k (Error e)))
-                  end
-                in
-                if fiber.cancel_requested then wake_err Cancelled
+                if fiber.cancel_requested then
+                  ignore
+                    (Engine.schedule engine ~delay:0.0 (fun () -> resume fiber k (Error Cancelled)))
                 else begin
-                  block fiber wake_err;
-                  timer :=
-                    Some
-                      (Engine.schedule engine ~delay:duration (fun () ->
-                           if not !fired then begin
-                             fired := true;
-                             resume fiber k (Ok ())
-                           end))
+                  fiber.sleep_k <- k;
+                  block fiber asleep;
+                  Engine.rearm engine sleep_timer ~delay:duration
                 end)
           | Suspend (register, on_abort) ->
             Some
@@ -238,7 +257,7 @@ let spawn engine ?(label = "fiber") f =
                 in
                 if fiber.cancel_requested then wake (Error Cancelled)
                 else begin
-                  block fiber (fun e -> wake (Error e));
+                  block fiber (Suspended (fun e -> wake (Error e)));
                   register wake
                 end)
           | Park p ->
@@ -276,7 +295,7 @@ let park_create ~arm ~poll ~on_abort =
       on_abort;
       k = None;
       fired = true;
-      abort = (fun e -> if not p.fired then abort_parked p e);
+      parked = Suspended (fun e -> if not p.fired then abort_parked p e);
       slot = (fun () -> poll_slot p) }
   in
   p

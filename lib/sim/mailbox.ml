@@ -118,15 +118,33 @@ let recv ?timeout t =
    park, whose resume slot takes an item that arrived meanwhile or
    re-links the waiter at the tail and re-arms the timer, as the
    literal loop's next [recv] would (DESIGN.md "Suspension
-   discipline"). *)
+   discipline").  The idle timer itself is re-armed in place once it
+   has fired; one that a send or an abort cancelled has dropped its
+   closure, so the next parking builds a new one.  Either way the
+   arming takes the seq a fresh [schedule] would. *)
 let serve ~idle t f =
   let w = waiter t in
   let expire = expire t w in
+  (* Whether [timer] may be re-armed: fresh, or fired since its last
+     arming.  [armed] is [Some timer], built with it. *)
+  let spent = ref true in
+  let on_fire () =
+    spent := true;
+    expire ()
+  in
+  let timer = ref (Engine.timer t.engine on_fire) in
+  let armed = ref (Some !timer) in
   let park =
     Fiber.park_create
       ~arm:(fun () ->
         link t w;
-        w.timer <- Some (Engine.schedule t.engine ~delay:idle expire))
+        if not !spent then begin
+          timer := Engine.timer t.engine on_fire;
+          armed := Some !timer
+        end;
+        spent := false;
+        Engine.rearm t.engine !timer ~delay:idle;
+        w.timer <- !armed)
       ~poll:(fun () -> Queue.take_opt t.items)
       ~on_abort:(fun () -> retire t w)
   in

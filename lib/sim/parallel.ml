@@ -219,22 +219,27 @@ let worker t team owned () =
   done;
   Trace.use None
 
+(* With no workers (one domain, several LPs) the coordinator owns
+   every LP and runs the round itself, without the team handshake. *)
 let coordinate t team ~own ~workers ~limit ~final =
   t.cur_limit <- limit;
   drain_all t;
-  Mutex.lock team.m;
-  team.round <- team.round + 1;
-  team.limit <- limit;
-  team.final <- final;
-  team.done_count <- 0;
-  Cond.broadcast team.cv_start;
-  Mutex.unlock team.m;
-  (try run_round t ~owned:own ~limit ~final with e -> record_error team e);
-  Mutex.lock team.m;
-  while team.done_count < workers do
-    Cond.wait team.cv_done team.m
-  done;
-  Mutex.unlock team.m
+  if workers = 0 then (try run_round t ~owned:own ~limit ~final with e -> record_error team e)
+  else begin
+    Mutex.lock team.m;
+    team.round <- team.round + 1;
+    team.limit <- limit;
+    team.final <- final;
+    team.done_count <- 0;
+    Cond.broadcast team.cv_start;
+    Mutex.unlock team.m;
+    (try run_round t ~owned:own ~limit ~final with e -> record_error team e);
+    Mutex.lock team.m;
+    while team.done_count < workers do
+      Cond.wait team.cv_done team.m
+    done;
+    Mutex.unlock team.m
+  end
 
 let shutdown team handles =
   Mutex.lock team.m;
