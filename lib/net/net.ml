@@ -77,7 +77,9 @@ type t = {
      old O(n) list scan on every socket/runtime operation. *)
   mutable host_table : Host.t array;  (* first [next_host_id] slots live *)
   mutable next_host_id : int;
-  ports : (Addr.host_id * int, socket) Hashtbl.t;
+  (* Bound sockets by [port_key]: one int, so delivering a datagram
+     neither builds a tuple nor hashes one polymorphically. *)
+  ports : socket Itab.t;
   ephemeral : (Addr.host_id, int ref) Hashtbl.t;
   mutable partition : partition;
   (* Generation counter for time-bounded partitions: every
@@ -104,7 +106,7 @@ let create engine ?(params = default_params) () =
     prng = Prng.split (Engine.prng engine);
     host_table = [||];
     next_host_id = 0;
-    ports = Hashtbl.create 64;
+    ports = Itab.create ~initial:64 ();
     ephemeral = Hashtbl.create 16;
     partition = No_partition;
     partition_epoch = 0;
@@ -163,6 +165,11 @@ let close sock =
     Mailbox.clear sock.mailbox
   end
 
+let max_port = 0xFFFF
+
+(* A port is 16 bits, so (host, port) packs into one non-negative int. *)
+let[@inline] port_key host port = (host lsl 16) lor port
+
 let udp_bind t host ?port () =
   if not (Host.is_alive host) then invalid_arg "Net.udp_bind: host is dead";
   let assign () =
@@ -176,13 +183,15 @@ let udp_bind t host ?port () =
     in
     let rec free () =
       incr counter;
-      if Hashtbl.mem t.ports (Host.id host, !counter) then free () else !counter
+      if Itab.mem t.ports (port_key (Host.id host) !counter) then free () else !counter
     in
     free ()
   in
   let port = match port with Some p -> p | None -> assign () in
-  let key = (Host.id host, port) in
-  (match Hashtbl.find_opt t.ports key with
+  if port < 0 || port > max_port then
+    invalid_arg (Printf.sprintf "Net.udp_bind: port %d outside 0..%d" port max_port);
+  let key = port_key (Host.id host) port in
+  (match Itab.find_opt t.ports key with
   | Some existing when not existing.closed ->
     invalid_arg (Printf.sprintf "Net.udp_bind: port %d in use on host %d" port (Host.id host))
   | Some _ | None -> ());
@@ -192,7 +201,7 @@ let udp_bind t host ?port () =
       mailbox = Mailbox.create t.engine;
       closed = false }
   in
-  Hashtbl.replace t.ports key sock;
+  Itab.replace t.ports key sock;
   Host.on_crash host (fun () -> close sock);
   sock
 
@@ -287,10 +296,13 @@ let trace_dgram t name ~(dgram : datagram) ~reason =
 (* Hand one arrived copy to its destination socket.  Liveness and
    binding are checked at arrival time: a host that crashes in flight
    never sees the packet. *)
+let find_socket t (dst : Addr.t) =
+  if dst.port < 0 || dst.port > max_port || dst.host < 0 then None
+  else Itab.find_opt t.ports (port_key dst.host dst.port)
+
 let deliver_now t dgram =
-  match Hashtbl.find_opt t.ports (dgram.dst.Addr.host, dgram.dst.Addr.port) with
-  | Some sock
-    when (not sock.closed) && Host.is_alive sock.owner && Addr.equal sock.addr dgram.dst ->
+  match find_socket t dgram.dst with
+  | Some sock when (not sock.closed) && Host.is_alive sock.owner ->
     t.stats.delivered <- t.stats.delivered + 1;
     trace_dgram t "deliver" ~dgram ~reason:None;
     (* Advance the causal chain onto the receiving host.  Each copy

@@ -116,6 +116,27 @@ val select : env -> ?meter:Meter.t -> ?timeout:float -> Net.socket list -> bool
     span hosts (which would otherwise silently bill only the head
     socket's machine). *)
 
+type selector
+(** A {!select} on one socket with no timeout, built once for a receive
+    loop that selects on that socket again and again (a pairmsg demux).
+    It holds one {!Fiber.park} and one mailbox watcher that stays on the
+    socket's mailbox until {!close_selector}, so a select that has to
+    wait allocates only its resume event. *)
+
+val selector : env -> ?meter:Meter.t -> Net.socket -> selector
+(** [selector env ?meter sock] is a selector owned by the calling
+    fiber, the only fiber that may {!select_one} through it. *)
+
+val select_one : selector -> unit
+(** [select ?meter [sock]] without a timeout: charge the select, then
+    block until the socket is readable.  The same charges, engine events
+    and trace events as that call; raises {!Fiber.Cancelled} if the
+    fiber is cancelled while it waits. *)
+
+val close_selector : selector -> unit
+(** Take the selector's watcher off the socket's mailbox.  Call it when
+    the loop that selects through it exits. *)
+
 val setitimer : env -> ?meter:Meter.t -> Host.t -> unit
 (** Charge for arming or disarming the interval timer. *)
 

@@ -20,9 +20,9 @@ module Trace = Circus_trace.Trace
    only the producing domain touches the channel ([push]); the
    coordinator drains it only at a barrier, while every domain is
    parked and after the producer has passed through the team mutex, so
-   every window-time write happens-before every drain read.  The Atomic head/tail indices make the ring well-defined even
-   for the coordinator's read-only [is_empty]/[min_pending] probes at
-   the barrier.
+   every window-time write happens-before every drain read.  The
+   Atomic head/tail indices make the ring well-defined even for the
+   coordinator's read-only [is_empty] probe at the barrier.
 
    Boundedness: the ring has fixed capacity; once it fills, *all*
    subsequent pushes in the window spill to a producer-side overflow
@@ -43,9 +43,6 @@ module Channel = struct
     tail : int Atomic.t;  (* producer index *)
     mutable overflow : (float * thunk) list;  (* producer-side spill, newest first *)
     mutable spilled : bool;
-    (* Earliest arrival among buffered messages; [infinity] when empty.
-       Read by the coordinator at barriers to fast-forward windows. *)
-    mutable min_arrival : float;
   }
 
   let create ?(capacity = 1024) () =
@@ -60,11 +57,9 @@ module Channel = struct
       head = Atomic.make 0;
       tail = Atomic.make 0;
       overflow = [];
-      spilled = false;
-      min_arrival = infinity }
+      spilled = false }
 
   let push t ~arrival x =
-    if arrival < t.min_arrival then t.min_arrival <- arrival;
     if t.spilled then t.overflow <- (arrival, x) :: t.overflow
     else begin
       let tail = Atomic.get t.tail in
@@ -80,7 +75,6 @@ module Channel = struct
     end
 
   let is_empty t = Atomic.get t.head = Atomic.get t.tail && not t.spilled
-  let min_pending t = t.min_arrival
 
   (* Barrier-only: requires the producer to be quiescent. *)
   let drain t ~f =
@@ -98,8 +92,7 @@ module Channel = struct
       List.iter (fun (arrival, x) -> f ~arrival x) (List.rev t.overflow);
       t.overflow <- [];
       t.spilled <- false
-    end;
-    t.min_arrival <- infinity
+    end
 end
 
 type t = {

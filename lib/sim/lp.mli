@@ -27,10 +27,6 @@ module Channel : sig
 
   val is_empty : t -> bool
 
-  val min_pending : t -> float
-  (** Earliest arrival among buffered messages, [infinity] when empty.
-      Only meaningful at a barrier. *)
-
   val drain : t -> f:(arrival:float -> (unit -> unit) -> unit) -> unit
   (** Apply [f] to every buffered message in push (FIFO) order and
       empty the channel.  Barrier-only. *)

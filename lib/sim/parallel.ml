@@ -15,6 +15,14 @@
    then starts at the minimum next-event time across LPs and channels,
    so idle stretches are skipped in one hop.
 
+   A barrier costs only what crossed it.  Each source LP keeps a
+   summary of what it posted since the last barrier — a dirty flag and
+   its earliest arrival — so the window start reads K next-times and K
+   source minima, not K * K channels, and the drain visits only the
+   channels of dirty sources.  An LP with nothing due before the
+   window's limit is not run at all: its clock is set to the limit,
+   which is all a window without events would do.
+
    Determinism.  K is a property of the workload, never of the machine:
    [domains d] only chooses how the K LPs are mapped onto d domains
    (LP i runs on domain [i mod d], always the same one).  The window
@@ -53,8 +61,15 @@ type t = {
   (* chans.(dst).(src): SPSC, producer = LP src's domain. *)
   chans : Lp.Channel.t array array;
   (* Per-LP next-event time, published by the owning domain at the end
-     of each round; read by the coordinator at barriers. *)
+     of each round it ran; read by the coordinator at barriers, which
+     lowers it for the arrivals it injects. *)
   next_times : float array;
+  (* Per source LP: whether it posted since the last barrier, and the
+     earliest arrival it posted ([infinity] when clean).  During a
+     window only the source's own domain writes them ([post]); the
+     coordinator reads and resets them at the barrier. *)
+  posted : bool array;
+  posted_min : float array;
   (* The current window's barrier instant.  A cross-LP message must
      arrive at or after it — violating this would mean the receiver
      already ran past the arrival time.  Written by the coordinator
@@ -73,6 +88,8 @@ let create ?(seed = 42) ?(channel_capacity = 1024) ~lps ~lookahead () =
       Array.init lps (fun _ ->
           Array.init lps (fun _ -> Lp.Channel.create ~capacity:channel_capacity ()));
     next_times = Array.make lps 0.0;
+    posted = Array.make lps false;
+    posted_min = Array.make lps infinity;
     cur_limit = neg_infinity;
     tracing = false }
 
@@ -112,7 +129,9 @@ let post t ~src ~dst ~at thunk =
       (Printf.sprintf
          "Parallel.post: lookahead violation (lp %d -> lp %d arriving at %g, barrier at %g)" src
          dst at t.cur_limit);
-  Lp.Channel.push t.chans.(dst).(src) ~arrival:at thunk
+  Lp.Channel.push t.chans.(dst).(src) ~arrival:at thunk;
+  t.posted.(src) <- true;
+  if at < t.posted_min.(src) then t.posted_min.(src) <- at
 
 (* ------------------------------------------------------------------ *)
 (* Rounds *)
@@ -124,53 +143,71 @@ let post t ~src ~dst ~at thunk =
    coordinator while every domain is parked, before the round is
    released.  Draining on the owning domain at the start of its round
    would race with producers already running that round: what a drain
-   picks up (and so the seq its arrivals get, and the channel's
-   [min_pending] it resets) would depend on thread timing.
+   picks up (and so the seq its arrivals get) would depend on thread
+   timing.
 
-   Most channels are empty at most barriers, and draining one would
-   still cost an atomic store and a closure, so empty ones are skipped.
-   The test is [is_empty], which is exact, not [min_pending]: a NaN
-   arrival pushed straight into a channel never lowers it. *)
+   Only the channels of sources that posted since the last barrier can
+   hold anything, so only those are visited, in the same order; the
+   others are known empty without a look.  An LP that received lowers
+   its next-time to its new head, so the round below runs it. *)
 let drain_all t =
-  Array.iter
-    (fun (l : Lp.t) ->
-      let inbound = t.chans.(l.id) in
-      for src = 0 to Array.length inbound - 1 do
+  let k = Array.length t.lps in
+  let dirty = ref false in
+  for src = 0 to k - 1 do
+    if t.posted.(src) then dirty := true
+  done;
+  if !dirty then begin
+    for dst = 0 to k - 1 do
+      let inbound = t.chans.(dst) in
+      let engine = t.lps.(dst).Lp.engine in
+      let injected = ref false in
+      for src = 0 to k - 1 do
         let c = inbound.(src) in
-        if not (Lp.Channel.is_empty c) then
+        if t.posted.(src) && not (Lp.Channel.is_empty c) then begin
           Lp.Channel.drain c ~f:(fun ~arrival thunk ->
-              ignore (Engine.schedule_abs l.engine ~at:arrival thunk))
-      done)
-    t.lps
+              ignore (Engine.schedule_abs engine ~at:arrival thunk));
+          injected := true
+        end
+      done;
+      if !injected then t.next_times.(dst) <- Engine.next_time engine
+    done;
+    for src = 0 to k - 1 do
+      t.posted.(src) <- false;
+      t.posted_min.(src) <- infinity
+    done
+  end
 
 (* One LP's share of a round, on its owning domain.  [final] is the
    inclusive last pass of a [run ~until]: events at exactly [limit]
    execute (Engine.run's semantics); in a regular window they wait for
-   the barrier at [limit].  An untraced run installed [None] once, at
-   the start of [run], so only a traced one switches sinks per LP. *)
+   the barrier at [limit], and an LP with nothing due before it only
+   has its clock set there, its next-time unchanged.  An untraced run
+   installed [None] once, at the start of [run], so only a traced one
+   switches sinks per LP. *)
 let run_round t ~owned ~limit ~final =
-  Array.iter
-    (fun (l : Lp.t) ->
+  for j = 0 to Array.length owned - 1 do
+    let l : Lp.t = owned.(j) in
+    if (not final) && t.next_times.(l.id) >= limit then Engine.skip_window l.engine ~limit
+    else begin
       if t.tracing then Trace.use l.sink;
       let n =
         if final then Engine.run_counted ~until:limit l.engine
         else Engine.run_window l.engine ~limit
       in
       l.executed <- l.executed + n;
-      t.next_times.(l.id) <- Engine.next_time l.engine)
-    owned
+      t.next_times.(l.id) <- Engine.next_time l.engine
+    end
+  done
 
+(* The earliest instant anything is due: an LP's next event or an
+   arrival still buffered in a channel. *)
 let window_start t =
   let start = ref infinity in
-  Array.iter (fun nt -> if nt < !start then start := nt) t.next_times;
-  Array.iter
-    (fun row ->
-      Array.iter
-        (fun c ->
-          let m = Lp.Channel.min_pending c in
-          if m < !start then start := m)
-        row)
-    t.chans;
+  for i = 0 to Array.length t.lps - 1 do
+    let nt = t.next_times.(i) and pm = t.posted_min.(i) in
+    if nt < !start then start := nt;
+    if pm < !start then start := pm
+  done;
   !start
 
 (* ------------------------------------------------------------------ *)
