@@ -173,6 +173,18 @@ let test_port_conflict () =
   Alcotest.(check bool) "conflict raises" true
     (try ignore (Net.udp_bind net a ~port:5 ()); false with Invalid_argument _ -> true)
 
+(* A port is 16 bits: the socket table packs (host, port) into one int. *)
+let test_port_range () =
+  let _, net, a, _ = make_world () in
+  List.iter
+    (fun port ->
+      Alcotest.check_raises
+        (Printf.sprintf "port %d rejected" port)
+        (Invalid_argument (Printf.sprintf "Net.udp_bind: port %d outside 0..65535" port))
+        (fun () -> ignore (Net.udp_bind net a ~port ())))
+    [ -1; 65536; 1 lsl 20 ];
+  List.iter (fun port -> ignore (Net.udp_bind net a ~port ())) [ 0; 65535 ]
+
 let test_host_cpu_serializes () =
   let engine = Engine.create () in
   let net = Net.create engine () in
@@ -368,6 +380,46 @@ let test_syscall_select_timeout () =
   Engine.run engine;
   Alcotest.(check bool) "timed out" false !selected
 
+(* A selector's fiber cancelled while parked on it: the select raises
+   [Cancelled] once, and its watcher, still on the mailbox until the
+   loop closes the selector, wakes nothing afterwards — a send queues
+   no engine event. *)
+let test_selector_cancelled_while_parked () =
+  let engine, net, a, b = make_world () in
+  let env = Syscall.make net () in
+  let sa = Net.udp_bind net a ~port:1 () in
+  let sb = Net.udp_bind net b ~port:2 () in
+  let selects = ref 0 and cancelled = ref 0 in
+  ignore
+    (Host.spawn b (fun () ->
+         let sel = Syscall.selector env sb in
+         match
+           while true do
+             Syscall.select_one sel;
+             incr selects;
+             ignore (Syscall.recvmsg env sb)
+           done
+         with
+         | () -> ()
+         | exception Fiber.Cancelled ->
+           incr cancelled;
+           Syscall.close_selector sel));
+  ignore
+    (Host.spawn a (fun () ->
+         Fiber.sleep 0.5;
+         Syscall.sendmsg env sa ~dst:(Net.socket_addr sb) (payload "ping")));
+  ignore (Engine.schedule engine ~delay:2.0 (fun () -> Host.crash b));
+  Engine.run engine;
+  Alcotest.(check int) "one select returned" 1 !selects;
+  Alcotest.(check int) "cancelled once" 1 !cancelled;
+  let pending = Engine.pending engine in
+  Mailbox.send (Net.mailbox sb)
+    { Net.src = Net.socket_addr sa;
+      dst = Net.socket_addr sb;
+      payload = payload "late";
+      ctx = Circus_trace.Causal.none };
+  Alcotest.(check int) "a later send queues no event" pending (Engine.pending engine)
+
 let () =
   Alcotest.run "circus_net"
     [ ( "datagrams",
@@ -381,7 +433,8 @@ let () =
           Alcotest.test_case "zero jitter: same-instant copies" `Quick
             test_zero_jitter_same_instant;
           Alcotest.test_case "mtu" `Quick test_mtu_enforced;
-          Alcotest.test_case "port conflict" `Quick test_port_conflict ] );
+          Alcotest.test_case "port conflict" `Quick test_port_conflict;
+          Alcotest.test_case "port range" `Quick test_port_range ] );
       ( "hosts",
         [ Alcotest.test_case "cpu serializes" `Quick test_host_cpu_serializes;
           Alcotest.test_case "crash kills fibers" `Quick test_host_crash_kills_fibers;
@@ -397,4 +450,6 @@ let () =
       ( "syscalls",
         [ Alcotest.test_case "costs metered" `Quick test_syscall_costs_metered;
           Alcotest.test_case "recv and select" `Quick test_syscall_recv_and_select;
-          Alcotest.test_case "select timeout" `Quick test_syscall_select_timeout ] ) ]
+          Alcotest.test_case "select timeout" `Quick test_syscall_select_timeout;
+          Alcotest.test_case "selector cancelled while parked" `Quick
+            test_selector_cancelled_while_parked ] ) ]

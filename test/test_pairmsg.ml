@@ -293,6 +293,51 @@ let test_watchdog_fibers_cancelled () =
       Alcotest.(check int) "one watchdog per call" calls (count "wd_arm");
       Alcotest.(check int) "every watchdog disarmed" (count "wd_arm") (count "wd_disarm"))
 
+(* The demux selects through a selector built once.  A crash while it
+   is parked there must resume it exactly once, with [Cancelled], and
+   end it; an endpoint started on the restarted host must serve. *)
+let test_demux_crash_while_parked () =
+  let w = make_world () in
+  let _sink = Engine.enable_tracing w.engine in
+  Fun.protect ~finally:Trace.stop (fun () ->
+      ignore (echo_server w ~port:50);
+      Engine.run ~until:1.0 w.engine;
+      let demux =
+        match
+          List.filter
+            (fun (e : Tev.t) ->
+              e.Tev.cat = "fiber" && e.Tev.name = "spawn" && arg_is "label" "pairmsg.demux" e)
+            (Trace.events ())
+        with
+        | [ e ] -> e.Tev.fiber
+        | _ -> Alcotest.fail "expected one demux"
+      in
+      let of_demux name =
+        List.filter
+          (fun (e : Tev.t) -> e.Tev.cat = "fiber" && e.Tev.fiber = demux && e.Tev.name = name)
+          (Trace.events ())
+      in
+      Alcotest.(check int) "parked, not resumed" 1 (List.length (of_demux "block"));
+      Host.crash w.server_host;
+      Engine.run ~until:2.0 w.engine;
+      let resumes = of_demux "resume" in
+      Alcotest.(check int) "resumed once" 1 (List.length resumes);
+      Alcotest.(check bool) "with an exception" true
+        (List.for_all
+           (fun (e : Tev.t) -> List.assoc_opt "ok" e.Tev.args = Some (Tev.Bool false))
+           resumes);
+      Alcotest.(check int) "ended" 1 (List.length (of_demux "end")));
+  Host.restart w.server_host;
+  let server = echo_server w ~port:50 in
+  let answer =
+    run_client w (fun () ->
+        let ep = Endpoint.create w.env w.client_host () in
+        let reply = Endpoint.call ep ~dst:(Endpoint.addr server) (Bytes.of_string "again") in
+        Endpoint.close ep;
+        Bytes.to_string reply)
+  in
+  Alcotest.(check string) "restarted endpoint serves" "again" answer
+
 let test_no_handler_rejected () =
   let w = make_world () in
   let ep_server = Endpoint.create w.env w.server_host ~port:50 () in
@@ -801,6 +846,7 @@ let () =
           Alcotest.test_case "crash within timeout bound" `Quick test_watchdog_crash_within_timeout;
           Alcotest.test_case "probes only after msg_acked" `Quick test_probes_only_after_msg_acked;
           Alcotest.test_case "watchdog fibers cancelled" `Quick test_watchdog_fibers_cancelled;
+          Alcotest.test_case "demux crash while parked" `Quick test_demux_crash_while_parked;
           Alcotest.test_case "no handler rejected" `Quick test_no_handler_rejected;
           Alcotest.test_case "call_many" `Quick test_call_many_unicast_and_multicast;
           Alcotest.test_case "call_many partial crash" `Quick test_call_many_partial_crash;

@@ -1000,6 +1000,51 @@ let test_sleep_cancel_goldens () =
       Alcotest.(check string) (Printf.sprintf "seed %d run" seed) seen seen')
     sleep_cancel_goldens
 
+(* What a suspending sleep allocates.  Two fibers sleep 1 s at a time,
+   half a second apart, so each sleep finds the other's wake due first
+   and suspends.  A reusable timer re-armed from its own expiry runs the
+   same engine loop and re-arm path without a fiber; its words are the
+   floor the sleeps are measured against (none with cross-module
+   inlining, a few boxed floats per event in a build without it, such as
+   dune's default dev profile).  What is left is the sleep's own: its
+   continuation, 6 words on OCaml 5.1, and no payload, closure, option
+   or event. *)
+let test_sleep_words () =
+  let n = 10_000 in
+  let words_per_wake run =
+    Gc.minor ();
+    let before = Gc.minor_words () in
+    let events = run () in
+    Gc.minor ();
+    Alcotest.(check bool) "every wake is an event" true (events >= 2 * n);
+    (Gc.minor_words () -. before) /. float_of_int (2 * n)
+  in
+  let engine = Engine.create () in
+  let sleeper offset =
+    ignore
+      (Fiber.spawn engine (fun () ->
+           Fiber.sleep offset;
+           for _ = 1 to n do
+             Fiber.sleep 1.0
+           done))
+  in
+  sleeper 0.0;
+  sleeper 0.5;
+  let sleeps = words_per_wake (fun () -> Engine.run_counted engine) in
+  let engine = Engine.create () in
+  let fired = ref 0 in
+  let rec timer =
+    lazy
+      (Engine.timer engine (fun () ->
+           incr fired;
+           if !fired < 2 * n then Engine.rearm engine (Lazy.force timer) ~delay:1.0))
+  in
+  Engine.rearm engine (Lazy.force timer) ~delay:1.0;
+  let floor = words_per_wake (fun () -> Engine.run_counted engine) in
+  if sleeps -. floor > 8.0 then
+    Alcotest.failf "a suspending sleep allocates %.1f words beyond a timer's %.1f (budget 8)"
+      (sleeps -. floor) floor
+
 let test_condition_signal_broadcast () =
   let engine = Engine.create () in
   let cond = Condition.create () in
@@ -1130,5 +1175,6 @@ let () =
       (* Keep group names at most ten characters: a longer one widens the
          report's name column and shortens every printed case name. *)
       ( "sleeps",
-        [ Alcotest.test_case "seeded programs match goldens" `Quick test_sleep_cancel_goldens ] )
+        [ Alcotest.test_case "seeded programs match goldens" `Quick test_sleep_cancel_goldens;
+          Alcotest.test_case "suspending sleep allocation" `Quick test_sleep_words ] )
     ]
