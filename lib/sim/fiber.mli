@@ -69,10 +69,10 @@ val suspend : ?on_abort:(unit -> unit) -> ('a waker -> unit) -> 'a
 
 type 'a park
 (** A suspension point that one fiber parks on again and again, such as
-    a server's idle wait on its request queue.  Its waker, abort
-    function and resume-slot closure are built once: a {!kick} that
-    parks the fiber again allocates only its resume event and what
-    [arm] allocates. *)
+    a server's idle wait on its request queue.  Its effect, handler,
+    waker, abort function and resume closures are built once: a parking
+    allocates only the continuation and what [arm] allocates, and an
+    {!unpark} or a {!kick} only its resume event. *)
 
 val park_create :
   arm:(unit -> unit) -> poll:(unit -> 'a option) -> on_abort:(unit -> unit) -> 'a park
