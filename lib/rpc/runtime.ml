@@ -34,21 +34,23 @@ and export = {
   mutable troupe_id : Ids.Troupe_id.t option;
 }
 
-and m2o_state = Waiting | Executing | Done of Rpc_msg.return_msg
+(* [Done] holds the encoded return message. *)
+and m2o_state = Waiting | Executing | Done of bytes
 
+(* A many-to-one call from its first call message until its execution
+   ends; from then on its return waits in [retired]. *)
 and m2o = {
-  mutable m2o_call : Rpc_msg.call;  (* [executed_call] once [Done] *)
+  m2o_call : Rpc_msg.call;
+  m2o_key : int;  (* [m2o_key m2o_call] *)
   mutable m2o_expected : int;  (* max_int until the client troupe is resolved *)
   (* Each member that called, with its paired-message call number;
      newest first *)
   mutable m2o_received : (Addr.t * int32) list;
-  (* The arguments of the calls received while [Waiting], newest first;
-     emptied once [Done] *)
+  (* The arguments of the calls received while [Waiting], newest first *)
   mutable m2o_args : bytes list;
   mutable m2o_replied : Addr.t list;
   mutable m2o_state : m2o_state;
   mutable m2o_timer : Engine.handle option;
-  mutable m2o_expire : float;  (* retention deadline once [Done]; 0 while live *)
   mutable m2o_ctx : int;
       (* causal ctx of the most recent member call received; the
          straggler give-up path executes from an engine timer, whose
@@ -70,10 +72,10 @@ and t = {
       (* when set, set_troupe_id on that module also renames our client
          identity — the process IS a member of that troupe *)
   mutable thread_counter : int;
-  m2o_table : m2o Itab.t;  (* keyed by [m2o_key] *)
-  (* Single re-arming retention sweeper, replacing the per-call removal
-     event [execute] used to schedule: one engine timer per retention
-     period instead of one per completed call. *)
+  m2o_table : m2o Itab.t;  (* calls not yet executed, keyed by [m2o_key] *)
+  retired : Retired.t;  (* returns of executed calls, by [m2o_key] *)
+  (* Single re-arming retention sweeper: one engine timer per retention
+     period, not one per executed call. *)
   mutable sweeper_armed : bool;
 }
 
@@ -140,22 +142,27 @@ let return_kind = function
   | Rpc_msg.No_such_module -> "no_such_module"
   | Rpc_msg.No_such_procedure -> "no_such_procedure"
 
-let send_return t ~dst ~pair_no msg =
+(* Send an encoded return message.  The endpoint copies [enc] into
+   its segments, so one encoding serves every reply of a call. *)
+let send_encoded t ~dst ~pair_no enc =
   if Trace.on () then
     Trace.emit ~cat:"rpc" ~host:(Host.id t.host)
       ~args:
         [ ("dst", Tev.Int dst.Addr.host);
           ("pair_no", Tev.I32 pair_no);
-          ("kind", Tev.Str (return_kind msg)) ]
+          ("kind", Tev.Str (return_kind (Codec.decode Rpc_msg.return_codec enc))) ]
       "return";
-  Endpoint.reply t.endpoint ~dst ~call_no:pair_no (Codec.encode Rpc_msg.return_codec msg)
+  Endpoint.reply t.endpoint ~dst ~call_no:pair_no enc
 
-let reply_waiters t m2o msg =
+let send_return t ~dst ~pair_no msg =
+  send_encoded t ~dst ~pair_no (Codec.encode Rpc_msg.return_codec msg)
+
+let reply_waiters t m2o enc =
   List.iter
     (fun (src, pair_no) ->
       if not (List.exists (Addr.equal src) m2o.m2o_replied) then begin
         m2o.m2o_replied <- src :: m2o.m2o_replied;
-        send_return t ~dst:src ~pair_no msg
+        send_encoded t ~dst:src ~pair_no enc
       end)
     m2o.m2o_received
 
@@ -178,26 +185,14 @@ let m2o_key (call : Rpc_msg.call) =
   land 0x3FFFFFFFFFFFFFFF
 
 (* Cancel the straggler give-up timer and forget the handle.  Called
-   whenever the call leaves [Waiting] (it becomes ready or a retention
-   sweep retires it): without this the timer event leaks in the engine
-   heap for the full [straggler_timeout]. *)
+   when the call leaves [Waiting]: without this the timer event leaks
+   in the engine heap for the full [straggler_timeout]. *)
 let cancel_straggler m2o =
   match m2o.m2o_timer with
   | Some h ->
     m2o.m2o_timer <- None;
     Engine.cancel h
   | None -> ()
-
-(* What an executed entry keeps of its call: nothing ([execute] reads
-   the call only while the entry is [Waiting]). *)
-let executed_call =
-  { Rpc_msg.thread = { Ids.Thread_id.origin = 0; pid = 0 };
-    seq = 0L;
-    client_troupe = Ids.Troupe_id.none;
-    server_troupe = Ids.Troupe_id.none;
-    module_no = 0;
-    proc_no = 0;
-    args = Bytes.empty }
 
 let[@inline] is_waiting m2o =
   match m2o.m2o_state with Waiting -> true | Executing | Done _ -> false
@@ -254,8 +249,9 @@ let rec execute t export m2o =
       ~args:[ ("ok", Tev.Bool (match result with Rpc_msg.Ok_result _ -> true | _ -> false)) ]
       ();
     if Causal.on () then ignore (Causal.step ~host:(Host.id t.host) "exec_done");
-    m2o.m2o_state <- Done result;
-    reply_waiters t m2o result;
+    let enc = Codec.encode Rpc_msg.return_codec result in
+    m2o.m2o_state <- Done enc;
+    reply_waiters t m2o enc;
     (match export.policy with
     | First_come { broadcast = true } -> (
       (* Send the return to the whole client troupe so that slow members
@@ -267,50 +263,36 @@ let rec execute t export m2o =
           (fun member ->
             if not (List.exists (Addr.equal member) m2o.m2o_replied) then begin
               m2o.m2o_replied <- member :: m2o.m2o_replied;
-              send_return t ~dst:member ~pair_no result
+              send_encoded t ~dst:member ~pair_no enc
             end)
           members
       | _, _ -> ())
     | Wait_all | Wait_majority | First_come _ -> ());
-    (* From here on the entry only answers late members: it keeps the
-       result, who was replied to and who called, not the arguments. *)
-    m2o.m2o_call <- executed_call;
-    m2o.m2o_args <- [];
-    (* Forget the call after the retention period; later duplicates are
-       answered by the paired message layer's own replay suppression.
-       Retirement is batched: entries are stamped with their deadline
-       and a single re-arming sweeper removes the expired ones, so the
-       steady-state path pushes no per-call event into the engine heap.
-       An entry may thus outlive its deadline by up to one sweep period
-       — a strictly larger dedup window, which only strengthens the
-       suppression guarantee. *)
-    m2o.m2o_expire <- Engine.now t.engine +. t.config.retention;
+    (* Execution is over: the call leaves [m2o_table], and from here on
+       only its encoded return answers late members, from [retired]
+       (a [handle_call] still holding the record finds it [Done]).  The
+       return is forgotten after the retention period; later duplicates
+       are answered by the paired message layer's own replay
+       suppression.  Retirement is batched: a single re-arming sweeper
+       drops the expired entries, so the steady-state path pushes no
+       per-call event into the engine heap.  An entry may thus outlive
+       its deadline by up to one sweep period — a strictly larger dedup
+       window, which only strengthens the suppression guarantee. *)
+    Itab.remove t.m2o_table m2o.m2o_key;
+    Retired.add t.retired ~key:m2o.m2o_key ~expiry:(Engine.now t.engine +. t.config.retention) enc;
     if not t.sweeper_armed then begin
       t.sweeper_armed <- true;
       ignore (Engine.schedule t.engine ~delay:t.config.retention (fun () -> sweep_retention t))
     end
   end
 
+(* Re-arm only while retired returns remain, so a runtime whose
+   [m2o_table] holds nothing but still-waiting calls (e.g. their
+   members all crashed) does not keep the engine awake with perpetual
+   sweeps. *)
 and sweep_retention t =
-  let now = Engine.now t.engine in
-  let expired = ref [] in
-  (* Only entries stamped by [execute] ([m2o_expire] > 0) ever expire;
-     re-arm only while some remain, so a table holding nothing but
-     still-waiting calls (e.g. their members all crashed) does not keep
-     the engine awake with perpetual sweeps. *)
-  let stamped_left = ref false in
-  Itab.iter
-    (fun key m2o ->
-      if m2o.m2o_expire > 0.0 then
-        if m2o.m2o_expire <= now then expired := (key, m2o) :: !expired
-        else stamped_left := true)
-    t.m2o_table;
-  List.iter
-    (fun (key, m2o) ->
-      cancel_straggler m2o;
-      Itab.remove t.m2o_table key)
-    !expired;
-  if !stamped_left then
+  Retired.expire t.retired ~now:(Engine.now t.engine);
+  if Retired.length t.retired > 0 then
     ignore (Engine.schedule t.engine ~delay:t.config.retention (fun () -> sweep_retention t))
   else t.sweeper_armed <- false
 
@@ -354,6 +336,52 @@ let handle_reserved t ~src ~pair_no (call : Rpc_msg.call) export =
   end
   else false
 
+(* Add a member's call message to its many-to-one call, and execute
+   the call once the export's policy says enough members have called. *)
+let join_m2o t export ~src ~pair_no (call : Rpc_msg.call) m2o ~fresh =
+  if not (List.exists (fun (a, _) -> Addr.equal a src) m2o.m2o_received) then begin
+    m2o.m2o_received <- (src, pair_no) :: m2o.m2o_received;
+    if is_waiting m2o then m2o.m2o_args <- call.Rpc_msg.args :: m2o.m2o_args
+  end;
+  if Causal.on () then begin
+    let c = Causal.current () in
+    if c <> Causal.none then m2o.m2o_ctx <- c
+  end;
+  (match m2o.m2o_state with
+  | Done enc ->
+    (* A slow client member: the buffered return is ready and waiting
+       — execution appears instantaneous (§4.3.4).  Reply even if a
+       broadcast was already sent, in case it was lost. *)
+    m2o.m2o_replied <- src :: m2o.m2o_replied;
+    send_encoded t ~dst:src ~pair_no enc
+  | Executing -> ()
+  | Waiting ->
+    let received = List.length m2o.m2o_received in
+    let ready =
+      match export.policy with
+      | Wait_all -> received >= m2o.m2o_expected
+      | Wait_majority -> m2o.m2o_expected < max_int && received > m2o.m2o_expected / 2
+      | First_come _ -> true
+    in
+    if ready then execute t export m2o);
+  (* Give up on silent client members after a timeout: they have
+     probably crashed (§4.3.5).  Armed only if this first call did not
+     already make the m2o ready — the readiness check runs at the same
+     instant, so a call executed immediately (every singleton client)
+     never touches the engine heap at all. *)
+  if fresh && is_waiting m2o && Option.is_none m2o.m2o_timer then
+    m2o.m2o_timer <-
+      Some
+        (Engine.schedule t.engine ~delay:t.config.straggler_timeout (fun () ->
+             (* This event just fired: drop the spent handle. *)
+             m2o.m2o_timer <- None;
+             if is_waiting m2o then
+               ignore
+                 (Host.spawn t.host ~label:"rpc.straggler" (fun () ->
+                      if Causal.on () && m2o.m2o_ctx <> Causal.none then
+                        Causal.set_current m2o.m2o_ctx;
+                      execute t export m2o))))
+
 let handle_call t ~src ~pair_no (call : Rpc_msg.call) =
   if Trace.on () then
     Trace.emit ~cat:"rpc" ~host:(Host.id t.host)
@@ -377,74 +405,32 @@ let handle_call t ~src ~pair_no (call : Rpc_msg.call) =
     if stale then send_return t ~dst:src ~pair_no Rpc_msg.Stale_troupe
     else begin
       let key = m2o_key call in
-      let check_ready m2o =
-        match m2o.m2o_state with
-        | Done result ->
-          (* A slow client member: the buffered return is ready and
-             waiting — execution appears instantaneous (§4.3.4).  Reply
-             even if a broadcast was already sent, in case it was
-             lost. *)
-          m2o.m2o_replied <- src :: m2o.m2o_replied;
-          send_return t ~dst:src ~pair_no result
-        | Executing -> ()
-        | Waiting ->
-          let received = List.length m2o.m2o_received in
-          let ready =
-            match export.policy with
-            | Wait_all -> received >= m2o.m2o_expected
-            | Wait_majority -> m2o.m2o_expected < max_int && received > m2o.m2o_expected / 2
-            | First_come _ -> true
-          in
-          if ready then execute t export m2o
-      in
-      let m2o, fresh =
-        match Itab.find_opt t.m2o_table key with
-        | Some m2o -> (m2o, false)
+      match Itab.find_opt t.m2o_table key with
+      | Some m2o -> join_m2o t export ~src ~pair_no call m2o ~fresh:false
+      | None -> (
+        match Retired.find t.retired key with
+        | Some enc ->
+          (* A slow client member after execution ended (§4.3.4). *)
+          send_encoded t ~dst:src ~pair_no enc
         | None ->
-          (* Register before resolving the client troupe: resolution may
-             block on a binding-agent lookup, and the other members'
-             call messages must find this record, not fork their own. *)
+          (* Register before resolving the client troupe: resolution
+             may block on a binding-agent lookup, and the other
+             members' call messages must find this record, not fork
+             their own. *)
           let m2o =
             { m2o_call = call;
+              m2o_key = key;
               m2o_expected = max_int;
               m2o_received = [];
               m2o_args = [];
               m2o_replied = [];
               m2o_state = Waiting;
               m2o_timer = None;
-              m2o_expire = 0.0;
               m2o_ctx = Causal.none }
           in
           Itab.replace t.m2o_table key m2o;
           m2o.m2o_expected <- expected_calls t call.Rpc_msg.client_troupe;
-          (m2o, true)
-      in
-      if not (List.exists (fun (a, _) -> Addr.equal a src) m2o.m2o_received) then begin
-        m2o.m2o_received <- (src, pair_no) :: m2o.m2o_received;
-        if is_waiting m2o then m2o.m2o_args <- call.Rpc_msg.args :: m2o.m2o_args
-      end;
-      if Causal.on () then begin
-        let c = Causal.current () in
-        if c <> Causal.none then m2o.m2o_ctx <- c
-      end;
-      check_ready m2o;
-      (* Give up on silent client members after a timeout: they have
-         probably crashed (§4.3.5).  Armed only if this first call did
-         not already make the m2o ready — [check_ready] runs at the
-         same instant, so a call executed immediately (every singleton
-         client) never touches the engine heap at all. *)
-      if fresh && is_waiting m2o && Option.is_none m2o.m2o_timer then
-        m2o.m2o_timer <-
-          Some
-            (Engine.schedule t.engine ~delay:t.config.straggler_timeout (fun () ->
-                 (* This event just fired: drop the spent handle. *)
-                 m2o.m2o_timer <- None;
-                 if is_waiting m2o then
-                   ignore
-                     (Host.spawn t.host ~label:"rpc.straggler" (fun () ->
-                          if Causal.on () && m2o.m2o_ctx <> Causal.none then
-                            Causal.set_current m2o.m2o_ctx;
-                          execute t export m2o))))
+          join_m2o t export ~src ~pair_no call m2o ~fresh:true)
     end
 
 let export_dispatch t policy dispatch =
@@ -704,7 +690,8 @@ let create env host ?port ?(config = default_config) ?meter ?pairmsg_config () =
       self_troupe = Ids.Troupe_id.none;
       self_troupe_module = None;
       thread_counter = 0;
-      m2o_table = Itab.create ~initial:32 ();
+      m2o_table = Itab.create ~initial:8 ();
+      retired = Retired.create ();
       sweeper_armed = false }
   in
   Endpoint.set_handler endpoint (fun ~src ~call_no body ->

@@ -1,10 +1,13 @@
 (* Tests for troupes and replicated procedure call: one-to-many,
    many-to-one, many-to-many, thread ID propagation, collators,
-   waiting policies, crash and stale-binding handling. *)
+   waiting policies, crash and stale-binding handling, and the
+   retention of executed calls' returns. *)
 
 open Circus_sim
 open Circus_net
 open Circus_rpc
+module Trace = Circus_trace.Trace
+module Export = Circus_trace.Export
 
 let bytes_of = Bytes.of_string
 let string_of = Bytes.to_string
@@ -391,6 +394,187 @@ let test_first_come_broadcast_buffers_at_client () =
     true
     (!t2 -. 3.0 < 0.5)
 
+(* ------------------------------------------------------------------ *)
+(* Retention of executed many-to-one calls.  Once a call has executed,
+   its encoded return waits in the runtime's [Retired] store until the
+   retention sweep after its deadline: a client member that calls late
+   gets the stored bytes, and the procedure does not run again. *)
+
+(* A client troupe of two members and a one-member server whose
+   procedure stamps each reply with its execution count, so a second
+   execution shows in the reply.  Member c1 calls at 0; member c2 calls
+   at [late] s, after the straggler timeout has executed the call.
+   Returns the execution count, both replies, and the MD5 of the JSONL
+   trace, the engine's event count and its final clock. *)
+let late_member_run ~retention ~late =
+  let w = make_world () in
+  let server_rt =
+    Runtime.create w.env (Net.add_host w.net ~name:"server" ()) ~port:50
+      ~config:{ Runtime.straggler_timeout = 0.5; retention } ()
+  in
+  let executed = ref 0 in
+  let module_no =
+    Runtime.export server_rt (fun _ctx ~proc_no:_ body ->
+        incr executed;
+        Bytes.cat body (bytes_of (Printf.sprintf "#%d" !executed)))
+  in
+  let troupe = Troupe.singleton (Runtime.module_addr server_rt module_no) in
+  let client_troupe_id = 90L in
+  let c1 = Runtime.create w.env (Net.add_host w.net ()) ~port:60 () in
+  let c2 = Runtime.create w.env (Net.add_host w.net ()) ~port:60 () in
+  Runtime.set_self_troupe c1 client_troupe_id;
+  Runtime.set_self_troupe c2 client_troupe_id;
+  let addrs = [ Runtime.addr c1; Runtime.addr c2 ] in
+  Runtime.set_resolver server_rt (fun id ->
+      if Ids.Troupe_id.equal id client_troupe_id then Some addrs else None);
+  let thread = { Ids.Thread_id.origin = 1002; pid = 1 } in
+  let r1 = ref "" and r2 = ref "" in
+  let sink = Trace.start ~clock:(fun () -> Engine.now w.engine) () in
+  ignore
+    (Runtime.spawn_thread_as c1 ~thread (fun ctx ->
+         r1 := string_of (Runtime.call_troupe ctx troupe ~proc_no:0 (bytes_of "late"))));
+  ignore
+    (Runtime.spawn_thread_as c2 ~thread (fun ctx ->
+         Fiber.sleep late;
+         r2 := string_of (Runtime.call_troupe ctx troupe ~proc_no:0 (bytes_of "late"))));
+  let events = Engine.run_counted w.engine in
+  Trace.stop ();
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (Printf.sprintf "%s\n%d %h" (Export.jsonl sink) events (Engine.now w.engine)))
+  in
+  (!executed, !r1, !r2, digest)
+
+(* The digests were recorded before returns moved out of the
+   many-to-one records into [Retired]: a late member is answered with
+   the same trace events, charges and engine events as when the record
+   itself answered it. *)
+let test_late_member_after_retirement () =
+  let executed, r1, r2, digest = late_member_run ~retention:10.0 ~late:3.0 in
+  Alcotest.(check int) "executed once" 1 executed;
+  Alcotest.(check string) "first member" "late#1" r1;
+  Alcotest.(check string) "late member gets the stored return" "late#1" r2;
+  Alcotest.(check string) "trace and schedule" "5ade5ef35a693ed521aa65e6a76e80dc" digest
+
+(* Past the retention period the sweep has dropped the return, so the
+   late member's call is a new call: it waits out the straggler timeout
+   and runs the procedure a second time, and the sweeper stops once the
+   store is empty. *)
+let test_duplicate_after_retention () =
+  let executed, r1, r2, digest = late_member_run ~retention:1.0 ~late:3.0 in
+  Alcotest.(check int) "executed again" 2 executed;
+  Alcotest.(check string) "first member" "late#1" r1;
+  Alcotest.(check string) "late member runs it anew" "late#2" r2;
+  Alcotest.(check string) "trace and schedule" "bb148ac6511ba7070b81ab086f476008" digest
+
+(* Once the final sweep has run the store holds nothing, not even a
+   buffer sized by its busiest retention period: 400 calls with 4 KB
+   returns, all retained until one sweep drops them, leave less than an
+   eighth of their bytes live. *)
+let test_store_released () =
+  let w = make_world () in
+  let server_rt =
+    Runtime.create w.env (Net.add_host w.net ~name:"server" ()) ~port:50
+      ~config:{ Runtime.straggler_timeout = 2.0; retention = 1000.0 } ()
+  in
+  let module_no = Runtime.export server_rt (fun _ctx ~proc_no:_ body -> body) in
+  let troupe = Troupe.singleton (Runtime.module_addr server_rt module_no) in
+  let client = Runtime.create w.env (Net.add_host w.net ~name:"client" ()) () in
+  let calls = 400 and size = 4096 in
+  let completed = ref 0 in
+  ignore
+    (Runtime.spawn_thread client (fun ctx ->
+         for i = 1 to calls do
+           let body = Bytes.make size (Char.chr (i land 0xff)) in
+           if Bytes.equal body (Runtime.call_troupe ctx troupe ~proc_no:0 body) then
+             incr completed
+         done));
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  run_to_completion w;
+  let after = live_words () in
+  ignore (Sys.opaque_identity (server_rt, client));
+  Alcotest.(check int) "calls completed" calls !completed;
+  if Engine.now w.engine < 1000.0 then
+    Alcotest.failf "the run ended at %.1f s, before the retention sweep" (Engine.now w.engine);
+  let stored_words = calls * size / (Sys.word_size / 8) in
+  if not (after - before < stored_words / 8) then
+    Alcotest.failf "%d words live after the final sweep (%d words were retained)"
+      (after - before) stored_words
+
+(* The store against a list model: entries of random sizes, from empty
+   to several times the arena's first capacity, added while the clock
+   advances, so the arena grows, wraps round its end and empties again.
+   Every held key reads back its bytes, every expired one reads
+   nothing, and an empty store holds no arena. *)
+type store_op = Add of int | Advance of float | Find of int
+
+let show_store_op = function
+  | Add n -> Printf.sprintf "add %d" n
+  | Advance d -> Printf.sprintf "advance %g" d
+  | Find i -> Printf.sprintf "find %d" i
+
+let gen_store_op =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun n -> Add n) (frequency [ (4, int_bound 100); (1, int_bound 3000) ]));
+        (2, map (fun d -> Advance (float_of_int d /. 4.0)) (int_bound 12));
+        (3, map (fun i -> Find i) (int_bound 200)) ])
+
+let store_contents key n = Bytes.init n (fun j -> Char.chr (((key * 31) + j) land 0xff))
+
+let run_store_ops ops =
+  let retention = 2.0 in
+  let t = Retired.create () in
+  let now = ref 0.0 and next_key = ref 0 in
+  (* held entries, oldest first, and every key ever added *)
+  let model = ref [] and added = ref [] in
+  let find_ok key =
+    let expect = List.find_map (fun (k, _, b) -> if k = key then Some b else None) !model in
+    Retired.find t key = expect
+  in
+  let ok =
+    List.for_all
+      (fun op ->
+        match op with
+        | Add n ->
+          let key = !next_key * 7919 in
+          incr next_key;
+          let b = store_contents key n in
+          Retired.add t ~key ~expiry:(!now +. retention) b;
+          model := !model @ [ (key, !now +. retention, b) ];
+          added := key :: !added;
+          Retired.length t = List.length !model
+        | Advance d ->
+          now := !now +. d;
+          Retired.expire t ~now:!now;
+          model := List.filter (fun (_, e, _) -> e > !now) !model;
+          Retired.length t = List.length !model
+          && (!model <> [] || Retired.arena_capacity t = 0)
+        | Find i -> (
+          match List.nth_opt !added (i mod max 1 (List.length !added)) with
+          | Some key -> find_ok key
+          | None -> Retired.find t 0 = None))
+      ops
+    && List.for_all find_ok !added
+  in
+  Retired.expire t ~now:infinity;
+  ok
+  && Retired.length t = 0
+  && Retired.arena_capacity t = 0
+  && List.for_all (fun key -> Retired.find t key = None) !added
+
+let prop_store_model =
+  QCheck.Test.make ~name:"Retired store = list model (growth, wrap, release)" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_store_op ops))
+       QCheck.Gen.(list_size (int_range 1 200) gen_store_op))
+    run_store_ops
+
 let () =
   Alcotest.run "circus_rpc"
     [ ( "calls",
@@ -413,4 +597,11 @@ let () =
           Alcotest.test_case "remote error" `Quick test_remote_error_propagates ] );
       ( "policies",
         [ Alcotest.test_case "straggler timeout" `Quick test_server_straggler_timeout;
-          Alcotest.test_case "first-come broadcast" `Quick test_first_come_broadcast_buffers_at_client ] ) ]
+          Alcotest.test_case "first-come broadcast" `Quick test_first_come_broadcast_buffers_at_client ] );
+      ( "retention",
+        [ Alcotest.test_case "late member after retirement" `Quick
+            test_late_member_after_retirement;
+          Alcotest.test_case "duplicate after retention and sweep" `Quick
+            test_duplicate_after_retention;
+          Alcotest.test_case "store released after the final sweep" `Quick test_store_released;
+          QCheck_alcotest.to_alcotest prop_store_model ] ) ]
