@@ -33,7 +33,6 @@ type t = {
 }
 
 let runtime t = t.rt
-let ringmaster t = t.ringmaster
 
 (* Registry replicas execute writes from *different* clients in
    whatever order the datagrams land, so a call collated while two

@@ -34,7 +34,6 @@ val create : ?lookup_limit:int -> Runtime.t -> ringmaster:Troupe.t -> t
     storm feeds itself. *)
 
 val runtime : t -> Runtime.t
-val ringmaster : t -> Troupe.t
 
 exception Unknown_service of string
 
@@ -75,7 +74,6 @@ val call :
     calls. *)
 
 val register : t -> Runtime.ctx -> name:string -> Troupe.t -> Ids.Troupe_id.t
-val add_member : t -> Runtime.ctx -> name:string -> Addr.module_addr -> Troupe.t option
 val remove_member : t -> Runtime.ctx -> name:string -> Addr.module_addr -> Troupe.t option
 val enumerate : t -> Runtime.ctx -> (string * Troupe.t) list
 

@@ -7,7 +7,6 @@ type t = {
 }
 
 let partitions t = Array.length t.clients
-let runtime t = t.rt
 let client t p = t.clients.(p)
 let partition_of t name = Ringmaster.partition_of_name ~partitions:(partitions t) name
 
@@ -52,27 +51,9 @@ let create rt ~ringmasters =
   Runtime.set_resolver rt (resolve t);
   t
 
-let import t ctx name = Client.import t.clients.(partition_of t name) ctx name
-let rebind t ctx name = Client.rebind t.clients.(partition_of t name) ctx name
-let invalidate t name = Client.invalidate t.clients.(partition_of t name) name
-
 let call t ctx ~service ~proc_no ?multicast ?collator ?retries body =
   Client.call
     t.clients.(partition_of t service)
     ctx ~service ~proc_no ?multicast ?collator ?retries body
 
 let register t ctx ~name troupe = Client.register t.clients.(partition_of t name) ctx ~name troupe
-
-let add_member t ctx ~name member =
-  Client.add_member t.clients.(partition_of t name) ctx ~name member
-
-let remove_member t ctx ~name member =
-  Client.remove_member t.clients.(partition_of t name) ctx ~name member
-
-let export_service t ctx ~name ~module_no =
-  Client.export_service t.clients.(partition_of t name) ctx ~name ~module_no
-
-let enumerate t ctx =
-  Array.to_list t.clients
-  |> List.concat_map (fun c -> Client.enumerate c ctx)
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

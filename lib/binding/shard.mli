@@ -7,8 +7,7 @@
     Cross-partition binds need no extra protocol — a name lives in
     exactly one partition for its whole life, every client computes the
     same owner from the name's bytes alone, and troupe ids are
-    partition-tagged, so no operation ever spans two partitions (except
-    {!enumerate}, which is a read-only union). *)
+    partition-tagged, so no operation ever spans two partitions. *)
 
 open Circus_net
 open Circus_rpc
@@ -22,13 +21,8 @@ val create : Runtime.t -> ringmasters:Troupe.t array -> t
     per-partition clients installed.  Raises [Invalid_argument] on an
     empty or misnumbered array. *)
 
-val partitions : t -> int
-val runtime : t -> Runtime.t
-
 val client : t -> int -> Client.t
 (** The underlying per-partition client. *)
-
-val resolve : t -> Ids.Troupe_id.t -> Addr.t list option
 
 val member_resolver : Troupe.t array -> Ids.Troupe_id.t -> Addr.t list option
 (** A static resolver for runtimes that are only ever *called* (service
@@ -39,18 +33,8 @@ val member_resolver : Troupe.t array -> Ids.Troupe_id.t -> Addr.t list option
 
 (** {!Client} operations, routed by name hash. *)
 
-val import : t -> Runtime.ctx -> string -> Troupe.t
-val rebind : t -> Runtime.ctx -> string -> Troupe.t
-val invalidate : t -> string -> unit
-
 val call :
   t -> Runtime.ctx -> service:string -> proc_no:int ->
   ?multicast:bool -> ?collator:Collator.t -> ?retries:int -> bytes -> bytes
 
 val register : t -> Runtime.ctx -> name:string -> Troupe.t -> Ids.Troupe_id.t
-val add_member : t -> Runtime.ctx -> name:string -> Addr.module_addr -> Troupe.t option
-val remove_member : t -> Runtime.ctx -> name:string -> Addr.module_addr -> Troupe.t option
-val export_service : t -> Runtime.ctx -> name:string -> module_no:int -> Troupe.t
-
-val enumerate : t -> Runtime.ctx -> (string * Troupe.t) list
-(** Union of all partitions' listings, sorted by name. *)

@@ -25,5 +25,4 @@ type formula =
 type spec = { vars : string list; formula : formula }
 
 val arity : spec -> int
-val pp : spec -> Format.formatter -> formula -> unit
 val pp_spec : Format.formatter -> spec -> unit

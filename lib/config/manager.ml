@@ -7,7 +7,6 @@ type t = {
 }
 
 let create ~spec ~universe ~start_member () = { spec; universe; start_member }
-let spec t = t.spec
 
 let ids machines = List.map (fun m -> m.Solver.machine_id) machines
 

@@ -23,8 +23,6 @@ val create :
   unit ->
   t
 
-val spec : t -> Ast.spec
-
 val instantiate : t -> (Addr.host_id list, string) result
 (** Solve the specification against the current universe and start a
     member on every chosen machine.  [Error] if unsatisfiable. *)

@@ -5,7 +5,6 @@ type ('a, 'b) proc = { number : int; name : string; args : 'a Codec.t; result : 
 
 let proc ~proc_no ~name args result = { number = proc_no; name; args; result }
 let proc_no p = p.number
-let proc_name p = p.name
 let encoder p = p.args
 let decoder p = p.result
 

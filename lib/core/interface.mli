@@ -16,7 +16,6 @@ type ('a, 'b) proc
 
 val proc : proc_no:int -> name:string -> 'a Codec.t -> 'b Codec.t -> ('a, 'b) proc
 val proc_no : ('a, 'b) proc -> int
-val proc_name : ('a, 'b) proc -> string
 val encoder : ('a, 'b) proc -> 'a Codec.t
 val decoder : ('a, 'b) proc -> 'b Codec.t
 

@@ -14,8 +14,6 @@ let serve (process : System.process) ctx ~name ?policy ?state handlers =
   in
   Recruit.join process.System.binding ctx ~name ~module_no ~load
 
-let import (process : System.process) ctx name = Client.import process.System.binding ctx name
-
 let call (process : System.process) ctx ~service p ?collator args =
   let answer =
     Client.call process.System.binding ctx ~service ~proc_no:(Interface.proc_no p) ?collator

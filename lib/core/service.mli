@@ -19,8 +19,6 @@ val serve :
     members if any, and register with the binding agent.  Returns the
     resulting troupe (whose ID this process has adopted). *)
 
-val import : System.process -> Runtime.ctx -> string -> Troupe.t
-
 val call :
   System.process -> Runtime.ctx -> service:string -> ('a, 'b) Interface.proc ->
   ?collator:Collator.t -> 'a -> 'b

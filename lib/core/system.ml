@@ -28,7 +28,6 @@ let engine t = t.engine
 let net t = t.net
 let env t = t.env
 let ringmaster t = t.ringmaster
-let prng t = Engine.prng t.engine
 
 let add_host t ?name ?clock_offset ?attributes () =
   Net.add_host t.net ?name ?clock_offset ?attributes ()

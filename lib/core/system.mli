@@ -21,7 +21,6 @@ val engine : t -> Circus_sim.Engine.t
 val net : t -> Net.t
 val env : t -> Syscall.env
 val ringmaster : t -> Troupe.t
-val prng : t -> Circus_sim.Prng.t
 
 val add_host :
   t -> ?name:string -> ?clock_offset:float ->

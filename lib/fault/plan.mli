@@ -25,9 +25,6 @@ type step = { at : float; action : action }
 type t = step list
 (** Sorted by [at], ties in list order. *)
 
-val sort : step list -> t
-(** Stable sort by [at]; equal-time steps keep their list order. *)
-
 val validate : t -> (unit, string) result
 (** Structural checks: non-negative times, sorted order, positive
     durations, probabilities in [0,1], no crash of an already-down host

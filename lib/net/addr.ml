@@ -9,13 +9,9 @@ let compare a b =
   let c = Int.compare a.host b.host in
   if c <> 0 then c else Int.compare a.port b.port
 
-let pp ppf a = Format.fprintf ppf "h%d:%d" a.host a.port
-let to_string a = Format.asprintf "%a" pp a
 let module_addr process module_no = { process; module_no }
 let equal_module a b = equal a.process b.process && a.module_no = b.module_no
 
 let compare_module a b =
   let c = compare a.process b.process in
   if c <> 0 then c else Int.compare a.module_no b.module_no
-
-let pp_module ppf m = Format.fprintf ppf "%a/m%d" pp m.process m.module_no

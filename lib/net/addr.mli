@@ -14,11 +14,7 @@ type module_addr = { process : t; module_no : int }
 
 val make : host:host_id -> port:int -> t
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val module_addr : t -> int -> module_addr
 val equal_module : module_addr -> module_addr -> bool
 val compare_module : module_addr -> module_addr -> int
-val pp_module : Format.formatter -> module_addr -> unit

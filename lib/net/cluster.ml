@@ -97,12 +97,6 @@ let with_lp t i f = Parallel.with_lp t.par i f
 let merged_events t = Parallel.merged_events t.par
 let merged_dropped t = Parallel.merged_dropped t.par
 
-(* Setup-time broadcasts: apply to every shard from the calling domain.
-   During a parallel run, use the fault injector's cluster entry point
-   instead, which applies the same step on every shard's own engine. *)
-let set_partition t groups = Array.iter (fun n -> Net.set_partition n groups) t.nets
-let heal_partition t = Array.iter Net.heal_partition t.nets
-
 let stats t =
   let acc =
     { Net.sent = 0; delivered = 0; dropped = 0; duplicated = 0; corrupted = 0; bytes_sent = 0 }

@@ -52,13 +52,9 @@ val merged_dropped : t -> int
 
 (** {1 Cluster-wide state}
 
-    Setup-time broadcasts applied to every shard from the calling
-    domain.  During a parallel run, drive partition/fault changes
-    through the fault injector's cluster entry point instead, which
-    schedules the same step on every shard's own engine. *)
-
-val set_partition : t -> Addr.host_id list list -> unit
-val heal_partition : t -> unit
+    Partition and fault changes go through the fault injector's cluster
+    entry point, which schedules the same step on every shard's own
+    engine. *)
 
 val stats : t -> Net.stats
 (** Fresh snapshot summing all shards' counters (mutating it affects

@@ -170,17 +170,15 @@ let on_restart t hook = t.restart_hooks <- hook :: t.restart_hooks
 
 let gettimeofday t = Engine.now t.engine +. t.clock_offset
 
-(* Shared accounting body of [use_cpu] and one [charge_span] element:
-   refuse charges on a crashed host (fail-stop — a dead machine burns
-   no CPU, meters nothing, traces nothing), queue behind earlier CPU
-   work, bump the busy horizon and totals, emit the trace slice at the
-   *current* instant, and charge the meter.  Returns the duration
-   [cpu.busy_until - now] the caller must now advance the clock
-   through. *)
-let[@inline] charge_account t meter kind cost ~op =
-  if not t.alive then
-    invalid_arg (Printf.sprintf "Host.%s: host %s is crashed" op t.name);
-  if cost < 0.0 then invalid_arg (Printf.sprintf "Host.%s: negative cost" op);
+(* The accounting half of [use_cpu]: refuse charges on a crashed host
+   (fail-stop — a dead machine burns no CPU, meters nothing, traces
+   nothing), queue behind earlier CPU work, bump the busy horizon and
+   totals, emit the trace slice at the *current* instant, and charge the
+   meter.  Returns the duration [cpu.busy_until - now] the caller must
+   now advance the clock through. *)
+let[@inline] charge_account t meter kind cost =
+  if not t.alive then invalid_arg (Printf.sprintf "Host.use_cpu: host %s is crashed" t.name);
+  if cost < 0.0 then invalid_arg "Host.use_cpu: negative cost";
   let now = Engine.now t.engine in
   let cpu = t.cpu in
   let start = if cpu.busy_until > now then cpu.busy_until else now in
@@ -213,32 +211,8 @@ let[@inline] charge_account t meter kind cost ~op =
   cpu.busy_until -. now
 
 let use_cpu t ?meter ~kind cost =
-  Fiber.sleep_busy (charge_account t meter kind cost ~op:"use_cpu")
-
-(* Burst charging: a run of K charges on one host, each accounted
-   (busy-horizon bump, trace slice, meter entry) at exactly the instant
-   the equivalent [use_cpu] loop would have accounted it, but with each
-   inter-charge clock advance attempted as a pure jump
-   ([Fiber.try_fast_sleep]) before falling back to a real [sleep_busy].
-   The per-element advance uses the *same* predicate (and the same
-   fast-forward-streak accounting) as [sleep_busy]'s own fast path, and
-   the fallback is [sleep_busy] itself, so every trace emission, meter
-   charge, event execution, and suspension happens under exactly the
-   conditions of the per-charge loop — the merged
-   event schedule is identical by construction; only the per-charge
-   fiber lookup and effect-frame overhead is saved.  [before]/[after]
-   hooks run around each element on the charging fiber; an exception
-   from either (or a crash of [t] observed by a later element) leaves
-   elements < i fully charged and elements >= i untouched. *)
-let charge_span t ?meter ~n ?(before = ignore) ~kind ~cost ?(after = ignore) ()
-    =
-  if n < 0 then invalid_arg "Host.charge_span: negative length";
   let fiber = Fiber.self () in
-  for i = 0 to n - 1 do
-    before i;
-    let d = charge_account t meter (kind i) (cost i) ~op:"charge_span" in
-    if not (Fiber.try_fast_sleep fiber d) then Fiber.sleep_busy d;
-    after i
-  done
+  (Fiber.nap fiber).Fiber.nap_s <- charge_account t meter kind cost;
+  Fiber.sleep_busy fiber
 
 let cpu_time t = t.cpu.total

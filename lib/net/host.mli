@@ -79,35 +79,6 @@ val use_cpu : t -> ?meter:Meter.t -> kind:[ `User | `Kernel of string ] -> float
     (callers racing a crash must check {!is_alive}, as
     {!run_pooled} does). *)
 
-val charge_span :
-  t ->
-  ?meter:Meter.t ->
-  n:int ->
-  ?before:(int -> unit) ->
-  kind:(int -> [ `User | `Kernel of string ]) ->
-  cost:(int -> float) ->
-  ?after:(int -> unit) ->
-  unit ->
-  unit
-(** [charge_span t ~n ~kind ~cost ()] performs the run of charges
-    [use_cpu t ~kind:(kind i) (cost i)] for [i = 0 .. n-1], with each
-    element bracketed by [before i] / [after i] on the charging fiber.
-    Observationally identical to the equivalent [use_cpu] loop — every
-    charge's start instant is derived from the same busy-horizon
-    arithmetic, its trace slice and meter entry are emitted at the same
-    instant, and any event due mid-span (including arrivals of
-    datagrams injected by [after]) executes at exactly the same point —
-    but inter-charge clock advances that would each have been a
-    [sleep_busy] round-trip are collapsed into pure clock jumps when
-    nothing intervenes, so a quiet K-charge burst performs its
-    bookkeeping in one pass.  [after i] typically injects element [i]'s
-    datagram; its [Net] arrival instant is computed from the
-    already-advanced clock, i.e. the charge's end.  An exception from
-    [before]/[after] (or a crash of [t] observed by a later element)
-    leaves elements before it fully charged+injected and later elements
-    untouched.  Raises [Invalid_argument] on a crashed host, like
-    {!use_cpu}. *)
-
 val cpu_time : t -> float
 (** Total CPU seconds consumed on this host since creation: the
     per-host CPU time behind Table 4.1's measurements, read by the

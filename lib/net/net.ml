@@ -351,6 +351,10 @@ let corrupt_copy t (dgram : datagram) =
   t.stats.corrupted <- t.stats.corrupted + 1;
   trace_dgram t "corrupt" ~dgram ~reason:(Some "checksum")
 
+(* [Float.min 1.0 p], NaN included, written out so the probability
+   stays an unboxed local. *)
+let[@inline] at_most_one p = if p > 1.0 then 1.0 else p
+
 let send_one t dgram =
   (* Stamp the sender's causal context (one "xmit" span per
      transmission attempt — losses then show up as a missing "recv").
@@ -375,13 +379,13 @@ let send_one t dgram =
        knob-only draws (corruption, extra delay) are gated on the knob
        being nonzero.  Zero-fault runs therefore consume the PRNG stream
        exactly as before — the byte-identical-trace oracle holds. *)
-    let p_dup = Float.min 1.0 (t.params.duplication +. t.faults.extra_duplication) in
+    let p_dup = at_most_one (t.params.duplication +. t.faults.extra_duplication) in
     let copies = if Prng.bool t.prng ~p:p_dup then 2 else 1 in
     if copies = 2 then begin
       t.stats.duplicated <- t.stats.duplicated + 1;
       trace_dgram t "dup" ~dgram ~reason:None
     end;
-    let p_loss = Float.min 1.0 (t.params.loss +. t.faults.extra_loss) in
+    let p_loss = at_most_one (t.params.loss +. t.faults.extra_loss) in
     for _ = 1 to copies do
       if Prng.bool t.prng ~p:p_loss then begin
         t.stats.dropped <- t.stats.dropped + 1;

@@ -42,10 +42,32 @@ type env = {
      changes the charge sequence under load, and the measurement
      benches pin the paper's one-select-per-datagram loop. *)
   mutable recv_drain : bool;
+  (* [costs] again, field by field.  In this record, which is not all
+     floats, each is a box built once, and a charge hands that box to
+     [Host.use_cpu] as it is: read from the flat [costs] record, every
+     charge would box its cost afresh. *)
+  c_sendmsg : float;
+  c_recvmsg : float;
+  c_select : float;
+  c_setitimer : float;
+  c_gettimeofday : float;
+  c_sigblock : float;
+  c_read : float;
+  c_write : float;
 }
 
 let make net ?(costs = default_costs) () =
-  { net; costs; recv_drain = false }
+  { net;
+    costs;
+    recv_drain = false;
+    c_sendmsg = costs.sendmsg;
+    c_recvmsg = costs.recvmsg;
+    c_select = costs.select;
+    c_setitimer = costs.setitimer;
+    c_gettimeofday = costs.gettimeofday;
+    c_sigblock = costs.sigblock;
+    c_read = costs.read;
+    c_write = costs.write }
 
 let net env = env.net
 let costs env = env.costs
@@ -57,63 +79,41 @@ let charge _env ?meter host ~name cost = Host.use_cpu host ?meter ~kind:(`Kernel
 let no_hook (_ : int) = ()
 
 let sendmsg env ?meter sock ~dst payload =
-  charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.costs.sendmsg;
+  charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.c_sendmsg;
   Net.send env.net ~src:(Net.socket_addr sock) ~dst payload
 
 (* Vectored burst, the body of [sendmsg_vec] and
-   [sendmsg_multicast_vec]: one [Host.charge_span] over a run of
-   datagrams, [inject] putting each on the wire.  Each element is
-   charged and injected exactly as a standalone send — same
-   per-datagram cost, same injection instants (each datagram enters the
-   net at its own charge's end instant) — so a burst's metered time and
-   arrival schedule are byte-for-byte those of the equivalent loop,
-   while a quiet K-segment burst costs one pass instead of K sleep/wake
-   round-trips.  [?user_cost] interleaves the caller's per-segment
-   user-time (marshaling) charge ahead of each kernel charge, inside
-   the same span. *)
-let send_vec env ?meter ~before ?user_cost ~on_segment sock inject payloads =
+   [sendmsg_multicast_vec]: per datagram, the caller's [before] hook,
+   the optional user-time (marshaling) charge, the [on_segment] hook at
+   its end instant, the kernel send charge, and the injection at that
+   charge's end instant — exactly a loop of standalone sends.  The loop
+   is written out, so a burst allocates no closure of its own: with the
+   hooks left out, only what the charges and the net allocate. *)
+let send_vec env ?meter ~before ?user_cost ~on_segment sock ~multicast ~dst ~dsts payloads =
   let host = Net.socket_host sock in
-  let sendmsg_cost = env.costs.sendmsg in
-  match user_cost with
-  | None ->
-    Host.charge_span host ?meter ~n:(Array.length payloads)
-      ~before:(fun i ->
-        before i;
-        on_segment i)
-      ~kind:(fun _ -> `Kernel "sendmsg")
-      ~cost:(fun _ -> sendmsg_cost)
-      ~after:(fun i -> inject payloads.(i))
-      ()
-  | Some u ->
-    (* Interleaved [user; sendmsg] pairs: element [2i] is segment [i]'s
-       user-time charge (with [on_segment i] at its end instant),
-       element [2i+1] its kernel send charge (with the injection at its
-       end instant). *)
-    Host.charge_span host ?meter
-      ~n:(2 * Array.length payloads)
-      ~before:(fun j -> if j land 1 = 0 then before (j lsr 1))
-      ~kind:(fun j -> if j land 1 = 0 then `User else `Kernel "sendmsg")
-      ~cost:(fun j -> if j land 1 = 0 then u else sendmsg_cost)
-      ~after:(fun j -> if j land 1 = 0 then on_segment (j lsr 1) else inject payloads.(j lsr 1))
-      ()
+  let net = env.net and src = Net.socket_addr sock in
+  for i = 0 to Array.length payloads - 1 do
+    before i;
+    (match user_cost with Some u -> Host.use_cpu host ?meter ~kind:`User u | None -> ());
+    on_segment i;
+    charge env ?meter host ~name:"sendmsg" env.c_sendmsg;
+    if multicast then Net.send_multicast net ~src ~dsts payloads.(i)
+    else Net.send net ~src ~dst payloads.(i)
+  done
 
 let sendmsg_vec env ?meter ?(before = no_hook) ?user_cost ?(on_segment = no_hook) sock ~dst
     payloads =
-  let net = env.net and src = Net.socket_addr sock in
-  send_vec env ?meter ~before ?user_cost ~on_segment sock
-    (fun p -> Net.send net ~src ~dst p)
+  send_vec env ?meter ~before ?user_cost ~on_segment sock ~multicast:false ~dst ~dsts:[]
     payloads
 
 let sendmsg_multicast_vec env ?meter ?user_cost ?(on_segment = no_hook) sock ~dsts payloads =
-  let net = env.net and src = Net.socket_addr sock in
-  send_vec env ?meter ~before:no_hook ?user_cost ~on_segment sock
-    (fun p -> Net.send_multicast net ~src ~dsts p)
-    payloads
+  send_vec env ?meter ~before:no_hook ?user_cost ~on_segment sock ~multicast:true
+    ~dst:(Net.socket_addr sock) ~dsts payloads
 
 let recvmsg env ?meter ?timeout sock =
   match Mailbox.recv ?timeout (Net.mailbox sock) with
   | Some _ as received ->
-    charge env ?meter (Net.socket_host sock) ~name:"recvmsg" env.costs.recvmsg;
+    charge env ?meter (Net.socket_host sock) ~name:"recvmsg" env.c_recvmsg;
     received
   | None -> None
 
@@ -196,7 +196,7 @@ let select env ?meter ?timeout socks =
                (Host.name host)
                (Host.name (Net.socket_host s))))
       rest;
-    charge env ?meter host ~name:"select" env.costs.select;
+    charge env ?meter host ~name:"select" env.c_select;
     select_wait env ?timeout host socks
 
 (* A demux loop's select, built once: [select ~timeout:None [sock]]
@@ -224,7 +224,7 @@ let selector env ?meter sock =
   { env; meter; host = Net.socket_host sock; mailbox; park; watcher }
 
 let select_one s =
-  charge s.env ?meter:s.meter s.host ~name:"select" s.env.costs.select;
+  charge s.env ?meter:s.meter s.host ~name:"select" s.env.c_select;
   if Mailbox.length s.mailbox = 0 then begin
     let scope = select_span_begin s.host in
     match Fiber.park s.park with
@@ -236,13 +236,13 @@ let select_one s =
 
 let close_selector s = Mailbox.unwatch s.mailbox s.watcher
 
-let setitimer env ?meter host = charge env ?meter host ~name:"setitimer" env.costs.setitimer
+let setitimer env ?meter host = charge env ?meter host ~name:"setitimer" env.c_setitimer
 
 let gettimeofday env ?meter host =
-  charge env ?meter host ~name:"gettimeofday" env.costs.gettimeofday;
+  charge env ?meter host ~name:"gettimeofday" env.c_gettimeofday;
   Host.gettimeofday host
 
-let sigblock env ?meter host = charge env ?meter host ~name:"sigblock" env.costs.sigblock
-let read_stream env ?meter host = charge env ?meter host ~name:"read" env.costs.read
-let write_stream env ?meter host = charge env ?meter host ~name:"write" env.costs.write
+let sigblock env ?meter host = charge env ?meter host ~name:"sigblock" env.c_sigblock
+let read_stream env ?meter host = charge env ?meter host ~name:"read" env.c_read
+let write_stream env ?meter host = charge env ?meter host ~name:"write" env.c_write
 let compute _env ?meter host seconds = Host.use_cpu host ?meter ~kind:`User seconds

@@ -68,14 +68,13 @@ val sendmsg_vec :
     standalone {!sendmsg} would, in array order.  Per element [i], in
     order: [before i] (default nothing — arbitrary caller code), then
     the [user_cost] user-time charge if given (the caller's
-    per-segment marshaling cost, fused into the same charge span), then
+    per-segment marshaling cost), then
     [on_segment i] at that user charge's end instant (the slot for a
     per-segment trace emission), then the kernel [sendmsg] charge, then
     the injection into the net at the kernel charge's end instant.
-    Metered cost and injection instants are identical to the
-    equivalent per-charge loop (see [Host.charge_span]) — the vectored
-    form exists so a multi-segment message reaches the transport as one
-    unit and pays one bookkeeping pass, not K sleep/wake round-trips.
+    It is that loop of {!Host.use_cpu} charges and injections, written
+    once, so a multi-segment message reaches the transport as one unit
+    and a burst without hooks allocates no closure.
 
     Exception contract: if [before]/[on_segment] raises at element [i]
     (or the host crashes under the burst), elements [< i] have been

@@ -37,7 +37,11 @@ type outgoing = {
   o_dst : Addr.t;
   o_type : Segment.msg_type;
   o_call_no : int32;
-  mutable o_segments : bytes array;  (* [[||]] once acknowledged *)
+  (* The encoded data segments, without please-ack ([[||]] once
+     acknowledged).  The first burst sends these very bytes; nothing
+     mutates a datagram in flight or keeps its payload after decoding
+     it, so they are shared. *)
+  mutable o_segments : bytes array;
   mutable o_acked : int;  (* highest consecutively acked segment number *)
   mutable o_done : bool;
   mutable o_failed : bool;
@@ -51,6 +55,13 @@ type outgoing = {
      pooled tasks with no ambient context of their own; they restore
      this one so resends and probes stay on the request's chain. *)
   o_ctx : int;
+  (* The retransmit chain's pooled task and the callback of its timer
+     event, built once per message ([retransmit_dispatch]) and used by
+     every wake; [o_started] tells the task whether a wake is the
+     chain's first. *)
+  mutable o_started : bool;
+  mutable o_task : unit -> unit;
+  mutable o_fire : unit -> unit;
 }
 
 type incoming = {
@@ -91,17 +102,37 @@ let delivered_postponed = Array.init 256 (delivered_marker ~postponed:true)
 
 type reply = { from : Addr.t; result : (bytes, exn) result; reply_ctx : int }
 
+(* The replies of one [call_many]: one slot per destination, filled in
+   arrival order.  A receiver with nothing to take waits on its fiber's
+   own park, and the arriving reply unparks it: the wait allocates its
+   continuation, where a mailbox receive built a waiter, a waker,
+   closures, a result block and a resume event. *)
+type replies = {
+  got : reply array;  (* [0, arrived) filled *)
+  mutable arrived : int;
+  mutable taken : int;
+  mutable waiting : bool;
+  mutable waiter : unit Fiber.park option;  (* the receiver's, once it has waited *)
+}
+
+let no_reply = { from = Addr.make ~host:0 ~port:0; result = Error Not_found; reply_ctx = 0 }
+
 type exchange = {
   x_dst : Addr.t;
   x_call_no : int32;
   x_out : outgoing;
   mutable x_last_activity : float;
   mutable x_finished : bool;
-  (* The pending watchdog wake, when one is armed.  Cleared just before
-     the callback dispatches its tick, so a handle found here is always
+  (* The watchdog's timer, built once per exchange with the chain's
+     pooled task ([watchdog_dispatch]) and re-armed for every wake;
+     [x_wd_armed] while a wake is pending.  Cleared just before the
+     callback dispatches its tick, so a timer found armed is always
      live and safe to [Engine.cancel]. *)
-  mutable x_watchdog : Engine.handle option;
-  x_deliver : (bytes, exn) result -> unit;
+  mutable x_wd_started : bool;
+  mutable x_wd_armed : bool;
+  mutable x_wd_task : unit -> unit;
+  mutable x_watchdog : Engine.handle;
+  x_replies : replies;
 }
 
 (* Per-call state is keyed by (peer, message type, call number)
@@ -133,6 +164,12 @@ type t = {
   host : Host.t;
   sock : Net.socket;
   meter : Meter.t;
+  (* [Some meter] and [Some config.user_cost_per_segment], built once
+     for the optional arguments of every charge. *)
+  meter_opt : Meter.t option;
+  seg_user_cost : float option;
+  first_retransmit_delay : float;  (* [retransmit_delay] at attempt 0 *)
+  no_watchdog : Engine.handle;  (* a timer never armed: an exchange's until it has its own *)
   config : config;
   engine : Engine.t;
   mutable counter : int32;
@@ -153,8 +190,6 @@ type t = {
 
 let addr t = Net.socket_addr t.sock
 let meter t = t.meter
-let host t = t.host
-let env t = t.env
 
 let next_call_no t =
   t.counter <- Int32.add t.counter 1l;
@@ -168,24 +203,28 @@ let seg_size t = (Net.params (Syscall.net t.env)).Net.mtu - Segment.header_size
 (* Segment lifecycle: every transmitted segment is an event, so a test
    can count retransmissions or follow one call's segments across the
    wire. *)
-let trace_seg t name ~(dst : Addr.t) (seg : Segment.t) =
+let trace_seg_send t ~(dst : Addr.t) ~msg_type ~call_no ~seg_no ~total ~ack =
   if Trace.on () then
     Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
       ~args:
-        [ ("type", Tev.Str (msg_type_str seg.Segment.msg_type));
-          ("call_no", Tev.I32 seg.Segment.call_no);
-          ("seg_no", Tev.Int seg.Segment.seg_no);
-          ("total", Tev.Int seg.Segment.total);
-          ("ack", Tev.Bool seg.Segment.ack);
+        [ ("type", Tev.Str (msg_type_str msg_type));
+          ("call_no", Tev.I32 call_no);
+          ("seg_no", Tev.Int seg_no);
+          ("total", Tev.Int total);
+          ("ack", Tev.Bool ack);
           ("dst", Tev.Int dst.Addr.host) ]
-      name
+      "seg_send"
 
-let send_segment t ~dst seg =
-  trace_seg t "seg_send" ~dst seg;
-  Syscall.sendmsg t.env ~meter:t.meter t.sock ~dst (Segment.encode seg)
+let send_segment t ~dst (seg : Segment.t) =
+  trace_seg_send t ~dst ~msg_type:seg.msg_type ~call_no:seg.call_no ~seg_no:seg.seg_no
+    ~total:seg.total ~ack:seg.ack;
+  Syscall.sendmsg t.env ?meter:t.meter_opt t.sock ~dst (Segment.encode seg)
 
 let send_ack t ~dst ~msg_type ~total ~ack_no ~call_no =
   send_segment t ~dst (Segment.ack_segment ~msg_type ~total ~ack_no ~call_no)
+
+(* The placeholder of a chain's closures until they are built. *)
+let no_task () = ()
 
 (* Retransmission per §4.2.2: periodically resend the first
    unacknowledged segment with the please-ack bit, resetting the give-up
@@ -209,25 +248,26 @@ let send_ack t ~dst ~msg_type ~total ~ack_no ~call_no =
    sees the duplicate load shrink instead of compound — without
    backoff, retransmissions of queued-but-undelivered messages feed
    the very overload that delays their acks.  Progress (a newly acked
-   segment) resets the attempt count and with it the delay. *)
+   segment) resets the attempt count and with it the delay.  The
+   attempt-0 delay, every chain's first, is computed once per endpoint,
+   as a box its [schedule] can take as it is. *)
 let retransmit_delay t out =
-  let d =
-    t.config.retransmit_interval
-    *. (t.config.retransmit_backoff ** Float.of_int out.o_attempts)
-  in
-  Float.min d t.config.probe_interval
+  if out.o_attempts = 0 then t.first_retransmit_delay
+  else
+    let d =
+      t.config.retransmit_interval
+      *. (t.config.retransmit_backoff ** Float.of_int out.o_attempts)
+    in
+    Float.min d t.config.probe_interval
 
-let rec retransmit_arm t out ~inc =
-  Syscall.setitimer t.env ~meter:t.meter t.host;
-  ignore
-    (Engine.schedule t.engine ~delay:(retransmit_delay t out) (fun () ->
-         Host.run_pooled t.host ~label:"pairmsg.retransmit" (fun () ->
-             if Host.incarnation t.host = inc then retransmit_tick t out ~inc)))
+let rec retransmit_arm t out =
+  Syscall.setitimer t.env ?meter:t.meter_opt t.host;
+  ignore (Engine.schedule t.engine ~delay:(retransmit_delay t out) out.o_fire)
 
-and retransmit_tick t out ~inc =
+and retransmit_tick t out =
   if Causal.on () then Causal.set_current out.o_ctx;
   if out.o_done || out.o_failed then
-    Syscall.setitimer t.env ~meter:t.meter t.host (* disarm *)
+    Syscall.setitimer t.env ?meter:t.meter_opt t.host (* disarm *)
   else begin
     if out.o_acked > out.o_acked_mark then begin
       out.o_acked_mark <- out.o_acked;
@@ -243,7 +283,7 @@ and retransmit_tick t out ~inc =
               ("dst", Tev.Int out.o_dst.Addr.host) ]
           "give_up";
       out.o_failed <- true;
-      Syscall.setitimer t.env ~meter:t.meter t.host (* disarm *)
+      Syscall.setitimer t.env ?meter:t.meter_opt t.host (* disarm *)
     end
     else begin
       let next = out.o_acked + 1 in
@@ -254,62 +294,78 @@ and retransmit_tick t out ~inc =
            the context the message started from. *)
         if Causal.on () && out.o_ctx <> Causal.none then
           ignore (Causal.step ~host:(Host.id t.host) "rexmit");
-        send_segment t ~dst:out.o_dst
-          (Segment.data_segment ~msg_type:out.o_type ~please_ack:true
-             ~total:(Array.length out.o_segments) ~seg_no:next ~call_no:out.o_call_no
-             out.o_segments.(next - 1))
+        trace_seg_send t ~dst:out.o_dst ~msg_type:out.o_type ~call_no:out.o_call_no
+          ~seg_no:next ~total:(Array.length out.o_segments) ~ack:false;
+        Syscall.sendmsg t.env ?meter:t.meter_opt t.sock ~dst:out.o_dst
+          (Segment.with_please_ack out.o_segments.(next - 1))
       end;
       (* The resend's charges may have drained the ack that completes
          the message (or a duplicate that fails it); the old loop
          re-checked its condition here before rearming. *)
       if out.o_done || out.o_failed then
-        Syscall.setitimer t.env ~meter:t.meter t.host (* disarm *)
-      else retransmit_arm t out ~inc
+        Syscall.setitimer t.env ?meter:t.meter_opt t.host (* disarm *)
+      else retransmit_arm t out
     end
   end
 
 (* First wake of the chain, at the event slot the retransmit fiber's
    spawn used to occupy: a message already completed by then (a
    buffered first-come return, §4.3.4) pays only the disarm. *)
-let retransmit_start t out ~inc =
-  if out.o_done || out.o_failed then Syscall.setitimer t.env ~meter:t.meter t.host
+let retransmit_start t out =
+  if out.o_done || out.o_failed then Syscall.setitimer t.env ?meter:t.meter_opt t.host
   else begin
     out.o_acked_mark <- out.o_acked;
-    retransmit_arm t out ~inc
+    retransmit_arm t out
   end
 
-let start_outgoing t ?(defer_retransmit = false) ~dst ~msg_type ~call_no body ~send_burst () =
-  let segments = Segment.split_message ~mtu:(seg_size t + Segment.header_size) body in
+(* Start the chain: its first wake, from a pooled task, pinned to the
+   current incarnation. *)
+let retransmit_dispatch t out =
+  let inc = Host.incarnation t.host in
+  out.o_task <-
+    (fun () ->
+      if Host.incarnation t.host = inc then
+        if out.o_started then retransmit_tick t out
+        else begin
+          out.o_started <- true;
+          retransmit_start t out
+        end);
+  out.o_fire <- (fun () -> Host.run_pooled t.host ~label:"pairmsg.retransmit" out.o_task);
+  Host.run_pooled t.host ~label:"pairmsg.retransmit" out.o_task
+
+let encode_message t ~msg_type ~call_no body =
+  Segment.data_segments ~mtu:(seg_size t + Segment.header_size) ~msg_type ~call_no body
+
+(* [segments] is [encode_message]'s: a multicast call shares one
+   encoding among its destinations' records. *)
+let start_outgoing t ?(defer_retransmit = false) ~dst ~msg_type ~call_no segments ~send_burst () =
   let out =
     { o_dst = dst; o_type = msg_type; o_call_no = call_no; o_segments = segments;
       o_acked = 0; o_done = false; o_failed = false; o_attempts = 0; o_acked_mark = 0;
-      o_ctx = (if Causal.on () then Causal.current () else Causal.none) }
+      o_ctx = (if Causal.on () then Causal.current () else Causal.none);
+      o_started = false; o_task = no_task; o_fire = no_task }
   in
   Itab.replace t.outgoing (msg_key dst msg_type call_no) out;
   if send_burst then begin
-    (* The whole burst goes through one vectored send: one charge span
-       interleaving the per-segment user and kernel charges, with the
-       trace event and the injection at exactly the instants the
-       segment-by-segment loop produced. *)
+    (* The whole burst goes through one vectored send, its per-segment
+       user and kernel charges interleaved, with the trace event and
+       the injection at exactly the instants the segment-by-segment
+       loop produced.  The tracing hook is built only when tracing is
+       on. *)
     let total = Array.length segments in
-    let segs =
-      Array.mapi
-        (fun i data -> Segment.data_segment ~msg_type ~total ~seg_no:(i + 1) ~call_no data)
-        out.o_segments
-    in
-    Syscall.sendmsg_vec t.env ~meter:t.meter t.sock ~dst
-      ~user_cost:t.config.user_cost_per_segment
-      ~on_segment:(fun i -> trace_seg t "seg_send" ~dst segs.(i))
-      (Array.map Segment.encode segs)
+    if Trace.on () then
+      Syscall.sendmsg_vec t.env ?meter:t.meter_opt t.sock ~dst ?user_cost:t.seg_user_cost
+        ~on_segment:(fun i ->
+          trace_seg_send t ~dst ~msg_type ~call_no ~seg_no:(i + 1) ~total ~ack:false)
+        segments
+    else
+      Syscall.sendmsg_vec t.env ?meter:t.meter_opt t.sock ~dst ?user_cost:t.seg_user_cost
+        segments
   end;
   (* A client exchange runs the retransmit starter from the same pooled
      task as its watchdog starter (see [start_exchange]); everyone else
      dispatches it here. *)
-  if not defer_retransmit then begin
-    let inc = Host.incarnation t.host in
-    Host.run_pooled t.host ~label:"pairmsg.retransmit" (fun () ->
-        if Host.incarnation t.host = inc then retransmit_start t out ~inc)
-  end;
+  if not defer_retransmit then retransmit_dispatch t out;
   out
 
 let finish_outgoing t out =
@@ -333,15 +389,14 @@ let finish_outgoing t out =
    the "wd_arm" emitted when the exchange first armed it (tests assert
    every armed watchdog is eventually disarmed). *)
 let watchdog_disarm t x =
-  match x.x_watchdog with
-  | Some h ->
-    x.x_watchdog <- None;
-    Engine.cancel h;
+  if x.x_wd_armed then begin
+    x.x_wd_armed <- false;
+    Engine.cancel x.x_watchdog;
     if Trace.on () then
       Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
         ~args:[ ("call_no", Tev.I32 x.x_call_no); ("dst", Tev.Int x.x_dst.Addr.host) ]
         "wd_disarm"
-  | None -> ()
+  end
 
 let finish_exchange t x result =
   if not x.x_finished then begin
@@ -356,7 +411,22 @@ let finish_exchange t x result =
     Itab.remove t.exchanges (call_key x.x_dst x.x_call_no);
     if not x.x_out.o_done then finish_outgoing t x.x_out;
     watchdog_disarm t x;
-    x.x_deliver result
+    (* Ambient here is the context of whatever completed the exchange —
+       the return message's final segment, a reject, or a watchdog
+       giving up — so the caller's vote can parent on the reply's own
+       delivery chain. *)
+    let rs = x.x_replies in
+    rs.got.(rs.arrived) <-
+      { from = x.x_dst;
+        result;
+        reply_ctx = (if Causal.on () then Causal.current () else Causal.none) };
+    rs.arrived <- rs.arrived + 1;
+    if rs.waiting then
+      match rs.waiter with
+      | Some p when Fiber.is_parked p ->
+        rs.waiting <- false;
+        Fiber.unpark p ()
+      | Some _ | None -> ()
   end
 
 (* Crash detection per §4.2.3: once the call message is fully
@@ -366,16 +436,12 @@ let finish_exchange t x result =
    probes) come from pooled tasks at the instants the old watchdog
    fiber made them, and an exchange finishing simply cancels the
    pending wake — no fiber to cancel, no discontinue event. *)
-let rec watchdog_arm t x ~inc =
-  Syscall.setitimer t.env ~meter:t.meter t.host;
-  x.x_watchdog <-
-    Some
-      (Engine.schedule t.engine ~delay:t.config.probe_interval (fun () ->
-           x.x_watchdog <- None;
-           Host.run_pooled t.host ~label:"pairmsg.watchdog" (fun () ->
-               if Host.incarnation t.host = inc then watchdog_tick t x ~inc)))
+let rec watchdog_arm t x =
+  Syscall.setitimer t.env ?meter:t.meter_opt t.host;
+  Engine.rearm t.engine x.x_watchdog ~delay:t.config.probe_interval;
+  x.x_wd_armed <- true
 
-and watchdog_tick t x ~inc =
+and watchdog_tick t x =
   if Causal.on () then Causal.set_current x.x_out.o_ctx;
   if not x.x_finished then begin
     (if x.x_out.o_failed then finish_exchange t x (Error (Crashed x.x_dst))
@@ -385,29 +451,47 @@ and watchdog_tick t x ~inc =
        else if x.x_out.o_done && idle >= t.config.probe_interval then
          send_segment t ~dst:x.x_dst (Segment.probe ~call_no:x.x_call_no)
      end);
-    if not x.x_finished then watchdog_arm t x ~inc
+    if not x.x_finished then watchdog_arm t x
     else if Trace.on () then
       Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
         ~args:[ ("call_no", Tev.I32 x.x_call_no); ("dst", Tev.Int x.x_dst.Addr.host) ]
         "wd_disarm"
   end
 
-let watchdog_start t x ~inc =
+let watchdog_start t x =
   if Trace.on () then
     Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
       ~args:[ ("call_no", Tev.I32 x.x_call_no); ("dst", Tev.Int x.x_dst.Addr.host) ]
       "wd_arm";
-  if not x.x_finished then watchdog_arm t x ~inc
+  if not x.x_finished then watchdog_arm t x
   else if Trace.on () then
     Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
       ~args:[ ("call_no", Tev.I32 x.x_call_no); ("dst", Tev.Int x.x_dst.Addr.host) ]
       "wd_disarm"
 
-let start_exchange t ~dst ~call_no out deliver =
+(* The watchdog chain's pooled task, pinned to the incarnation [inc],
+   and its timer; then its first wake. *)
+let watchdog_dispatch t x ~inc =
+  x.x_wd_task <-
+    (fun () ->
+      if Host.incarnation t.host = inc then
+        if x.x_wd_started then watchdog_tick t x
+        else begin
+          x.x_wd_started <- true;
+          watchdog_start t x
+        end);
+  x.x_watchdog <-
+    Engine.timer t.engine (fun () ->
+        x.x_wd_armed <- false;
+        Host.run_pooled t.host ~label:"pairmsg.watchdog" x.x_wd_task);
+  Host.run_pooled t.host ~label:"pairmsg.watchdog" x.x_wd_task
+
+let start_exchange t ~dst ~call_no out replies =
   let x =
     { x_dst = dst; x_call_no = call_no; x_out = out;
-      x_last_activity = Engine.now t.engine; x_finished = false; x_watchdog = None;
-      x_deliver = deliver }
+      x_last_activity = Engine.now t.engine; x_finished = false;
+      x_wd_started = false; x_wd_armed = false; x_wd_task = no_task; x_watchdog = t.no_watchdog;
+      x_replies = replies }
   in
   Itab.replace t.exchanges (call_key dst call_no) x;
   (* Client-side buffering (§4.3.4): a server using the first-come
@@ -421,17 +505,25 @@ let start_exchange t ~dst ~call_no out deliver =
      retransmit charge's completion and shifts multi-destination send
      instants (observable in Table 4.1 real time). *)
   let inc0 = Host.incarnation t.host in
-  Host.run_pooled t.host ~label:"pairmsg.retransmit" (fun () ->
-      if Host.incarnation t.host = inc0 then retransmit_start t out ~inc:inc0);
+  retransmit_dispatch t out;
   let ret_key = msg_key dst Segment.Return call_no in
   (match Itab.find_opt t.returns_in ret_key with
   | Some inc when inc.i_complete ->
     Itab.replace t.returns_in ret_key delivered.(inc.i_total);
     finish_exchange t x (Ok inc.i_body)
   | Some _ | None ->
-    Host.run_pooled t.host ~label:"pairmsg.watchdog" (fun () ->
-        if Host.incarnation t.host = inc0 then watchdog_start t x ~inc:inc0));
+    watchdog_dispatch t x ~inc:inc0);
   x
+
+let rec start_exchanges t ~call_no ~multicast segments replies = function
+  | [] -> ()
+  | dst :: dsts ->
+    let out =
+      start_outgoing t ~defer_retransmit:true ~dst ~msg_type:Segment.Call ~call_no segments
+        ~send_burst:(not multicast) ()
+    in
+    ignore (start_exchange t ~dst ~call_no out replies);
+    start_exchanges t ~call_no ~multicast segments replies dsts
 
 let call_many t ~dsts ?(multicast = false) ?call_no body =
   if dsts = [] then invalid_arg "Endpoint.call_many: no destinations";
@@ -445,56 +537,52 @@ let call_many t ~dsts ?(multicast = false) ?call_no body =
           ("multicast", Tev.Bool multicast);
           ("len", Tev.Int (Bytes.length body)) ]
       "call_start";
-  let replies = Mailbox.create t.engine in
-  (* The fixed call preamble — timestamp plus user-time bookkeeping —
-     is two charges on one host; fuse them into one span. *)
-  let gettimeofday_cost = (Syscall.costs t.env).Syscall.gettimeofday in
-  Host.charge_span t.host ~meter:t.meter ~n:2
-    ~kind:(fun i -> if i = 0 then `Kernel "gettimeofday" else `User)
-    ~cost:(fun i -> if i = 0 then gettimeofday_cost else t.config.user_cost_per_call)
-    ();
-  if multicast then begin
-    (* One transmission per segment reaches the whole troupe; the
-       per-destination outgoing records are created without their own
-       burst, so only retransmissions are point-to-point. *)
-    let segments = Segment.split_message ~mtu:(seg_size t + Segment.header_size) body in
-    let total = Array.length segments in
-    Syscall.sendmsg_multicast_vec t.env ~meter:t.meter t.sock ~dsts
-      ~user_cost:t.config.user_cost_per_segment
-      (Array.mapi
-         (fun i data ->
-           Segment.encode
-             (Segment.data_segment ~msg_type:Segment.Call ~total ~seg_no:(i + 1) ~call_no
-                data))
-         segments)
-  end;
-  List.iter
-    (fun dst ->
-      let out =
-        start_outgoing t ~defer_retransmit:true ~dst ~msg_type:Segment.Call ~call_no body
-          ~send_burst:(not multicast) ()
-      in
-      ignore
-        (start_exchange t ~dst ~call_no out (fun result ->
-             (* Ambient here is the context of whatever completed the
-                exchange — the return message's final segment, a
-                reject, or a watchdog giving up — so the caller's vote
-                can parent on the reply's own delivery chain. *)
-             Mailbox.send replies
-               { from = dst;
-                 result;
-                 reply_ctx = (if Causal.on () then Causal.current () else Causal.none) })))
-    dsts;
+  let replies =
+    { got = Array.make (List.length dsts) no_reply;
+      arrived = 0;
+      taken = 0;
+      waiting = false;
+      waiter = None }
+  in
+  (* The fixed call preamble: timestamp plus user-time bookkeeping. *)
+  ignore (Syscall.gettimeofday t.env ?meter:t.meter_opt t.host);
+  Syscall.compute t.env ?meter:t.meter_opt t.host t.config.user_cost_per_call;
+  let segments = encode_message t ~msg_type:Segment.Call ~call_no body in
+  (* One transmission per segment reaches the whole troupe; the
+     per-destination outgoing records are created without their own
+     burst, so only retransmissions are point-to-point. *)
+  if multicast then
+    Syscall.sendmsg_multicast_vec t.env ?meter:t.meter_opt t.sock ~dsts
+      ?user_cost:t.seg_user_cost segments;
+  start_exchanges t ~call_no ~multicast segments replies dsts;
   replies
+
+(* A wait here is a mailbox receive's, event for event: the trace's
+   block and resume, one delay-0 resume event, and a cancellation
+   discontinued in its own delay-0 event.  A reply that arrives after
+   the receiver's wait was aborted stays in its slot. *)
+let next_reply rs =
+  if rs.taken >= Array.length rs.got then invalid_arg "Endpoint.next_reply: every reply taken";
+  if rs.taken = rs.arrived then begin
+    (* The receiver need not be the caller (a background drain of the
+       replies, say), so the park is the current fiber's. *)
+    let p = Fiber.own_park () in
+    (match rs.waiter with Some q when q == p -> () | Some _ | None -> rs.waiter <- Some p);
+    rs.waiting <- true;
+    Fiber.park p
+  end;
+  let r = rs.got.(rs.taken) in
+  rs.got.(rs.taken) <- no_reply;
+  rs.taken <- rs.taken + 1;
+  r
 
 let call t ~dst ?call_no body =
   let replies = call_many t ~dsts:[ dst ] ?call_no body in
-  match Mailbox.recv replies with
-  | Some { result = Ok body; _ } ->
-    ignore (Syscall.gettimeofday t.env ~meter:t.meter t.host);
+  match next_reply replies with
+  | { result = Ok body; _ } ->
+    ignore (Syscall.gettimeofday t.env ?meter:t.meter_opt t.host);
     body
-  | Some { result = Error e; _ } -> raise e
-  | None -> assert false
+  | { result = Error e; _ } -> raise e
 
 (* ------------------------------------------------------------------ *)
 (* Server side *)
@@ -502,8 +590,11 @@ let call t ~dst ?call_no body =
 let set_handler t handler = t.handler <- Some handler
 
 let reply t ~dst ~call_no body =
-  Syscall.compute t.env ~meter:t.meter t.host t.config.user_cost_per_call;
-  ignore (start_outgoing t ~dst ~msg_type:Segment.Return ~call_no body ~send_burst:true ())
+  Syscall.compute t.env ?meter:t.meter_opt t.host t.config.user_cost_per_call;
+  ignore
+    (start_outgoing t ~dst ~msg_type:Segment.Return ~call_no
+       (encode_message t ~msg_type:Segment.Return ~call_no body)
+       ~send_burst:true ())
 
 let serve t f =
   set_handler t (fun ~src ~call_no body -> reply t ~dst:src ~call_no (f ~src body))
@@ -553,27 +644,25 @@ let touch_exchange t ~src ~call_no =
    window bounds; pruning costs a bounded amount per completion instead
    of growing with the number of calls the endpoint has made. *)
 let prune_incoming t tbl =
-  let stale =
-    Itab.fold
-      (fun key inc acc ->
-        let horizon = completed_of_key t (key lsr 35) - window in
-        if key land 0xFFFFFFFF < horizon && inc.i_complete then key :: acc else acc)
-      tbl []
-  in
-  List.iter (Itab.remove tbl) stale
+  for i = 0 to Itab.slots tbl - 1 do
+    let key = Itab.slot_key tbl i in
+    if key >= 0 then begin
+      let horizon = completed_of_key t (key lsr 35) - window in
+      if key land 0xFFFFFFFF < horizon && (Itab.slot_value tbl i).i_complete then
+        Itab.remove tbl key
+    end
+  done
 
 let prune t =
   if t.max_completed > window then begin
     prune_incoming t t.calls_in;
     if t.return_reach > window then prune_incoming t t.returns_in;
-    let stale_executed =
-      Itab.fold
-        (fun key () acc ->
-          if key land 0xFFFFFFFF < completed_of_key t (key lsr 32) - window then key :: acc
-          else acc)
-        t.executed []
-    in
-    List.iter (Itab.remove t.executed) stale_executed
+    let executed = t.executed in
+    for i = 0 to Itab.slots executed - 1 do
+      let key = Itab.slot_key executed i in
+      if key >= 0 && key land 0xFFFFFFFF < completed_of_key t (key lsr 32) - window then
+        Itab.remove executed key
+    done
   end
 
 let assemble inc =
@@ -622,13 +711,13 @@ let implicit_acks t ~src seg =
        prefix, lower call number. *)
     let prefix = (addr_key src lsl 3) lor mt_tag Segment.Return in
     let cn = cn_int seg.Segment.call_no in
-    let stale =
-      Itab.fold
-        (fun key out acc ->
-          if key lsr 32 = prefix && key land 0xFFFFFFFF < cn then out :: acc else acc)
-        t.outgoing []
-    in
-    List.iter (finish_outgoing t) stale
+    (* Last slot first: the order the acks have always been traced in. *)
+    let outgoing = t.outgoing in
+    for i = Itab.slots outgoing - 1 downto 0 do
+      let key = Itab.slot_key outgoing i in
+      if key >= 0 && key lsr 32 = prefix && key land 0xFFFFFFFF < cn then
+        finish_outgoing t (Itab.slot_value outgoing i)
+    done
   | Segment.Probe | Segment.Probe_ack | Segment.Reject -> ()
 
 let deliver_call t ~src ~call_no body =
@@ -720,7 +809,7 @@ let handle_data t ~src seg =
           send_ack t ~dst:src ~msg_type ~total:inc.i_total ~ack_no:inc.i_ack_no ~call_no;
         if Option.is_none inc.i_parts.(idx) then begin
           inc.i_parts.(idx) <- Some seg.Segment.data;
-          Syscall.compute t.env ~meter:t.meter t.host t.config.user_cost_per_segment;
+          Syscall.compute t.env ?meter:t.meter_opt t.host t.config.user_cost_per_segment;
           while inc.i_ack_no < inc.i_total && Option.is_some inc.i_parts.(inc.i_ack_no) do
             inc.i_ack_no <- inc.i_ack_no + 1
           done
@@ -777,10 +866,10 @@ let handle_segment t ~src seg =
    default) this is the paper's literal select/recvmsg loop, which the
    Table-4.1 measurement benches pin charge for charge. *)
 let rec demux_drain t =
-  (match Syscall.recvmsg t.env ~meter:t.meter t.sock with
+  (match Syscall.recvmsg t.env ?meter:t.meter_opt t.sock with
   | None -> ()
   | Some dgram -> (
-    Syscall.sigblock t.env ~meter:t.meter t.host;
+    Syscall.sigblock t.env ?meter:t.meter_opt t.host;
     (* Adopt the datagram's causal context for everything this
        segment triggers (reassembly completion, delivery,
        implicit acks, the ack we send back). *)
@@ -794,7 +883,7 @@ let rec demux_drain t =
    leave the socket's mailbox however the loop ends: closed, or
    cancelled by a crash. *)
 let demux_loop t () =
-  let sel = Syscall.selector t.env ~meter:t.meter t.sock in
+  let sel = Syscall.selector t.env ?meter:t.meter_opt t.sock in
   Fun.protect ~finally:(fun () -> Syscall.close_selector sel) @@ fun () ->
   while not t.closed do
     Syscall.select_one sel;
@@ -809,6 +898,13 @@ let create env host ?port ?(config = default_config) ?meter () =
       host;
       sock;
       meter;
+      meter_opt = Some meter;
+      seg_user_cost = Some config.user_cost_per_segment;
+      first_retransmit_delay =
+        Float.min
+          (config.retransmit_interval *. (config.retransmit_backoff ** 0.0))
+          config.probe_interval;
+      no_watchdog = Engine.timer (Host.engine host) ignore;
       config;
       engine = Host.engine host;
       counter = 0l;

@@ -58,8 +58,6 @@ val create : Syscall.env -> Host.t -> ?port:int -> ?config:config -> ?meter:Mete
 
 val addr : t -> Addr.t
 val meter : t -> Meter.t
-val host : t -> Host.t
-val env : t -> Syscall.env
 val close : t -> unit
 
 val next_call_no : t -> int32
@@ -77,16 +75,25 @@ type reply = {
           tracing is off. *)
 }
 
-val call_many :
-  t -> dsts:Addr.t list -> ?multicast:bool -> ?call_no:int32 -> bytes -> reply Circus_sim.Mailbox.t
+type replies
+(** The replies of one {!call_many}. *)
+
+val call_many : t -> dsts:Addr.t list -> ?multicast:bool -> ?call_no:int32 -> bytes -> replies
 (** One-to-many call (Figure 4.3): send the same call message, with the
     same call number, to every destination, and stream back one
     {!reply} per destination as return messages arrive or peers are
-    declared crashed.  With [multicast] each segment burst is one
+    declared crashed ({!next_reply}).  With [multicast] each segment burst is one
     multicast transmission instead of one [sendmsg] per destination.
     [call_no] defaults to {!next_call_no}; an explicit one must not
     repeat a number already used with the same destination, whose
     return the endpoint only remembers as delivered. *)
+
+val next_reply : replies -> reply
+(** The next reply of a {!call_many}, in arrival order, blocking until
+    it arrives: as a receive from a mailbox the replies were sent to
+    would, with the same engine events and trace.  There is one reply
+    per destination; asking for more raises [Invalid_argument].  Must
+    run in a fiber. *)
 
 val call : t -> dst:Addr.t -> ?call_no:int32 -> bytes -> bytes
 (** Conventional paired exchange with a single peer.  Blocks until the

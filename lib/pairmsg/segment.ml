@@ -35,68 +35,56 @@ let probe ~call_no = control Probe call_no
 let probe_ack ~call_no = control Probe_ack call_no
 let reject ~call_no = control Reject call_no
 
-(* Encoded once per datagram on the send path: reuse the scratch
-   writer rather than allocating a fresh buffer per segment. *)
+(* A segment is encoded straight from its header fields into bytes
+   of its final size: no writer, and no record for a caller that has
+   the fields at hand. *)
+let write_header b ~msg_type ~please_ack ~ack ~total ~seg_no ~call_no =
+  Bytes.set_uint8 b 0 (msg_type_code msg_type);
+  Bytes.set_uint8 b 1 ((if please_ack then 1 else 0) lor if ack then 2 else 0);
+  Bytes.set_uint8 b 2 (total land 0xff);
+  Bytes.set_uint8 b 3 (seg_no land 0xff);
+  Bytes.set_int32_be b 4 call_no
+
 let encode t =
-  Circus_wire.Buf.with_writer (fun w ->
-      Circus_wire.Buf.write_u8 w (msg_type_code t.msg_type);
-      let bits = (if t.please_ack then 1 else 0) lor if t.ack then 2 else 0 in
-      Circus_wire.Buf.write_u8 w bits;
-      Circus_wire.Buf.write_u8 w t.total;
-      Circus_wire.Buf.write_u8 w t.seg_no;
-      Circus_wire.Buf.write_u32 w t.call_no;
-      Circus_wire.Buf.write_bytes w t.data)
+  let len = Bytes.length t.data in
+  let b = Bytes.create (header_size + len) in
+  write_header b ~msg_type:t.msg_type ~please_ack:t.please_ack ~ack:t.ack ~total:t.total
+    ~seg_no:t.seg_no ~call_no:t.call_no;
+  Bytes.blit t.data 0 b header_size len;
+  b
 
 let decode b =
   if Bytes.length b < header_size then None
   else
-    let r = Circus_wire.Buf.reader b in
-    let type_code = Circus_wire.Buf.read_u8 r in
-    match msg_type_of_code type_code with
+    match msg_type_of_code (Bytes.get_uint8 b 0) with
     | None -> None
     | Some msg_type ->
-      let bits = Circus_wire.Buf.read_u8 r in
-      let total = Circus_wire.Buf.read_u8 r in
-      let seg_no = Circus_wire.Buf.read_u8 r in
-      let call_no = Circus_wire.Buf.read_u32 r in
-      let data = Circus_wire.Buf.read_bytes r (Circus_wire.Buf.remaining r) in
+      let bits = Bytes.get_uint8 b 1 in
       Some
         { msg_type;
           please_ack = bits land 1 = 1;
           ack = bits land 2 = 2;
-          total;
-          seg_no;
-          call_no;
-          data }
+          total = Bytes.get_uint8 b 2;
+          seg_no = Bytes.get_uint8 b 3;
+          call_no = Bytes.get_int32_be b 4;
+          data = Bytes.sub b header_size (Bytes.length b - header_size) }
 
-let pp ppf t =
-  let type_name =
-    match t.msg_type with
-    | Call -> "call"
-    | Return -> "return"
-    | Probe -> "probe"
-    | Probe_ack -> "probe-ack"
-    | Reject -> "reject"
-  in
-  Format.fprintf ppf "%s#%ld %d/%d%s%s (%d bytes)" type_name t.call_no t.seg_no t.total
-    (if t.please_ack then " please-ack" else "")
-    (if t.ack then " ack" else "")
-    (Bytes.length t.data)
-
-let split_message ~mtu body =
+let data_segments ~mtu ~msg_type ~call_no body =
   let seg_size = mtu - header_size in
-  if seg_size <= 0 then invalid_arg "Segment.split_message: mtu too small";
+  if seg_size <= 0 then invalid_arg "Segment.data_segments: mtu too small";
   let len = Bytes.length body in
-  (* Single-segment fast path: every RPC-sized message takes it.  The
-     payload is still copied — callers may reuse [body]'s storage while
-     the segment sits in the retransmit queue. *)
-  if len <= seg_size then [| Bytes.sub body 0 len |]
-  else begin
-    let count = (len + seg_size - 1) / seg_size in
-    if count > 255 then
-      invalid_arg "Segment.split_message: message too long (more than 255 segments)";
-    Array.init count (fun i ->
-        let pos = i * seg_size in
-        let n = min seg_size (len - pos) in
-        Bytes.sub body pos n)
-  end
+  let total = if len = 0 then 1 else (len + seg_size - 1) / seg_size in
+  if total > 255 then
+    invalid_arg "Segment.data_segments: message too long (more than 255 segments)";
+  Array.init total (fun i ->
+      let pos = i * seg_size in
+      let n = min seg_size (len - pos) in
+      let b = Bytes.create (header_size + n) in
+      write_header b ~msg_type ~please_ack:false ~ack:false ~total ~seg_no:(i + 1) ~call_no;
+      Bytes.blit body pos b header_size n;
+      b)
+
+let with_please_ack encoded =
+  let b = Bytes.copy encoded in
+  Bytes.set_uint8 b 1 (Bytes.get_uint8 b 1 lor 1);
+  b

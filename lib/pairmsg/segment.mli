@@ -43,9 +43,13 @@ val decode : bytes -> t option
 (** [None] on malformed datagrams (treated as lost, per the checksum
     assumption of §2.2). *)
 
-val pp : Format.formatter -> t -> unit
+val data_segments : mtu:int -> msg_type:msg_type -> call_no:int32 -> bytes -> bytes array
+(** The message body as encoded data segments, in order, each a
+    datagram of at most [mtu] bytes: [encode] of the {!data_segment}s
+    of the body's consecutive pieces of at most [mtu - header_size]
+    bytes, without please-ack.  An empty body is one empty segment.
+    Raises [Invalid_argument] if the message needs more than 255
+    segments.  The datagrams share nothing with [body]. *)
 
-val split_message : mtu:int -> bytes -> bytes array
-(** Split a message body into at most 255 segment payloads of at most
-    [mtu - header_size] bytes.  Raises [Invalid_argument] if the
-    message needs more than 255 segments. *)
+val with_please_ack : bytes -> bytes
+(** A copy of an encoded segment with its please-ack bit set. *)

@@ -42,12 +42,14 @@ type listener = {
 }
 
 let frame ~kind ?(seq = 0l) ?(last = false) ?(port = 0) payload =
-  Buf.with_writer (fun w ->
+  Buf.with_writer
+    (fun w payload ->
       Buf.write_u8 w kind;
       Buf.write_u32 w seq;
       Buf.write_u8 w (if last then 1 else 0);
       Buf.write_u16 w port;
       Buf.write_bytes w payload)
+    payload
 
 let parse b =
   if Bytes.length b < 8 then None

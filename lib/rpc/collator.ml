@@ -141,5 +141,3 @@ let weighted_quorum ~weights ~threshold ~total replies =
         else scan rest)
   in
   scan replies
-
-let custom f = f

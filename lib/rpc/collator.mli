@@ -45,7 +45,3 @@ val weighted_quorum : weights:(Addr.module_addr * int) list -> threshold:int -> 
     weight (default 1 when unlisted); a message is accepted once the
     weights of its identical copies reach [threshold], and refused with
     {!No_majority} as soon as no message can still reach it. *)
-
-val custom : (total:int -> reply Seq.t -> Rpc_msg.return_msg) -> t
-(** An application-specific collator (§7.4): the temperature-averaging
-    server of Figure 7.7 is the canonical example. *)

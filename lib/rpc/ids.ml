@@ -5,17 +5,6 @@ module Thread_id = struct
 
   let equal a b = a.origin = b.origin && a.pid = b.pid
 
-  let compare a b =
-    let c = Int.compare a.origin b.origin in
-    if c <> 0 then c else Int.compare a.pid b.pid
-
-  let pp ppf t = Format.fprintf ppf "t%d.%d" t.origin t.pid
-
-  let codec =
-    Codec.map
-      (fun (origin, pid) -> { origin; pid })
-      (fun { origin; pid } -> (origin, pid))
-      (Codec.pair Codec.int Codec.int)
 end
 
 module Troupe_id = struct
@@ -23,7 +12,6 @@ module Troupe_id = struct
 
   let none = 0L
   let equal = Int64.equal
-  let pp ppf t = Format.fprintf ppf "troupe#%Ld" t
   let codec = Codec.int64
 
   (* Sequential ids in a seed-distinguished namespace: unique across

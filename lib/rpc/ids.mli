@@ -14,9 +14,6 @@ module Thread_id : sig
   type t = { origin : Circus_net.Addr.host_id; pid : int }
 
   val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
-  val codec : t Circus_wire.Codec.t
 end
 
 module Troupe_id : sig
@@ -27,7 +24,6 @@ module Troupe_id : sig
       server expects exactly one call message. *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
   val codec : t Circus_wire.Codec.t
 
   val generator : seed:int -> unit -> t

@@ -111,7 +111,6 @@ let root_tag (thread : Ids.Thread_id.t) =
 let meter t = Endpoint.meter t.endpoint
 let host t = t.host
 let addr t = Endpoint.addr t.endpoint
-let close t = Endpoint.close t.endpoint
 let thread_id ctx = ctx.thread
 let call_tag ctx = ctx.tag
 let runtime ctx = ctx.rt
@@ -157,14 +156,20 @@ let send_encoded t ~dst ~pair_no enc =
 let send_return t ~dst ~pair_no msg =
   send_encoded t ~dst ~pair_no (Codec.encode Rpc_msg.return_codec msg)
 
-let reply_waiters t m2o enc =
-  List.iter
-    (fun (src, pair_no) ->
-      if not (List.exists (Addr.equal src) m2o.m2o_replied) then begin
-        m2o.m2o_replied <- src :: m2o.m2o_replied;
-        send_encoded t ~dst:src ~pair_no enc
-      end)
-    m2o.m2o_received
+let rec mem_addr a = function [] -> false | b :: rest -> Addr.equal a b || mem_addr a rest
+
+let rec called a = function
+  | [] -> false
+  | (b, _) :: rest -> Addr.equal a b || called a rest
+
+let rec reply_waiters t m2o enc = function
+  | [] -> ()
+  | (src, pair_no) :: rest ->
+    if not (mem_addr src m2o.m2o_replied) then begin
+      m2o.m2o_replied <- src :: m2o.m2o_replied;
+      send_encoded t ~dst:src ~pair_no enc
+    end;
+    reply_waiters t m2o enc rest
 
 (* Two call messages belong to the same replicated call iff they bear
    the same thread ID and call sequence number (§4.3.2).  The identity
@@ -197,6 +202,12 @@ let cancel_straggler m2o =
 let[@inline] is_waiting m2o =
   match m2o.m2o_state with Waiting -> true | Executing | Done _ -> false
 
+let trace_execute_end scope key value =
+  match scope with
+  | Some (host, fiber) ->
+    Trace.span_end ~cat:"rpc" ~host ~fiber ~args:[ (key, Tev.Bool value) ] "execute"
+  | None -> ()
+
 let rec execute t export m2o =
   if is_waiting m2o then begin
     m2o.m2o_state <- Executing;
@@ -205,13 +216,6 @@ let rec execute t export m2o =
     (* The server process adopts the caller's thread ID for the duration
        of the execution (§3.4.1). *)
     let ctx = { thread = call.Rpc_msg.thread; tag = call.Rpc_msg.seq; next_seq = 0; rt = t } in
-    let run () =
-      match export.dispatch with
-      | Simple f -> f ctx ~proc_no:call.Rpc_msg.proc_no call.Rpc_msg.args
-      | Collated f ->
-        let args_in_arrival_order = List.rev m2o.m2o_args in
-        f ctx ~proc_no:call.Rpc_msg.proc_no ~expected:m2o.m2o_expected args_in_arrival_order
-    in
     (* The server-side execution as a span on this host's track; the
        fiber scope keeps concurrent executions on one host properly
        nested. *)
@@ -231,27 +235,27 @@ let rec execute t export m2o =
       else None
     in
     if Causal.on () then ignore (Causal.step ~host:(Host.id t.host) "exec");
-    let trace_end ?args () =
-      match trace_scope with
-      | Some (host, fiber) -> Trace.span_end ~cat:"rpc" ~host ~fiber ?args "execute"
-      | None -> ()
-    in
     let result =
-      match run () with
+      match
+        match export.dispatch with
+        | Simple f -> f ctx ~proc_no:call.Rpc_msg.proc_no call.Rpc_msg.args
+        | Collated f ->
+          let args_in_arrival_order = List.rev m2o.m2o_args in
+          f ctx ~proc_no:call.Rpc_msg.proc_no ~expected:m2o.m2o_expected args_in_arrival_order
+      with
       | body -> Rpc_msg.Ok_result body
       | exception Remote_error e -> Rpc_msg.App_error e
       | exception Fiber.Cancelled ->
-        trace_end ~args:[ ("cancelled", Tev.Bool true) ] ();
+        trace_execute_end trace_scope "cancelled" true;
         raise Fiber.Cancelled
       | exception e -> Rpc_msg.App_error (Printexc.to_string e)
     in
-    trace_end
-      ~args:[ ("ok", Tev.Bool (match result with Rpc_msg.Ok_result _ -> true | _ -> false)) ]
-      ();
+    trace_execute_end trace_scope "ok"
+      (match result with Rpc_msg.Ok_result _ -> true | _ -> false);
     if Causal.on () then ignore (Causal.step ~host:(Host.id t.host) "exec_done");
     let enc = Codec.encode Rpc_msg.return_codec result in
     m2o.m2o_state <- Done enc;
-    reply_waiters t m2o enc;
+    reply_waiters t m2o enc m2o.m2o_received;
     (match export.policy with
     | First_come { broadcast = true } -> (
       (* Send the return to the whole client troupe so that slow members
@@ -261,7 +265,7 @@ let rec execute t export m2o =
       | Some members, (_, pair_no) :: _ ->
         List.iter
           (fun member ->
-            if not (List.exists (Addr.equal member) m2o.m2o_replied) then begin
+            if not (mem_addr member m2o.m2o_replied) then begin
               m2o.m2o_replied <- member :: m2o.m2o_replied;
               send_encoded t ~dst:member ~pair_no enc
             end)
@@ -339,7 +343,7 @@ let handle_reserved t ~src ~pair_no (call : Rpc_msg.call) export =
 (* Add a member's call message to its many-to-one call, and execute
    the call once the export's policy says enough members have called. *)
 let join_m2o t export ~src ~pair_no (call : Rpc_msg.call) m2o ~fresh =
-  if not (List.exists (fun (a, _) -> Addr.equal a src) m2o.m2o_received) then begin
+  if not (called src m2o.m2o_received) then begin
     m2o.m2o_received <- (src, pair_no) :: m2o.m2o_received;
     if is_waiting m2o then m2o.m2o_args <- call.Rpc_msg.args :: m2o.m2o_args
   end;
@@ -512,6 +516,59 @@ let causal_vote t r_ctx =
       ignore (Causal.step ~parent ~host:(Host.id t.host) "vote")
   end
 
+let call_message ctx t (troupe : Troupe.t) ~call_seq ~proc_no ~module_no args =
+  Codec.encode Rpc_msg.call_codec
+    { Rpc_msg.thread = ctx.thread;
+      seq = call_seq;
+      client_troupe = t.self_troupe;
+      server_troupe = troupe.Troupe.id;
+      module_no;
+      proc_no;
+      args }
+
+let rec member_of members from =
+  match members with
+  | [] -> raise Not_found
+  | (m : Addr.module_addr) :: rest ->
+    if Addr.equal m.Addr.process from then m else member_of rest from
+
+let reply_of members { Endpoint.from; result; _ } =
+  let message = match result with Ok body -> decode_return body | Error _ -> None in
+  { Collator.from = member_of members from; message }
+
+(* The replies of a uniform troupe call, in arrival order, as the
+   collator's sequence.  Node [i] is built when first forced and kept in
+   [g_nodes], so the sequence is persistent (a watchdog walks it again)
+   for the cost of a cons, a reply and one thunk per member. *)
+type replies_seq = {
+  g_rt : t;
+  g_members : Addr.module_addr list;
+  g_replies : Endpoint.replies;
+  g_nodes : Collator.reply Seq.node array;  (* [0, forced) built *)
+  mutable g_forced : int;
+}
+
+let rec force g i () =
+  if i < g.g_forced then g.g_nodes.(i)
+  else begin
+    let node =
+      if i = Array.length g.g_nodes - 1 then Seq.Nil
+      else begin
+        let r = Endpoint.next_reply g.g_replies in
+        causal_vote g.g_rt r.Endpoint.reply_ctx;
+        Seq.Cons (reply_of g.g_members r, force g (i + 1))
+      end
+    in
+    g.g_nodes.(i) <- node;
+    g.g_forced <- i + 1;
+    node
+  end
+
+let rec in_module module_no (members : Addr.module_addr list) =
+  match members with
+  | [] -> true
+  | m :: rest -> m.Addr.module_no = module_no && in_module module_no rest
+
 let call_troupe_gen ctx (troupe : Troupe.t) ~proc_no ?(multicast = false) args =
   let t = ctx.rt in
   (* A call site with no ambient context (bench drivers, tests calling
@@ -534,50 +591,24 @@ let call_troupe_gen ctx (troupe : Troupe.t) ~proc_no ?(multicast = false) args =
           ("seq", Tev.I64 call_seq) ]
       "call";
   let total = Troupe.size troupe in
-  let call_for module_no =
-    { Rpc_msg.thread = ctx.thread;
-      seq = call_seq;
-      client_troupe = t.self_troupe;
-      server_troupe = troupe.Troupe.id;
-      module_no;
-      proc_no;
-      args }
-  in
-  let member_of members from =
-    List.find (fun (m : Addr.module_addr) -> Addr.equal m.Addr.process from) members
-  in
-  let reply_of members { Endpoint.from; result; _ } =
-    let message = match result with Ok body -> decode_return body | Error _ -> None in
-    { Collator.from = member_of members from; message }
-  in
   (* Members of a troupe may export the interface under different module
      numbers; group members whose call messages are identical so each
      group can share one (possibly multicast) transmission.  Uniform
      troupes — every member under one module number, which is every
      singleton and almost every real troupe — take a direct path: the
-     caller consumes the endpoint's reply mailbox itself, decoding
-     inline, with no merge fiber and no second mailbox hop per reply. *)
-  let uniform =
-    match troupe.Troupe.members with
-    | [] -> true
-    | m0 :: rest -> List.for_all (fun (m : Addr.module_addr) -> m.Addr.module_no = m0.Addr.module_no) rest
-  in
-  if uniform then begin
-    let members = troupe.Troupe.members in
-    let module_no = match members with m0 :: _ -> m0.Addr.module_no | [] -> 0 in
-    let payload = Codec.encode Rpc_msg.call_codec (call_for module_no) in
-    let dsts = List.map (fun (m : Addr.module_addr) -> m.Addr.process) members in
+     caller consumes the endpoint's replies itself, decoding inline,
+     with no merge fiber and no mailbox hop per reply. *)
+  let members = troupe.Troupe.members in
+  let module_no = match members with m0 :: _ -> m0.Addr.module_no | [] -> 0 in
+  if in_module module_no members then begin
+    let payload = call_message ctx t troupe ~call_seq ~proc_no ~module_no args in
+    let dsts = Troupe.member_processes troupe in
     let replies = Endpoint.call_many t.endpoint ~dsts ~multicast ~call_no:pair_no payload in
-    let rec take k () =
-      if k = 0 then Seq.Nil
-      else
-        match Mailbox.recv replies with
-        | Some r ->
-          causal_vote t r.Endpoint.reply_ctx;
-          Seq.Cons (reply_of members r, take (k - 1))
-        | None -> Seq.Nil
+    let g =
+      { g_rt = t; g_members = members; g_replies = replies;
+        g_nodes = Array.make (total + 1) Seq.Nil; g_forced = 0 }
     in
-    (total, Seq.memoize (take total))
+    (total, force g 0)
   end
   else begin
     let merged = Mailbox.create t.engine in
@@ -586,19 +617,18 @@ let call_troupe_gen ctx (troupe : Troupe.t) ~proc_no ?(multicast = false) args =
       (fun (m : Addr.module_addr) ->
         let existing = try Hashtbl.find groups m.Addr.module_no with Not_found -> [] in
         Hashtbl.replace groups m.Addr.module_no (m :: existing))
-      troupe.Troupe.members;
+      members;
     Hashtbl.iter
       (fun module_no members ->
-        let payload = Codec.encode Rpc_msg.call_codec (call_for module_no) in
+        let payload = call_message ctx t troupe ~call_seq ~proc_no ~module_no args in
         let dsts = List.map (fun (m : Addr.module_addr) -> m.Addr.process) members in
         let replies = Endpoint.call_many t.endpoint ~dsts ~multicast ~call_no:pair_no payload in
         ignore
           (Host.spawn t.host ~label:"rpc.merge" (fun () ->
                List.iter
                  (fun _ ->
-                   match Mailbox.recv replies with
-                   | Some r -> Mailbox.send merged (r.Endpoint.reply_ctx, reply_of members r)
-                   | None -> ())
+                   let r = Endpoint.next_reply replies in
+                   Mailbox.send merged (r.Endpoint.reply_ctx, reply_of members r))
                  members)))
       groups;
     let rec take k () =

@@ -47,8 +47,6 @@ type config = {
   retention : float;  (** how long finished calls answer stragglers *)
 }
 
-val default_config : config
-
 type t
 type ctx
 (** A thread-of-control context: the current thread ID plus this
@@ -60,10 +58,8 @@ val create :
   Syscall.env -> Host.t -> ?port:int -> ?config:config -> ?meter:Meter.t ->
   ?pairmsg_config:Endpoint.config -> unit -> t
 
-val meter : t -> Meter.t
 val host : t -> Host.t
 val addr : t -> Addr.t
-val close : t -> unit
 
 val thread_id : ctx -> Ids.Thread_id.t
 (** The distributed thread of control this context belongs to (§3.4.1):

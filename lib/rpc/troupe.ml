@@ -18,11 +18,6 @@ let singleton m = { id = Ids.Troupe_id.none; members = [ m ] }
 let size t = List.length t.members
 let member_processes t = List.map (fun m -> m.Addr.process) t.members
 
-let pp ppf t =
-  Format.fprintf ppf "%a{%a}" Ids.Troupe_id.pp t.id
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") Addr.pp_module)
-    t.members
-
 let module_addr_codec =
   Codec.map
     (fun (host, port, module_no) ->

@@ -17,6 +17,5 @@ val singleton : Addr.module_addr -> t
 
 val size : t -> int
 val member_processes : t -> Addr.t list
-val pp : Format.formatter -> t -> unit
 val codec : t Circus_wire.Codec.t
 val module_addr_codec : Addr.module_addr Circus_wire.Codec.t

@@ -20,13 +20,15 @@ type process =
           sinusoidally with [period] s (trough at t = 0), sampled by
           Lewis–Shedler thinning. *)
 
-val validate : process -> (unit, string) result
-
 type t
 
 val create : ?start:float -> Prng.t -> process -> t
 (** Generator whose first arrival falls after [start] (default 0).
-    Raises [Invalid_argument] if {!validate} rejects the process. *)
+    Raises [Invalid_argument] if the process cannot fire: a Poisson
+    rate not positive; an on/off process with a negative rate, a phase
+    mean not positive, or no phase that fires; a diurnal ramp with a
+    negative base, a peak below the base or not positive, or a period
+    not positive. *)
 
 val next : t -> float
 (** The next absolute arrival time; strictly increasing. *)

@@ -73,5 +73,3 @@ let await_timeout engine t duration =
                  w.timer <- None;
                  wake (Ok `Timeout)
                end)))
-
-let waiters t = List.length (List.filter (fun w -> w.active) t.queue)

@@ -19,5 +19,3 @@ val signal : t -> unit
 
 val broadcast : t -> unit
 (** Wake all current waiters. *)
-
-val waiters : t -> int

@@ -255,8 +255,10 @@ let[@inline] head_time t =
    suspend/schedule/resume machinery entirely.  Refused beyond a
    [run ~until] horizon so bounded runs still stop at their boundary.
    The caller passes the delay, not the target, so a build without
-   cross-module inlining boxes no computed float for the call. *)
-let try_advance t ~delay =
+   cross-module inlining boxes no computed float for the call; a build
+   with it inlines this into [Fiber.sleep_busy], whose delay then stays
+   unboxed from the CPU charge that computed it. *)
+let[@inline] try_advance t ~delay =
   let clock = t.clock in
   let target = clock.now +. delay in
   target <= clock.horizon

@@ -43,21 +43,23 @@ type t = {
   (* [fun () -> cancel_requested], built once: [sleep_busy] hands it to
      every [Engine.sleep_drain]. *)
   cancelled : unit -> bool;
+  (* The fiber's own payload-free park ([own_park]), or [unset ()]
+     until its first use, and the abort work of its current parking
+     ([park_own]). *)
+  mutable own : unit park;
+  mutable own_abort : unit -> unit;
 }
-
-(* The empty value of [sleep_k] and of a park's [k] and [v]: an
-   immediate, compared by identity, never continued or returned. *)
-let unset () = Obj.magic 0
 
 (* A suspension point one fiber parks on again and again (see [park]).
    What a [suspend] allocates per parking is built once here: [fired]
    stands for the waker's one-shot ref, [parked] is the fiber's
-   [Suspended] state, [slot] is the resume event a [kick] schedules,
-   [wake] the one an [unpark] schedules, [eff] the performed effect and
-   [on_park] its handler.  Per parking only the continuation is stored,
-   into [k], where it stays while the fiber stays parked; an [unpark]'s
-   value waits in [v] for its resume event. *)
-type 'a park = {
+   [Suspended] state, [resume] is the engine timer that an [unpark] or
+   a [kick] re-arms as its resume event ([polling] tells the two
+   apart), [eff] the performed effect and [on_park] its handler.  Per
+   parking only the continuation is stored, into [k], where it stays
+   while the fiber stays parked; an [unpark]'s value waits in [v] for
+   its resume event. *)
+and 'a park = {
   owner : t;
   arm : unit -> unit;
   poll : unit -> 'a option;
@@ -69,17 +71,22 @@ type 'a park = {
   mutable fired : bool;
   mutable v : 'a;
   parked : state;
-  slot : unit -> unit;
-  wake : unit -> unit;
+  (* Idle whenever the fiber parks: its last arming ran the fiber
+     before it could park again. *)
+  mutable resume : Engine.handle;
+  mutable polling : bool;
   eff : 'a Effect.t;
   on_park : (('a, unit) Effect.Deep.continuation -> unit) option;
 }
+
+(* The empty value of [sleep_k], of [own] and of a park's [k] and [v]:
+   an immediate, compared by identity, never continued or returned. *)
+let unset () = Obj.magic 0
 
 type _ Effect.t +=
   | Suspend : ('a waker -> unit) * (unit -> unit) -> 'a Effect.t
   | Park : 'a park -> 'a Effect.t
   | Sleep : unit Effect.t
-  | Self : t Effect.t
 
 (* The fiber currently executing, if any.  Maintained by every site
    that transfers control onto a fiber stack ([match_with] at spawn,
@@ -89,7 +96,8 @@ type _ Effect.t +=
    fiber B is resumed by an event executing on fiber A's stack.  This
    makes [self] a load instead of an [Effect.perform] round-trip — the
    single hottest operation in the simulation, performed once per CPU
-   charge.  The [Self] effect remains as a correctness fallback.
+   charge.  Outside a fiber there is no current fiber, and [self]
+   raises.
 
    Domain-local, not global: the parallel engine runs one logical
    process per domain, and each domain has its own currently-executing
@@ -121,6 +129,8 @@ let () =
       match !(Domain.DLS.get current) with
       | Some f -> f.ctx <- c
       | None -> Domain.DLS.get ambient_fallback := c)
+
+let no_cleanup () = ()
 
 let uncaught fiber e =
   Printf.eprintf "fiber %d (%s): uncaught exception\n%!" fiber.id fiber.label_;
@@ -231,7 +241,9 @@ let spawn engine ?(label = "fiber") f =
       some_self = Some fiber;
       sleep_k = unset ();
       nap = { nap_s = 0.0 };
-      cancelled = (fun () -> fiber.cancel_requested) }
+      cancelled = (fun () -> fiber.cancel_requested);
+      own = unset ();
+      own_abort = no_cleanup }
   in
   (* Built once per fiber, so a sleep allocates no event, closure, ref,
      option or state: the timer's expiry resumes whatever continuation
@@ -266,10 +278,9 @@ let spawn engine ?(label = "fiber") f =
           finish fiber;
           match e with Cancelled -> () | e -> uncaught fiber e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Self ->
-            Some (fun (k : (a, unit) Effect.Deep.continuation) -> Effect.Deep.continue k fiber)
           | Sleep -> on_sleep
           | Suspend (register, on_abort) ->
             Some
@@ -309,11 +320,10 @@ let spawn engine ?(label = "fiber") f =
   fiber
 
 let self () =
-  match !(Domain.DLS.get current) with Some f -> f | None -> Effect.perform Self
-let engine () = (self ()).engine_
-let label t = t.label_
+  match !(Domain.DLS.get current) with
+  | Some f -> f
+  | None -> invalid_arg "Fiber.self: not in a fiber"
 let id t = t.id
-let no_cleanup () = ()
 let suspend ?(on_abort = no_cleanup) register = Effect.perform (Suspend (register, on_abort))
 
 let park_create ~arm ~poll ~on_abort =
@@ -327,8 +337,8 @@ let park_create ~arm ~poll ~on_abort =
       fired = true;
       v = unset ();
       parked = Suspended (fun e -> if not p.fired then abort_parked p e);
-      slot = (fun () -> poll_slot p);
-      wake = (fun () -> unpark_slot p);
+      resume = Engine.timer owner.engine_ ignore;
+      polling = false;
       eff = Park p;
       on_park =
         Some
@@ -336,23 +346,52 @@ let park_create ~arm ~poll ~on_abort =
             p.k <- k;
             repark p) }
   in
+  p.resume <- Engine.timer owner.engine_ (fun () -> if p.polling then poll_slot p else unpark_slot p);
   p
 
 let park p =
   if p.owner != self () then invalid_arg "Fiber.park: not the park's fiber";
   Effect.perform p.eff
 
+(* Built on first use, so only fibers that wait this way pay for it;
+   it is the one young value ever stored into [own]. *)
+let own_park () =
+  let fiber = self () in
+  if fiber.own == unset () then
+    fiber.own <-
+      park_create ~arm:ignore
+        ~poll:(fun () -> None)
+        ~on_abort:(fun () -> fiber.own_abort ());
+  fiber.own
+
+(* [on_abort] is kept in the (old) fiber record: a closure built once
+   with a long-lived object costs no remembered-set entry there, where a
+   per-wait closure would, and it is stored only when it changes, since
+   every store into an old record goes through the write barrier.  A
+   stale one is harmless: it is only run when a later parking on the
+   own park is aborted, and [park] parkings that need none pass
+   [no_cleanup] through [park_own] or run it against state (a mailbox's
+   linked waiters) that holds nothing of theirs. *)
+let park_own p ~on_abort =
+  let fiber = p.owner in
+  if fiber.own_abort != on_abort then fiber.own_abort <- on_abort;
+  park p
+
+let is_parked p = not p.fired
+
 let unpark p v =
   if not p.fired then begin
     p.fired <- true;
     p.v <- v;
-    ignore (Engine.schedule p.owner.engine_ ~delay:0.0 p.wake)
+    p.polling <- false;
+    Engine.rearm p.owner.engine_ p.resume ~delay:0.0
   end
 
 let kick p =
   if not p.fired then begin
     p.fired <- true;
-    ignore (Engine.schedule p.owner.engine_ ~delay:0.0 p.slot)
+    p.polling <- true;
+    Engine.rearm p.owner.engine_ p.resume ~delay:0.0
   end
 
 let ff_streak_cap = 1024
@@ -378,38 +417,19 @@ let sleep duration =
     Effect.perform Sleep
   end
 
-(* [sleep_busy]'s clock-jump fast path as a predicate, for callers that
-   advance through a run of derived instants ([Host.charge_span]): when
-   nothing is due before the target, jump the clock and report [true];
-   otherwise leave the clock untouched and report [false], in which case
-   the caller must fall back to a real [sleep_busy].  The fiber is
-   passed explicitly so a burst of K advances pays one [self] lookup,
-   not K.  Guards and accounting (cancellation, fast-forward streak)
-   are exactly [sleep_busy]'s, so a span of charges advanced this way
-   is observationally identical to the same charges each ending in
-   their own [sleep_busy]. *)
-let try_fast_sleep fiber duration =
-  let eng = fiber.engine_ in
-  if
-    duration > 0.0
-    && (not fiber.cancel_requested)
-    && fiber.ff_streak < ff_streak_cap
-    && Engine.try_advance eng ~delay:duration
-  then begin
-    fiber.ff_streak <- fiber.ff_streak + 1;
-    true
-  end
-  else false
+let nap fiber = fiber.nap
 
-(* CPU-charge sleep ([Host.use_cpu]): same contract as [sleep], but when
-   other events are due before the deadline, execute them inline on this
-   stack ([Engine.sleep_drain]) instead of suspending around them.  The
-   event order is exactly what the engine loop would have produced; the
-   win is skipping the park/resume pair for the most frequent sleep in
-   the simulation.  Falls back to the suspending path on cancellation,
-   drain-budget exhaustion, or a deadline beyond an enclosing drain. *)
-let sleep_busy duration =
-  let fiber = self () in
+(* CPU-charge sleep ([Host.use_cpu]) of the duration in the fiber's
+   [nap], where the charge stored it unboxed: same contract as [sleep],
+   but when other events are due before the deadline, execute them
+   inline on this stack ([Engine.sleep_drain]) instead of suspending
+   around them.  The event order is exactly what the engine loop would
+   have produced; the win is skipping the park/resume pair for the most
+   frequent sleep in the simulation.  Falls back to the suspending path
+   on cancellation, drain-budget exhaustion, or a deadline beyond an
+   enclosing drain. *)
+let sleep_busy fiber =
+  let duration = fiber.nap.nap_s in
   let eng = fiber.engine_ in
   let target = Engine.now eng +. duration in
   if

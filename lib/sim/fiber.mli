@@ -7,7 +7,8 @@
 
     All blocking operations ({!sleep}, {!suspend}, and everything in
     {!Mailbox} and {!Condition}) must be called from inside a fiber;
-    calling them elsewhere raises [Effect.Unhandled]. *)
+    calling them elsewhere raises [Invalid_argument] (or, for those
+    that need no current fiber, [Effect.Unhandled]). *)
 
 type t
 (** A spawned fiber. *)
@@ -27,33 +28,30 @@ val spawn : Engine.t -> ?label:string -> (unit -> unit) -> t
     and label, then re-raised, aborting the run. *)
 
 val self : unit -> t
-(** The currently executing fiber. *)
+(** The currently executing fiber.  Raises [Invalid_argument] outside
+    a fiber (in engine callbacks that run no fiber, or before
+    {!Engine.run}). *)
 
-val engine : unit -> Engine.t
-(** Engine of the current fiber. *)
-
-val label : t -> string
 val id : t -> int
 
-val sleep_busy : float -> unit
-(** Like {!sleep}, for the CPU-charge pattern ({!val:sleep} callers that
-    model busy time, i.e. [Host.use_cpu]): when other events are due
-    before the deadline, execute them inline on this fiber's stack
-    ({!Engine.sleep_drain}) instead of suspending around them.  Event
-    order and the virtual clock behave exactly as with {!sleep}. *)
+type nap = { mutable nap_s : float }
+(** A duration in a record of floats only, which OCaml lays out flat:
+    storing a computed float into it allocates no box. *)
+
+val nap : t -> nap
+(** The fiber's duration slot, which {!sleep_busy} reads. *)
+
+val sleep_busy : t -> unit
+(** [sleep_busy fiber], [fiber] the current fiber, is like {!sleep} of
+    the duration in [nap fiber], for the CPU-charge pattern
+    ([Host.use_cpu], whose computed charge thus crosses into this
+    module unboxed): when other events are due before the deadline,
+    execute them inline on this fiber's stack ({!Engine.sleep_drain})
+    instead of suspending around them.  Event order and the virtual
+    clock behave exactly as with {!sleep}. *)
 
 val sleep : float -> unit
 (** Block for a duration of virtual time. *)
-
-val try_fast_sleep : t -> float -> bool
-(** [try_fast_sleep fiber d] is {!sleep_busy}'s clock-jump fast path as
-    a predicate: if nothing is due before [now + d] (and the fiber is
-    neither cancelled nor over its fast-forward streak), jump the clock
-    there and return [true]; otherwise leave the clock untouched and
-    return [false] — the caller must then perform a real {!sleep_busy}
-    for the same duration.  Used by [Host.charge_span] to advance
-    through a burst of derived charge instants with at most one real
-    sleep.  [fiber] must be the currently executing fiber. *)
 
 val suspend : ?on_abort:(unit -> unit) -> ('a waker -> unit) -> 'a
 (** [suspend register] blocks the current fiber and calls [register]
@@ -91,6 +89,29 @@ val unpark : 'a park -> 'a -> unit
 (** [unpark p v] resumes the parked fiber with [v] — a {!suspend}
     waker called with [Ok v].  The first of {!unpark}, {!kick} and an
     abort wins; the others are no-ops until the fiber parks again. *)
+
+val own_park : unit -> unit park
+(** The calling fiber's own park, built on its first call: no [arm],
+    [poll] or [on_abort] work.  A wait that carries no value parks on
+    it, and whoever ends the wait {!unpark}s it with [()] and leaves
+    anything the waiter needs in a place the waiter reads after it
+    resumes.  A wait on it ({!park} or {!park_own}) makes the same
+    engine calls and trace events as a {!suspend} woken by [Ok ()], and
+    allocates only its continuation. *)
+
+val park_own : unit park -> on_abort:(unit -> unit) -> unit
+(** [park_own p ~on_abort] parks on [p], the current fiber's
+    {!own_park}, with [on_abort] as the parking's abort work
+    ({!suspend}'s): it runs if cancellation aborts this parking, before
+    {!Cancelled} is raised here.  Pass a closure built once (a
+    long-lived object's), not one per wait.  It stays with the fiber
+    until another [park_own] replaces it, so the abort of a later
+    {!park} on [p] runs it too: it must do nothing outside its own
+    parking. *)
+
+val is_parked : 'a park -> bool
+(** Whether the park's fiber is parked on it and nothing has woken or
+    aborted the parking yet: whether an {!unpark} would resume it. *)
 
 val kick : 'a park -> unit
 (** Schedule the delay-0 resume event that [unpark] would, but run

@@ -33,3 +33,19 @@ val iter : (int -> 'a -> unit) -> 'a t -> unit
     not add bindings; removing the visited binding is allowed. *)
 
 val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+(** Fold over live bindings in the order {!iter} visits them. *)
+
+(** {2 Slots}
+
+    Closure-free scans for hot paths: a loop over [0 .. slots t - 1]
+    visits the bindings in {!iter}'s order.  Removing the binding of
+    the slot being visited is allowed; adding bindings is not. *)
+
+val slots : 'a t -> int
+(** The number of slots (the capacity). *)
+
+val slot_key : 'a t -> int -> int
+(** The key in a slot, or a negative number if it holds no binding. *)
+
+val slot_value : 'a t -> int -> 'a
+(** The value in a slot whose {!slot_key} is non-negative. *)

@@ -14,6 +14,10 @@ type 'a waiter = {
      extra ref cell on the hot receive path. *)
   mutable wake : 'a option Fiber.waker;
   mutable timer : Engine.handle option;
+  (* A receiver without a timeout parks on its fiber's own park instead
+     ([park]); [send] leaves the item in [item] and unparks it. *)
+  mutable park : unit Fiber.park option;
+  mutable item : 'a option;
 }
 
 let dummy_wake _ = ()
@@ -29,13 +33,14 @@ type 'a t = {
   mutable waiting : int;
   mutable watchers : watcher list;
   mutable next_watcher : int;
+  (* The abort work of a parked receiver ([recv] without a timeout),
+     built once: unlink the waiter whose parking was aborted. *)
+  mutable retire_aborted : unit -> unit;
 }
 
-let create engine =
-  let rec head = { linked = false; prev = head; next = head; wake = dummy_wake; timer = None } in
-  { engine; items = Queue.create (); head; waiting = 0; watchers = []; next_watcher = 0 }
-
-let waiter t = { linked = false; prev = t.head; next = t.head; wake = dummy_wake; timer = None }
+let waiter t =
+  { linked = false; prev = t.head; next = t.head; wake = dummy_wake; timer = None; park = None;
+    item = None }
 
 let link t w =
   let last = t.head.prev in
@@ -73,6 +78,27 @@ let retire t w =
     | None -> ()
   end
 
+(* The one linked waiter whose park no longer holds its fiber: a parked
+   receiver is unlinked before anything else wakes its park, so only an
+   abort leaves one behind. *)
+let rec retire_aborted t w =
+  if w != t.head then
+    match w.park with
+    | Some p when not (Fiber.is_parked p) -> unlink t w
+    | Some _ | None -> retire_aborted t w.next
+
+let create engine =
+  let rec head =
+    { linked = false; prev = head; next = head; wake = dummy_wake; timer = None; park = None;
+      item = None }
+  in
+  let t =
+    { engine; items = Queue.create (); head; waiting = 0; watchers = []; next_watcher = 0;
+      retire_aborted = ignore }
+  in
+  t.retire_aborted <- (fun () -> retire_aborted t t.head.next);
+  t
+
 let expire t w () =
   if w.linked then begin
     unlink t w;
@@ -85,7 +111,11 @@ let send t v =
      let w = t.head.next in
      unlink t w;
      (match w.timer with Some h -> Engine.cancel h | None -> ());
-     w.wake (Ok (Some v))
+     match w.park with
+     | Some p ->
+       w.item <- Some v;
+       Fiber.unpark p ()
+     | None -> w.wake (Ok (Some v))
    end
    else Queue.push v t.items);
   match t.watchers with
@@ -98,6 +128,17 @@ let try_recv t = Queue.take_opt t.items
 let recv ?timeout t =
   match Queue.take_opt t.items with
   | Some v -> Some v
+  | None when Option.is_none timeout ->
+    (* The waiter is linked before the parking starts, where the
+       [suspend] below links it in its [register]: nothing runs in
+       between, and a parking that cancellation aborts at once unlinks
+       it again, as that [suspend] would never have linked it. *)
+    let p = Fiber.own_park () in
+    let w = waiter t in
+    w.park <- Some p;
+    link t w;
+    Fiber.park_own p ~on_abort:t.retire_aborted;
+    w.item
   | None ->
     let w = waiter t in
     Fiber.suspend

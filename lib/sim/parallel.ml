@@ -93,11 +93,9 @@ let create ?(seed = 42) ?(channel_capacity = 1024) ~lps ~lookahead () =
     cur_limit = neg_infinity;
     tracing = false }
 
-let lp_count t = Array.length t.lps
 let lp t i = t.lps.(i)
 let engine t i = t.lps.(i).Lp.engine
 let prng t i = t.lps.(i).Lp.prng
-let lookahead t = t.lookahead
 let executed t = Array.fold_left (fun acc (l : Lp.t) -> acc + l.executed) 0 t.lps
 
 let now t =

@@ -27,11 +27,9 @@ val create : ?seed:int -> ?channel_capacity:int -> lps:int -> lookahead:float ->
     minimum propagation delay).  [channel_capacity] sizes the SPSC
     rings (default 1024); overflow spills losslessly. *)
 
-val lp_count : t -> int
 val lp : t -> int -> Lp.t
 val engine : t -> int -> Engine.t
 val prng : t -> int -> Prng.t
-val lookahead : t -> float
 
 val now : t -> float
 (** Maximum clock across LPs (they agree at barriers). *)

@@ -1,21 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a [mutable int64]
+   field, so advancing it stores an unboxed integer instead of
+   allocating a boxed one, and a draw that ends in a float or an int
+   allocates nothing. *)
+type t = { state : Bytes.t }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* Finalization mix from SplitMix64 (Steele, Lea & Flood 2014). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state z =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 z;
+  { state }
 
-let next g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix64 g.state
+let[@inline] get g = Bytes.get_int64_le g.state 0
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let int64 = next
-let split g = { state = next g }
+let[@inline] next g =
+  let z = Int64.add (get g) golden_gamma in
+  Bytes.set_int64_le g.state 0 z;
+  mix64 z
+
+let int64 g = next g
+let split g = of_state (next g)
 
 (* Indexed stream derivation for logical processes: unlike [split],
    which advances the parent (so the k-th split depends on how many
@@ -32,10 +43,9 @@ let stream_gamma = 0xD1B54A32D192ED03L
 
 let stream g ~index =
   if index < 0 then invalid_arg "Prng.stream: negative index";
-  { state =
-      mix64 (Int64.add g.state (Int64.mul (Int64.of_int (index + 1)) stream_gamma)) }
+  of_state (mix64 (Int64.add (get g) (Int64.mul (Int64.of_int (index + 1)) stream_gamma)))
 
-let float g =
+let[@inline] float g =
   (* 53 high bits as a mantissa in [0,1). *)
   let bits = Int64.shift_right_logical (next g) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
@@ -50,9 +60,9 @@ let int g bound =
   in
   loop ()
 
-let bool g ~p = float g < p
+let[@inline] bool g ~p = float g < p
 
-let exponential g ~mean =
+let[@inline] exponential g ~mean =
   let u = float g in
   (* 1 - u is in (0,1], so log is finite. *)
   -.mean *. log (1.0 -. u)

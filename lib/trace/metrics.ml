@@ -68,10 +68,6 @@ type t = {
 
 let create () = { counters = Hashtbl.create 32; histograms = Hashtbl.create 16 }
 
-let reset t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.histograms
-
 let incr ?(by = 1) t name =
   match Hashtbl.find_opt t.counters name with
   | Some r -> r := !r + by

@@ -6,7 +6,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val incr : ?by:int -> t -> string -> unit
 val counter : t -> string -> int

@@ -18,7 +18,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { slots = Array.make capacity None; capacity; head = 0; length = 0; dropped = 0 }
 
-let capacity t = t.capacity
 let length t = t.length
 let dropped t = t.dropped
 

@@ -5,7 +5,6 @@ type 'a t
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val dropped : 'a t -> int
@@ -14,8 +13,4 @@ val dropped : 'a t -> int
 val push : 'a t -> 'a -> unit
 val clear : 'a t -> unit
 
-val iter : 'a t -> ('a -> unit) -> unit
-(** Oldest-first. *)
-
-val fold : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 val to_list : 'a t -> 'a list

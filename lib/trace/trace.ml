@@ -111,21 +111,15 @@ let span ?host ?fiber ?args ~cat name f =
 
 let incr ?by name = with_sink (fun s -> Metrics.incr ?by s.metrics name)
 let observe name v = with_sink (fun s -> Metrics.observe s.metrics name v)
-let metrics () = match active () with Some s -> Some s.metrics | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Inspection *)
 
 let sink_events s = Ring.to_list s.ring
 let sink_dropped s = Ring.dropped s.ring
-let sink_clear s =
-  Ring.clear s.ring;
-  Metrics.reset s.metrics;
-  s.seq <- 0
 
 let events () = match active () with Some s -> sink_events s | None -> []
 let dropped () = match active () with Some s -> sink_dropped s | None -> 0
-let clear () = match active () with Some s -> sink_clear s | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Trace-based assertions: protocol-level properties over the recorded

@@ -85,7 +85,6 @@ val span :
 
 val incr : ?by:int -> string -> unit
 val observe : string -> float -> unit
-val metrics : unit -> Metrics.t option
 
 (** {1 Inspection} *)
 
@@ -93,7 +92,6 @@ val events : unit -> Event.t list
 (** Recorded events, oldest first; [[]] when no sink is installed. *)
 
 val dropped : unit -> int
-val clear : unit -> unit
 
 val sink_events : sink -> Event.t list
 val sink_dropped : sink -> int

@@ -14,9 +14,3 @@ let next_delay t =
   t.attempts <- t.attempts + 1;
   t.mean <- min t.max_delay (t.mean *. 2.0);
   delay
-
-let reset t =
-  t.mean <- t.initial;
-  t.attempts <- 0
-
-let attempts t = t.attempts

@@ -10,6 +10,3 @@ type t
 val create : ?initial:float -> ?max_delay:float -> Circus_sim.Prng.t -> t
 val next_delay : t -> float
 (** Sample the next delay and double the mean (capped). *)
-
-val reset : t -> unit
-val attempts : t -> int

@@ -21,4 +21,3 @@ let create host =
 
 let submit t job = Mailbox.send t.jobs job
 let executed t = t.executed
-let pending t = Mailbox.length t.jobs

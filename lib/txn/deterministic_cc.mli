@@ -17,4 +17,3 @@ val submit : t -> (unit -> unit) -> unit
     strictly in submission order, one at a time. *)
 
 val executed : t -> int
-val pending : t -> int

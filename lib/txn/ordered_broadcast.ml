@@ -93,8 +93,6 @@ let export rt t =
         Bytes.empty
       | _ -> raise Runtime.Bad_interface)
 
-let delivered t = t.delivered
-
 let atomic_broadcast ctx troupe body =
   (* A deterministic, replica-agreed message identifier. *)
   let msg_id = Runtime.next_call_seq ctx in

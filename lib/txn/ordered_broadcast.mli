@@ -26,8 +26,6 @@ val export : Runtime.t -> t -> int
 (** Export the two procedures (0 = [get_proposed_time],
     1 = [accept_time]); returns the module number. *)
 
-val delivered : t -> int
-
 val atomic_broadcast : Runtime.ctx -> Troupe.t -> bytes -> unit
 (** Client side (Figure 5.1): propose at the whole troupe, collect all
     proposed times with an explicit-replication generator, and accept

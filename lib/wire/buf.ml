@@ -5,7 +5,6 @@ exception Underflow
 
 let writer () = Buffer.create 64
 let contents w = Buffer.to_bytes w
-let reset = Buffer.clear
 
 (* One scratch writer per domain, reused across encodes: [contents]
    copies into fresh bytes, so handing the same underlying storage to
@@ -20,25 +19,32 @@ type scratch = { buf : Buffer.t; mutable busy : bool }
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { buf = Buffer.create 256; busy = false })
 
-let with_writer f =
+(* The scratch writer is released however [f] ends, without the
+   closures a [Fun.protect] would build per encode. *)
+let release s =
+  s.busy <- false;
+  (* Don't let one oversized datagram pin a huge buffer. *)
+  if Buffer.length s.buf > 1 lsl 20 then Buffer.reset s.buf
+
+let with_writer f v =
   let s = Domain.DLS.get scratch_key in
   if s.busy then begin
     let w = writer () in
-    f w;
+    f w v;
     Buffer.to_bytes w
   end
   else begin
     s.busy <- true;
     let scratch = s.buf in
-    Fun.protect
-      ~finally:(fun () ->
-        s.busy <- false;
-        (* Don't let one oversized datagram pin a huge buffer. *)
-        if Buffer.length scratch > 1 lsl 20 then Buffer.reset scratch)
-      (fun () ->
-        Buffer.clear scratch;
-        f scratch;
-        Buffer.to_bytes scratch)
+    Buffer.clear scratch;
+    match f scratch v with
+    | () ->
+      let b = Buffer.to_bytes scratch in
+      release s;
+      b
+    | exception e ->
+      release s;
+      raise e
   end
 
 (* All writers append directly into the Buffer's storage; no per-call

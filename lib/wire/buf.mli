@@ -12,12 +12,10 @@ exception Underflow
 val writer : unit -> writer
 val contents : writer -> bytes
 
-val reset : writer -> unit
-(** Empty the writer, keeping its internal storage for reuse. *)
-
-val with_writer : (writer -> unit) -> bytes
-(** [with_writer f] runs [f] against a per-domain scratch writer and
-    returns the encoded bytes (always freshly copied, never aliased).
+val with_writer : (writer -> 'a -> unit) -> 'a -> bytes
+(** [with_writer f v] runs [f w v] against a per-domain scratch writer
+    [w] and returns the encoded bytes (always freshly copied, never
+    aliased).  Passing [v] apart lets [f] be a closure built once.
     This is the hot-path encode entry point: it skips the per-call
     buffer allocation of {!writer}.  Reentrant calls (an encoder that
     itself encodes) transparently fall back to a fresh writer, and the

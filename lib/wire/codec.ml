@@ -6,7 +6,7 @@ let make write read = { write; read }
 
 (* Reuses the per-domain scratch writer: no buffer allocation per
    encode (see Buf.with_writer). *)
-let encode c v = Buf.with_writer (fun w -> c.write w v)
+let encode c v = Buf.with_writer c.write v
 
 let decode c b =
   let r = Buf.reader b in
@@ -54,18 +54,17 @@ let float64 =
     (fun r -> Int64.float_of_bits (Buf.read_u64 r))
 
 (* Courier pads byte sequences to a 16-bit word boundary. *)
-let write_padded w len write_body =
-  Buf.write_u16 w len;
-  write_body ();
-  if len land 1 = 1 then Buf.write_u8 w 0
-
+let write_padding w len = if len land 1 = 1 then Buf.write_u8 w 0
 let read_padding r len = if len land 1 = 1 then ignore (Buf.read_u8 r)
 
 let string =
   make
     (fun w s ->
-      if String.length s > 0xffff then invalid_arg "Codec.string: too long";
-      write_padded w (String.length s) (fun () -> Buf.write_string w s))
+      let len = String.length s in
+      if len > 0xffff then invalid_arg "Codec.string: too long";
+      Buf.write_u16 w len;
+      Buf.write_string w s;
+      write_padding w len)
     (fun r ->
       let len = Buf.read_u16 r in
       let s = Buf.read_string r len in
@@ -75,8 +74,11 @@ let string =
 let bytes =
   make
     (fun w b ->
-      if Bytes.length b > 0xffff then invalid_arg "Codec.bytes: too long";
-      write_padded w (Bytes.length b) (fun () -> Buf.write_bytes w b))
+      let len = Bytes.length b in
+      if len > 0xffff then invalid_arg "Codec.bytes: too long";
+      Buf.write_u16 w len;
+      Buf.write_bytes w b;
+      write_padding w len)
     (fun r ->
       let len = Buf.read_u16 r in
       let b = Buf.read_bytes r len in
@@ -104,20 +106,6 @@ let triple a b c =
       let y = b.read r in
       let z = c.read r in
       (x, y, z))
-
-let quad a b c d =
-  make
-    (fun w (x, y, z, u) ->
-      a.write w x;
-      b.write w y;
-      c.write w z;
-      d.write w u)
-    (fun r ->
-      let x = a.read r in
-      let y = b.read r in
-      let z = c.read r in
-      let u = d.read r in
-      (x, y, z, u))
 
 let option a =
   make

@@ -88,6 +88,143 @@ let prop_matches_hashtbl =
   QCheck.Test.make ~name:"itab matches Hashtbl model" ~count:300 arb run_ops
 
 (* ------------------------------------------------------------------ *)
+(* Order.  [iter], [fold] and slot scans visit bindings in slot order,
+   and the pairmsg trace events that come out of such scans
+   ([implicit_acks]'s "msg_acked", [close]'s "wd_disarm") are pinned by
+   goldens.  Sweeping tombstones into spare arrays must therefore leave
+   exactly the layout of the original resize, which allocated fresh
+   arrays and re-inserted the live bindings in old-slot order.  That
+   resize is kept here, verbatim, as the model; random insert/remove
+   runs drive both tables through same-capacity sweeps (below and above
+   the spare-array limit) and doublings, and every fold, and the final
+   slot layout, must agree. *)
+
+module Rebuild_model = struct
+  type 'a t = { mutable keys : int array; mutable vals : 'a array; mutable live : int; mutable fill : int }
+
+  let empty_slot = -1
+  let tombstone = -2
+  let filler : 'a. 'a = Obj.magic 0
+  let create () = { keys = Array.make 8 empty_slot; vals = [||]; live = 0; fill = 0 }
+
+  let slot_of t key =
+    let mask = Array.length t.keys - 1 in
+    (key * 0x2545F4914F6CDD1D) land mask
+
+  let next_slot t i = (i + 1) land (Array.length t.keys - 1)
+
+  let rec find_slot t key i =
+    let k = t.keys.(i) in
+    if k = key then i else if k = empty_slot then -1 else find_slot t key (next_slot t i)
+
+  let rec insert_fresh t key v i =
+    let k = t.keys.(i) in
+    if k = empty_slot || k = tombstone then begin
+      t.keys.(i) <- key;
+      t.vals.(i) <- v;
+      if k = empty_slot then t.fill <- t.fill + 1;
+      t.live <- t.live + 1
+    end
+    else insert_fresh t key v (next_slot t i)
+
+  let resize t =
+    let old_keys = t.keys and old_vals = t.vals in
+    let cap = Array.length old_keys in
+    let cap = if 2 * t.live >= cap then 2 * cap else cap in
+    t.keys <- Array.make cap empty_slot;
+    t.vals <- (if t.live = 0 then [||] else Array.make cap filler);
+    t.fill <- 0;
+    let live = t.live in
+    t.live <- 0;
+    Array.iteri
+      (fun i k -> if k >= 0 then insert_fresh t k old_vals.(i) (slot_of t k))
+      old_keys;
+    assert (t.live = live)
+
+  let replace t key v =
+    if Array.length t.vals = 0 then t.vals <- Array.make (Array.length t.keys) filler;
+    let i = if t.live = 0 then -1 else find_slot t key (slot_of t key) in
+    if i >= 0 then t.vals.(i) <- v
+    else begin
+      if 2 * (t.fill + 1) > Array.length t.keys then begin
+        resize t;
+        if Array.length t.vals = 0 then t.vals <- Array.make (Array.length t.keys) filler
+      end;
+      insert_fresh t key v (slot_of t key)
+    end
+
+  let remove t key =
+    if t.live > 0 then begin
+      let i = find_slot t key (slot_of t key) in
+      if i >= 0 then begin
+        t.keys.(i) <- tombstone;
+        t.vals.(i) <- filler;
+        t.live <- t.live - 1
+      end
+    end
+
+  let fold f t init =
+    let acc = ref init in
+    Array.iteri (fun i k -> if k >= 0 then acc := f k t.vals.(i) !acc) t.keys;
+    !acc
+end
+
+type order_op =
+  | Put of int * int
+  | Del of int
+  | Order
+
+let gen_order_ops =
+  QCheck.Gen.(
+    let key =
+      frequency [ (6, int_bound 300); (1, map (fun a -> a lsl 24) (int_bound 20)) ]
+    in
+    list_size (int_range 0 2000)
+      (frequency
+         [ (10, map2 (fun k v -> Put (k, v)) key (int_bound 1000));
+           (8, map (fun k -> Del k) key);
+           (1, return Order) ]))
+
+let fold_list fold t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
+
+let run_order ops =
+  let t = Itab.create ~initial:8 () and m = Rebuild_model.create () in
+  let same () = fold_list Itab.fold t = fold_list Rebuild_model.fold m in
+  List.for_all
+    (function
+      | Put (k, v) ->
+        Itab.replace t k v;
+        Rebuild_model.replace m k v;
+        true
+      | Del k ->
+        Itab.remove t k;
+        Rebuild_model.remove m k;
+        true
+      | Order -> same ())
+    ops
+  && same ()
+  && Itab.slots t = Array.length m.Rebuild_model.keys
+  && List.for_all
+       (fun i -> Itab.slot_key t i = m.Rebuild_model.keys.(i))
+       (List.init (Itab.slots t) Fun.id)
+
+let prop_order_matches_rebuild =
+  let arb =
+    QCheck.make
+      ~print:(fun ops ->
+        String.concat "; "
+          (List.map
+             (function
+               | Put (k, v) -> Printf.sprintf "put %d %d" k v
+               | Del k -> Printf.sprintf "del %d" k
+               | Order -> "order")
+             ops))
+      gen_order_ops
+  in
+  QCheck.Test.make ~name:"itab order matches the allocate-and-rebuild resize" ~count:200 arb
+    run_order
+
+(* ------------------------------------------------------------------ *)
 (* Release.  A value removed from the table, or overwritten by
    [replace], must be collectable at once, not when its slot happens to
    be reused or the table next resizes; live values must stay. *)
@@ -149,4 +286,5 @@ let () =
   Alcotest.run "circus_itab"
     [ ( "itab",
         Alcotest.test_case "removed and overwritten values are released" `Quick test_release
-        :: List.map QCheck_alcotest.to_alcotest [ prop_matches_hashtbl ] ) ]
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_matches_hashtbl; prop_order_matches_rebuild ] ) ]

@@ -33,19 +33,44 @@ let test_segment_garbage () =
   Alcotest.(check bool) "bad type" true
     (Segment.decode (Bytes.of_string "\xff\x00\x01\x01\x00\x00\x00\x01") = None)
 
+(* A message's encoded data segments decode, in order, to the
+   message's pieces, and each is the [encode] of its [data_segment]. *)
 let prop_split_reassemble =
   QCheck.Test.make ~name:"split/concat identity" ~count:200
     QCheck.(pair (string_of_size (QCheck.Gen.int_range 0 5000)) (int_range 64 1500))
     (fun (s, mtu) ->
-      let parts = Array.to_list (Segment.split_message ~mtu (Bytes.of_string s)) in
+      let encoded =
+        Segment.data_segments ~mtu ~msg_type:Segment.Return ~call_no:7l (Bytes.of_string s)
+      in
+      let total = Array.length encoded in
+      let parts =
+        Array.to_list
+          (Array.mapi
+             (fun i b ->
+               match Segment.decode b with
+               | Some seg ->
+                 let expected =
+                   Segment.data_segment ~msg_type:Segment.Return ~total ~seg_no:(i + 1)
+                     ~call_no:7l seg.Segment.data
+                 in
+                 if seg <> expected || not (Bytes.equal b (Segment.encode expected)) then
+                   QCheck.Test.fail_reportf "segment %d: header or encoding differs" i;
+                 seg.Segment.data
+               | None -> QCheck.Test.fail_reportf "segment %d does not decode" i)
+             encoded)
+      in
       let reassembled = String.concat "" (List.map Bytes.to_string parts) in
       reassembled = s
-      && List.length parts <= 255
-      && List.for_all (fun p -> Bytes.length p <= mtu - Segment.header_size) parts)
+      && total <= 255
+      && Array.for_all (fun b -> Bytes.length b <= mtu) encoded)
 
 let test_split_too_long () =
   Alcotest.(check bool) "raises" true
-    (try ignore (Segment.split_message ~mtu:64 (Bytes.create 100_000)); false
+    (try
+       ignore
+         (Segment.data_segments ~mtu:64 ~msg_type:Segment.Call ~call_no:1l
+            (Bytes.create 100_000));
+       false
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
@@ -374,10 +399,9 @@ let test_call_many_unicast_and_multicast () =
              let dsts = List.map Endpoint.addr servers in
              let replies = Endpoint.call_many ep ~dsts ~multicast (Bytes.of_string "q") in
              for _ = 1 to 3 do
-               match Mailbox.recv replies with
-               | Some { Endpoint.result = Ok body; _ } -> got := Bytes.to_string body :: !got
-               | Some { Endpoint.result = Error e; _ } -> raise e
-               | None -> ()
+               match Endpoint.next_reply replies with
+               | { Endpoint.result = Ok body; _ } -> got := Bytes.to_string body :: !got
+               | { Endpoint.result = Error e; _ } -> raise e
              done));
       Engine.run engine;
       let sorted = List.sort String.compare !got in
@@ -409,10 +433,10 @@ let test_call_many_partial_crash () =
          let dsts = List.map (fun (_, ep) -> Endpoint.addr ep) servers in
          let replies = Endpoint.call_many ep ~dsts (Bytes.of_string "q") in
          for _ = 1 to 3 do
-           match Mailbox.recv replies with
-           | Some { Endpoint.result = Ok _; _ } -> incr ok
-           | Some { Endpoint.result = Error (Endpoint.Crashed _); _ } -> incr crashed
-           | Some _ | None -> ()
+           match Endpoint.next_reply replies with
+           | { Endpoint.result = Ok _; _ } -> incr ok
+           | { Endpoint.result = Error (Endpoint.Crashed _); _ } -> incr crashed
+           | _ -> ()
          done));
   Engine.run engine;
   Alcotest.(check int) "two replies" 2 !ok;

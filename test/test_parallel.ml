@@ -12,6 +12,12 @@ module Export = Circus_trace.Export
 module Plan = Circus_fault.Plan
 module Injector = Circus_fault.Injector
 
+(* [Fiber.sleep_busy] of a duration, as [Host.use_cpu] makes it. *)
+let busy_sleep d =
+  let fiber = Fiber.self () in
+  (Fiber.nap fiber).Fiber.nap_s <- d;
+  Fiber.sleep_busy fiber
+
 (* ------------------------------------------------------------------ *)
 (* Prng.stream: pinned sequences, stability under re-partitioning. *)
 
@@ -350,7 +356,7 @@ let barrier_program seed ~domains =
              try
                for n = 1 to naps do
                  if n land 1 = 0 then
-                   Fiber.sleep_busy (grid *. float_of_int (1 + ((seed + n) mod 5)))
+                   busy_sleep (grid *. float_of_int (1 + ((seed + n) mod 5)))
                  else Fiber.sleep (grid *. float_of_int (2 + ((seed * n) mod 7)));
                  note i (Printf.sprintf "nap %d" n)
                done

@@ -2,6 +2,12 @@
 
 open Circus_sim
 
+(* [Fiber.sleep_busy] of a duration, as [Host.use_cpu] makes it. *)
+let busy_sleep d =
+  let fiber = Fiber.self () in
+  (Fiber.nap fiber).Fiber.nap_s <- d;
+  Fiber.sleep_busy fiber
+
 let check_float = Alcotest.(check (float 1e-9))
 
 (* ------------------------------------------------------------------ *)
@@ -641,6 +647,26 @@ let test_fiber_cancel_at_wake () =
 
 (* A sleep after a cancelled sleep raises at once, whether the fiber
    swallowed the first [Cancelled] or not, and queues no timer. *)
+(* [self] reads the fiber that the engine transferred control to; in
+   code no fiber runs (before the run, or in a bare engine callback)
+   there is none, and it says so instead of falling back to an effect
+   no handler catches. *)
+let test_fiber_self_outside () =
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument msg -> msg = "Fiber.self: not in a fiber"
+  in
+  Alcotest.(check bool) "before the run" true (raises Fiber.self);
+  let engine = Engine.create () in
+  let in_callback = ref false and in_fiber = ref false in
+  ignore (Engine.schedule engine ~delay:1.0 (fun () -> in_callback := raises Fiber.self));
+  let f = Fiber.spawn engine (fun () -> in_fiber := Fiber.id (Fiber.self ()) > 0) in
+  Engine.run engine;
+  Alcotest.(check bool) "in an engine callback" true !in_callback;
+  Alcotest.(check bool) "in a fiber" true (!in_fiber && Fiber.id f > 0);
+  Alcotest.(check bool) "after the run" true (raises Fiber.self)
+
 let test_fiber_sleep_after_cancel () =
   let engine = Engine.create () in
   let raised = ref [] in
@@ -943,7 +969,7 @@ let sleep_cancel_program seed =
                 Fiber.sleep d;
                 note fid "slept"
               | 1 ->
-                Fiber.sleep_busy d;
+                busy_sleep d;
                 note fid "busy"
               | _ -> (
                 match Mailbox.recv ~timeout:d mb with
@@ -1147,7 +1173,8 @@ let () =
           Alcotest.test_case "cancel before start" `Quick test_fiber_cancel_before_start;
           Alcotest.test_case "cancel twice" `Quick test_fiber_cancel_twice;
           Alcotest.test_case "cancel at wake" `Quick test_fiber_cancel_at_wake;
-          Alcotest.test_case "sleep after cancel" `Quick test_fiber_sleep_after_cancel ]
+          Alcotest.test_case "sleep after cancel" `Quick test_fiber_sleep_after_cancel;
+          Alcotest.test_case "self outside a fiber" `Quick test_fiber_self_outside ]
         @ qcheck [ prop_fiber_sleep_monotone ] );
       ( "sync",
         [ Alcotest.test_case "mailbox fifo" `Quick test_mailbox_fifo;

@@ -41,10 +41,12 @@ let test_with_writer_per_domain () =
     let ok = ref true in
     for _ = 1 to 20_000 do
       let b =
-        Buf.with_writer (fun w ->
+        Buf.with_writer
+          (fun w c ->
             for _ = 1 to 48 do
               Buf.write_u8 w (Char.code c)
             done)
+          c
       in
       if not (Bytes.equal b (Bytes.make 48 c)) then ok := false
     done;
