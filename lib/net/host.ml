@@ -36,11 +36,15 @@ type t = {
 }
 
 and pool = {
-  (* Parked workers, ready to be handed a task.  Storing their parks
+  (* Parked workers, ready to be handed a task: a stack in
+     [idle.(0 .. n_idle-1)], newest on top.  Storing their parks
      directly (rather than queueing tasks through a mailbox) makes a
-     dispatch one list pop and one delay-0 resume event — no queue
-     nodes, no watcher bookkeeping. *)
-  mutable idle : (unit -> unit) Fiber.park list;
+     dispatch one pop and one delay-0 resume event — no queue nodes, no
+     watcher bookkeeping — and a park allocates nothing (the array
+     grows by doubling).  Slots above [n_idle] may still name parks of
+     this pool's workers; the pool dies with its incarnation. *)
+  mutable idle : (unit -> unit) Fiber.park array;
+  mutable n_idle : int;
   pool_incarnation : int;
 }
 
@@ -79,6 +83,17 @@ let spawn t ?label f =
   else Fiber.cancel fiber;
   fiber
 
+(* Offer a parked worker to dispatchers. *)
+let push_idle pool p =
+  let n = pool.n_idle in
+  if n = Array.length pool.idle then begin
+    let idle = Array.make (max 4 (2 * n)) p in
+    Array.blit pool.idle 0 idle 0 n;
+    pool.idle <- idle
+  end;
+  pool.idle.(n) <- p;
+  pool.n_idle <- n + 1
+
 (* Run a task on a pooled worker fiber.  Observationally this is
    [spawn t ~label (fun () -> f ())]: the task starts one delay-0 engine
    event after the dispatch, exactly where a fresh fiber's first run
@@ -97,17 +112,17 @@ let run_pooled t ?(label = "pool.worker") f =
       match t.pool with
       | Some p when p.pool_incarnation = t.incarnation -> p
       | Some _ | None ->
-        let p = { idle = []; pool_incarnation = t.incarnation } in
+        let p = { idle = [||]; n_idle = 0; pool_incarnation = t.incarnation } in
         t.pool <- Some p;
         p
     in
-    match pool.idle with
-    | p :: rest ->
-      pool.idle <- rest;
+    if pool.n_idle > 0 then begin
+      pool.n_idle <- pool.n_idle - 1;
       (* Resumes the parked worker one delay-0 event from now — the
          same slot a fresh fiber's first run would occupy. *)
-      Fiber.unpark p f
-    | [] ->
+      Fiber.unpark pool.idle.(pool.n_idle) f
+    end
+    else begin
       let worker () =
         (* A worker waits between tasks on one reusable park: each wait
            is the [suspend] it replaces, event for event, without the
@@ -117,8 +132,7 @@ let run_pooled t ?(label = "pool.worker") f =
         let self = ref None in
         let park =
           Fiber.park_create
-            ~arm:(fun () ->
-              match !self with Some p -> pool.idle <- p :: pool.idle | None -> ())
+            ~arm:(fun () -> match !self with Some p -> push_idle pool p | None -> ())
             ~poll:(fun () -> None)
             ~on_abort:ignore
         in
@@ -134,6 +148,7 @@ let run_pooled t ?(label = "pool.worker") f =
         loop f
       in
       ignore (spawn t ~label worker)
+    end
   end
 
 let crash t =
@@ -192,26 +207,27 @@ let[@inline] charge_account t meter kind cost =
     | `User ->
       Trace.incr "cpu.user_calls";
       Trace.observe "cpu.user" cost
-    | `Kernel name ->
+    | `Kernel sc ->
       Trace.emit ~cat:"syscall" ~host:t.id
         ~phase:(Circus_trace.Event.Complete cost)
         ~args:
           [ ("cost", Circus_trace.Event.Float cost);
             ("queued", Circus_trace.Event.Float (start -. now)) ]
-        name;
-      Trace.incr ("syscall." ^ name);
-      Trace.observe ("syscall." ^ name) cost
+        (Meter.syscall_name sc);
+      let key = Meter.syscall_key sc in
+      Trace.incr key;
+      Trace.observe key cost
   end;
   (match meter with
   | None -> ()
   | Some m -> (
     match kind with
     | `User -> Meter.charge_user m cost
-    | `Kernel name -> Meter.charge_kernel m ~name cost));
+    | `Kernel sc -> Meter.charge_kernel m sc cost));
   cpu.busy_until -. now
 
 let use_cpu t ?meter ~kind cost =
-  let fiber = Fiber.self () in
+  let fiber = Fiber.running t.engine in
   (Fiber.nap fiber).Fiber.nap_s <- charge_account t meter kind cost;
   Fiber.sleep_busy fiber
 

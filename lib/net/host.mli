@@ -71,7 +71,7 @@ val gettimeofday : t -> float
     synchronized-clocks assumption of §5.4 holds when offsets are
     bounded. *)
 
-val use_cpu : t -> ?meter:Meter.t -> kind:[ `User | `Kernel of string ] -> float -> unit
+val use_cpu : t -> ?meter:Meter.t -> kind:[ `User | `Kernel of Meter.syscall ] -> float -> unit
 (** Occupy this host's CPU for the given number of seconds, queueing
     behind other CPU users, and charge the optional meter.  Must run in
     a fiber.  Raises [Invalid_argument] if the host is crashed: a

@@ -74,12 +74,25 @@ let costs env = env.costs
 let set_recv_drain env flag = env.recv_drain <- flag
 let recv_drain env = env.recv_drain
 
-let charge _env ?meter host ~name cost = Host.use_cpu host ?meter ~kind:(`Kernel name) cost
+(* Each call's name, interned once with its meter slot, inside the
+   charge kind built once: a charge neither looks the name up nor
+   builds the [`Kernel] block. *)
+let kernel name : [ `User | `Kernel of Meter.syscall ] = `Kernel (Meter.syscall name)
+
+let k_sendmsg = kernel "sendmsg"
+let k_recvmsg = kernel "recvmsg"
+let k_select = kernel "select"
+let k_setitimer = kernel "setitimer"
+let k_gettimeofday = kernel "gettimeofday"
+let k_sigblock = kernel "sigblock"
+let k_read = kernel "read"
+let k_write = kernel "write"
+let charge ?meter host kind cost = Host.use_cpu host ?meter ~kind cost
 
 let no_hook (_ : int) = ()
 
 let sendmsg env ?meter sock ~dst payload =
-  charge env ?meter (Net.socket_host sock) ~name:"sendmsg" env.c_sendmsg;
+  charge ?meter (Net.socket_host sock) k_sendmsg env.c_sendmsg;
   Net.send env.net ~src:(Net.socket_addr sock) ~dst payload
 
 (* Vectored burst, the body of [sendmsg_vec] and
@@ -96,7 +109,7 @@ let send_vec env ?meter ~before ?user_cost ~on_segment sock ~multicast ~dst ~dst
     before i;
     (match user_cost with Some u -> Host.use_cpu host ?meter ~kind:`User u | None -> ());
     on_segment i;
-    charge env ?meter host ~name:"sendmsg" env.c_sendmsg;
+    charge ?meter host k_sendmsg env.c_sendmsg;
     if multicast then Net.send_multicast net ~src ~dsts payloads.(i)
     else Net.send net ~src ~dst payloads.(i)
   done
@@ -113,7 +126,7 @@ let sendmsg_multicast_vec env ?meter ?user_cost ?(on_segment = no_hook) sock ~ds
 let recvmsg env ?meter ?timeout sock =
   match Mailbox.recv ?timeout (Net.mailbox sock) with
   | Some _ as received ->
-    charge env ?meter (Net.socket_host sock) ~name:"recvmsg" env.c_recvmsg;
+    charge ?meter (Net.socket_host sock) k_recvmsg env.c_recvmsg;
     received
   | None -> None
 
@@ -196,7 +209,7 @@ let select env ?meter ?timeout socks =
                (Host.name host)
                (Host.name (Net.socket_host s))))
       rest;
-    charge env ?meter host ~name:"select" env.c_select;
+    charge ?meter host k_select env.c_select;
     select_wait env ?timeout host socks
 
 (* A demux loop's select, built once: [select ~timeout:None [sock]]
@@ -224,7 +237,7 @@ let selector env ?meter sock =
   { env; meter; host = Net.socket_host sock; mailbox; park; watcher }
 
 let select_one s =
-  charge s.env ?meter:s.meter s.host ~name:"select" s.env.c_select;
+  charge ?meter:s.meter s.host k_select s.env.c_select;
   if Mailbox.length s.mailbox = 0 then begin
     let scope = select_span_begin s.host in
     match Fiber.park s.park with
@@ -236,13 +249,13 @@ let select_one s =
 
 let close_selector s = Mailbox.unwatch s.mailbox s.watcher
 
-let setitimer env ?meter host = charge env ?meter host ~name:"setitimer" env.c_setitimer
+let setitimer env ?meter host = charge ?meter host k_setitimer env.c_setitimer
 
 let gettimeofday env ?meter host =
-  charge env ?meter host ~name:"gettimeofday" env.c_gettimeofday;
+  charge ?meter host k_gettimeofday env.c_gettimeofday;
   Host.gettimeofday host
 
-let sigblock env ?meter host = charge env ?meter host ~name:"sigblock" env.c_sigblock
-let read_stream env ?meter host = charge env ?meter host ~name:"read" env.c_read
-let write_stream env ?meter host = charge env ?meter host ~name:"write" env.c_write
+let sigblock env ?meter host = charge ?meter host k_sigblock env.c_sigblock
+let read_stream env ?meter host = charge ?meter host k_read env.c_read
+let write_stream env ?meter host = charge ?meter host k_write env.c_write
 let compute _env ?meter host seconds = Host.use_cpu host ?meter ~kind:`User seconds

@@ -108,6 +108,7 @@ type reply = { from : Addr.t; result : (bytes, exn) result; reply_ctx : int }
    continuation, where a mailbox receive built a waiter, a waker,
    closures, a result block and a resume event. *)
 type replies = {
+  r_engine : Engine.t;  (* the receiver's, for its running fiber *)
   got : reply array;  (* [0, arrived) filled *)
   mutable arrived : int;
   mutable taken : int;
@@ -538,7 +539,8 @@ let call_many t ~dsts ?(multicast = false) ?call_no body =
           ("len", Tev.Int (Bytes.length body)) ]
       "call_start";
   let replies =
-    { got = Array.make (List.length dsts) no_reply;
+    { r_engine = t.engine;
+      got = Array.make (List.length dsts) no_reply;
       arrived = 0;
       taken = 0;
       waiting = false;
@@ -566,7 +568,7 @@ let next_reply rs =
   if rs.taken = rs.arrived then begin
     (* The receiver need not be the caller (a background drain of the
        replies, say), so the park is the current fiber's. *)
-    let p = Fiber.own_park () in
+    let p = Fiber.own_park (Fiber.running rs.r_engine) in
     (match rs.waiter with Some q when q == p -> () | Some _ | None -> rs.waiter <- Some p);
     rs.waiting <- true;
     Fiber.park p

@@ -77,8 +77,28 @@ type clock = {
   mutable drain_limit : float;
 }
 
+(* Who is running on a domain, as the fiber layer defines it: [Fiber]
+   adds a constructor for its fibers, built once per fiber.  One slot
+   per domain, in DLS; each engine keeps its domain's slot at hand (see
+   [slot]) so a fiber switch stores into it without a DLS lookup. *)
+type running = ..
+type running += Idle
+
+let running_key : running ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref Idle)
+let running_slot () = Domain.DLS.get running_key
+
+(* A duration in a record of floats only (laid out flat), so a charge
+   hands it to [sleep_drain] without boxing it. *)
+type nap = { mutable nap_s : float }
+
 type t = {
   clock : clock;
+  (* The running slot of the domain this engine last started a run on.
+     Events execute only inside a run ([run_counted], [run_window], and
+     drains nested in them), and every run refreshes it on entry, so
+     while any of this engine's events executes it is the executing
+     domain's slot. *)
+  mutable slot : running ref;
   mutable seq : int;
   mutable next_fiber : int;
   heap : Event_heap.t;  (* future events: time > enqueue-instant *)
@@ -89,6 +109,7 @@ type t = {
 
 let create ?(seed = 42) () =
   { clock = { now = 0.0; horizon = infinity; drain_limit = infinity };
+    slot = running_slot ();
     seq = 0;
     next_fiber = 0;
     heap = Event_heap.create ();
@@ -97,6 +118,7 @@ let create ?(seed = 42) () =
     root_prng = Prng.create seed }
 
 let[@inline] now t = t.clock.now
+let[@inline] slot t = t.slot
 let prng t = t.root_prng
 
 (* Fiber identifiers are allocated per engine, not per process, so two
@@ -274,65 +296,109 @@ let[@inline] try_advance t ~delay =
      end
 
 (* Inline-drain variant of the sleep fast path, for the CPU-charge
-   pattern ([Host.use_cpu]): execute due events on the sleeper's stack
-   instead of suspending around them.  An event is due if it precedes
-   the wake the slow path would have scheduled — (time, seq) strictly
-   below [(target, seq at entry)].  Executing it here is exactly what
-   the engine loop would have done while the sleeper was parked, so the
-   total event order is unchanged; the sleeper then wakes at [target]
-   by jumping the clock, precisely where its wake event would have
-   fired.
+   pattern ([Host.use_cpu]): advance the clock to [target], [now] plus
+   the duration in [nap], executing every due event on the sleeper's
+   stack instead of suspending around them.  An event is due when the
+   ring is non-empty (then the global minimum is due, whatever its seq:
+   ring events sit at [now], at or before [target]), or when the heap
+   top precedes the wake the slow path would have scheduled, (time,
+   seq) strictly below [(target, seq at entry)].  Executing due events
+   here is what the engine loop would have done while the sleeper was
+   parked, and the sleeper then wakes at [target] by jumping the clock,
+   where its wake event would have fired.  With nothing due it is the
+   plain clock jump of [try_advance].
+
+   The ring rule is the quirk pinned by [test_sim]'s "busy sleep order"
+   case: a delay-0 event that an event due at exactly [target]
+   schedules has a seq past the entry seq, so a suspending sleep's wake
+   would run before it, yet it sits in the ring and is drained first.
+   Stopping the drain at [(target, seq at entry)] would fix that but
+   move schedules, so it waits for a change that re-pins them.
+
+   Each pass decides one event: it takes the (time, seq) minimum of the
+   ring head and the heap top once, stops if that is not due, drops it
+   if it was cancelled, and otherwise runs it.  A cancelled minimum
+   cannot change the outcome (every live event lies at or after it).
+   [cancelled] is polled after each event that ran: the caller checked
+   it before the call, and only an event can change it.
 
    Nesting: a drained event may resume another fiber that charges CPU
    and drains in turn.  [drain_limit] (the innermost active target)
    caps every nested advance, so an inner sleeper can never move the
-   clock past an outer sleeper's wake point — an inner sleep reaching
+   clock past an outer sleeper's wake point: an inner sleep reaching
    further than the outer target falls back to a real suspension.
    Depth is bounded by the number of simultaneously-charging fibers.
-   [budget] bounds the number of events drained per call as a stack
-   safeguard; on exhaustion the caller falls back to suspending.
+   [drain_budget] bounds the number of events drained per call as a
+   stack safeguard; on exhaustion the caller falls back to suspending.
 
-   Returns [false] (clock untouched beyond drained events) if the
-   caller must suspend instead: budget ran out, the target overshoots
-   a horizon or an outer drain, or the fiber was cancelled by a
-   drained event (the suspending path is where cancellation raises). *)
-let sleep_drain t ~target ~cancelled =
+   Returns [false], with the clock moved only by drained events and the
+   rest of the sleep ([target] minus the clock, at least 0) stored back
+   into [nap], if the caller must suspend instead: the budget ran out,
+   the target overshoots a horizon or an outer drain, or the fiber was
+   cancelled by a drained event (the suspending path is where
+   cancellation raises). *)
+let drain_budget = 256
+
+let sleep_drain t nap ~cancelled =
   let clock = t.clock in
-  if target > clock.horizon || target > clock.drain_limit then false
-  else begin
-    let seq_limit = t.seq in
-    let saved = clock.drain_limit in
-    clock.drain_limit <- target;
-    let budget = ref 256 in
-    let finished = ref false in
-    let woke = ref false in
-    while not !finished do
-      if cancelled () then finished := true
-      else begin
-        drop_cancelled t;
-        let due =
-          Ready.length t.ready > 0
-          ||
-          let ht = Event_heap.top_time t.heap in
-          ht < target || (ht = target && Event_heap.top_seq t.heap < seq_limit)
-        in
-        if not due then begin
-          if target > clock.now then clock.now <- target;
-          woke := true;
-          finished := true
-        end
-        else if !budget = 0 then finished := true
-        else begin
-          decr budget;
-          ignore (step t)
-        end
-      end
-    done;
-    clock.drain_limit <- saved;
-    !woke
-  end
+  let target = clock.now +. nap.nap_s in
+  let woke =
+    target <= clock.horizon
+    && target <= clock.drain_limit
+    && begin
+         let seq_limit = t.seq in
+         let saved = clock.drain_limit in
+         clock.drain_limit <- target;
+         let budget = ref drain_budget in
+         (* 0: draining, 1: woke at [target], 2: must suspend. *)
+         let outcome = ref 0 in
+         while !outcome = 0 do
+           let queued = Ready.length t.ready in
+           let time = Event_heap.top_time t.heap in
+           (* [heap_first], on the time already read. *)
+           let from_ring =
+             queued > 0
+             && not
+                  (time < clock.now
+                  || (time = clock.now && Event_heap.top_seq t.heap < (Ready.peek t.ready).seq))
+           in
+           (* While the ring is non-empty the minimum is due, whichever
+              queue holds it. *)
+           if
+             queued > 0
+             || time < target
+             || (time = target && Event_heap.top_seq t.heap < seq_limit)
+           then begin
+             let ev = if from_ring then Ready.peek t.ready else Event_heap.top_exn t.heap in
+             if ev.live && !budget = 0 then outcome := 2
+             else begin
+               ignore (if from_ring then Ready.pop t.ready else Event_heap.pop_exn t.heap);
+               if not ev.live then note_dropped t
+               else begin
+                 decr budget;
+                 if not from_ring then clock.now <- time;
+                 exec ev;
+                 if cancelled () then outcome := 2
+               end
+             end
+           end
+           else begin
+             if target > clock.now then clock.now <- target;
+             outcome := 1
+           end
+         done;
+         clock.drain_limit <- saved;
+         !outcome = 1
+       end
+  in
+  if not woke then begin
+    let remaining = target -. clock.now in
+    nap.nap_s <- (if remaining > 0.0 then remaining else 0.0)
+  end;
+  woke
 
 let run_counted ?until ?(max_events = 50_000_000) t =
+  t.slot <- running_slot ();
   let executed = ref 0 in
   let continue_run = ref true in
   (match until with
@@ -387,6 +453,7 @@ let next_time t =
    order alone. *)
 let run_window ?(max_events = 50_000_000) t ~limit =
   let clock = t.clock in
+  t.slot <- running_slot ();
   let executed = ref 0 in
   let continue_run = ref true in
   clock.horizon <- limit;

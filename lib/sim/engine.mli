@@ -76,18 +76,32 @@ val rearm : t -> handle -> delay:float -> unit
     cancelled (its closure is gone; build a new timer), or belongs to
     another engine, and on a NaN [delay], as {!schedule} does. *)
 
-val sleep_drain : t -> target:float -> cancelled:(unit -> bool) -> bool
-(** [sleep_drain t ~target ~cancelled] is {!Fiber.sleep_busy}'s fast
-    path: execute every event due strictly before the wake that a
-    suspending sleep would have scheduled at [target] — on the caller's
-    stack, in exactly the engine's (time, seq) order — then jump the
-    clock to [target] and return [true].  Returns [false], leaving any
-    drained events executed but the clock short of [target], when the
-    caller must fall back to a real suspension: the drain budget ran
-    out, [target] overshoots a [run ~until] horizon or an enclosing
-    drain's deadline, or [cancelled ()] turned true (cancellation is
-    raised on the suspending path).  [cancelled] is polled between
-    drained events. *)
+type nap = { mutable nap_s : float }
+(** A duration in a record of floats only, which OCaml lays out flat:
+    storing a computed float into it allocates no box. *)
+
+val sleep_drain : t -> nap -> cancelled:(unit -> bool) -> bool
+(** [sleep_drain t nap ~cancelled] is {!Fiber.sleep_busy}'s whole fast
+    path: with [target] the clock plus the duration in [nap], execute
+    the events due before the sleeper's wake on the caller's stack, in
+    exactly the engine's (time, seq) order, then jump the clock to
+    [target] and return [true].  With nothing due it only jumps the
+    clock.  An event is due while the ring of events at the current
+    instant is non-empty (then the global minimum runs, whatever its
+    seq), and otherwise when the heap's minimum lies strictly before
+    [(target, seq at entry)], where a suspending sleep's wake would
+    sit.  So a delay-0 event scheduled by an event due at exactly
+    [target] runs before the sleeper wakes, where a suspending
+    {!Fiber.sleep} wakes first: the one order in which the two differ.
+
+    Returns [false] when the caller must fall back to a real suspension,
+    with the events drained so far executed, the clock short of
+    [target], and the remaining duration ([target] minus the clock, at
+    least 0) stored back into [nap]: the drain budget ran out, [target]
+    overshoots a [run ~until] horizon or an enclosing drain's deadline,
+    or [cancelled ()] turned true (cancellation is raised on the
+    suspending path).  [cancelled] is polled after each drained event;
+    the caller checks it before the call. *)
 
 val try_advance : t -> delay:float -> bool
 (** [try_advance t ~delay] advances the clock to [target], which is
@@ -99,6 +113,28 @@ val try_advance : t -> delay:float -> bool
     skips the suspend/schedule/resume machinery when the sleeper is the
     only thing the simulation is waiting on.  [false] leaves the clock
     untouched. *)
+
+(** {1 The running slot}
+
+    Which fiber runs on a domain is kept in one slot per domain, read
+    and written by the fiber layer.  An engine keeps its domain's slot
+    at hand so that a fiber switch and a CPU charge, which know their
+    engine, need no domain-local lookup. *)
+
+type running = ..
+(** What a running slot holds; {!Fiber} adds a constructor for its
+    fibers. *)
+
+type running += Idle  (** No fiber is running. *)
+
+val running_slot : unit -> running ref
+(** The calling domain's slot: one domain-local lookup. *)
+
+val slot : t -> running ref
+(** The running slot of the domain on which [t] last started a run
+    ({!run}, {!run_counted} or {!run_window}, each of which refreshes
+    it on entry): while any event of [t] executes, the executing
+    domain's slot. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the event queue.  Stops when the queue is empty, when the

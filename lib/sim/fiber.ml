@@ -10,8 +10,9 @@ type state =
   | Terminated
 
 (* A float-only record is laid out flat, so storing a sleep's duration
-   into it is a plain unboxed store: no box, no write barrier. *)
-type nap = { mutable nap_s : float }
+   into it is a plain unboxed store: no box, no write barrier.  It is
+   the engine's, so a charge hands it to [Engine.sleep_drain] as is. *)
+type nap = Engine.nap = { mutable nap_s : float }
 
 type t = {
   id : int;
@@ -29,10 +30,10 @@ type t = {
      this fiber is currently working on behalf of.  Per-fiber rather
      than domain-local so it survives parks/resumes untouched. *)
   mutable ctx : int;
-  (* [Some self], built once at spawn: [enter] and [transfer] store it
-     into the domain's [current] on every resume instead of allocating
-     a fresh option each time. *)
-  some_self : t option;
+  (* [Fiber self], built once at spawn: [enter] and [transfer] store it
+     into the running slot on every resume instead of building it each
+     time. *)
+  as_running : Engine.running;
   (* The continuation of the pending [Sleep], or [unset ()] once an
      abort has taken it.  The only pointer a sleep stores (see the
      [Sleep] handler). *)
@@ -88,47 +89,44 @@ type _ Effect.t +=
   | Park : 'a park -> 'a Effect.t
   | Sleep : unit Effect.t
 
-(* The fiber currently executing, if any.  Maintained by every site
-   that transfers control onto a fiber stack ([match_with] at spawn,
-   [continue]/[discontinue] at resume): set before the transfer,
-   restored after it returns.  Restoring (rather than clearing) keeps
-   the value correct under inline drains ([Engine.sleep_drain]), where
-   fiber B is resumed by an event executing on fiber A's stack.  This
-   makes [self] a load instead of an [Effect.perform] round-trip — the
-   single hottest operation in the simulation, performed once per CPU
-   charge.  Outside a fiber there is no current fiber, and [self]
-   raises.
+type Engine.running += Fiber of t
+
+(* The fiber currently executing lives in the domain's running slot
+   ([Engine.running_slot]), which every site that transfers control onto
+   a fiber stack maintains ([match_with] at spawn, [continue]/
+   [discontinue] at resume): set before the transfer, restored after it
+   returns.  Restoring (rather than clearing) keeps the value correct
+   under inline drains ([Engine.sleep_drain]), where fiber B is resumed
+   by an event executing on fiber A's stack, and under a nested
+   [Engine.run] of another engine inside a fiber.  Those sites, and
+   every caller that knows its engine ([running]), reach the slot
+   through the engine, which keeps its domain's slot at hand
+   ([Engine.slot]): a switch is a load, a load and two stores, with no
+   domain-local lookup.  Outside a fiber the slot holds
+   [Engine.Idle], and [self] and [running] raise.
 
    Domain-local, not global: the parallel engine runs one logical
-   process per domain, and each domain has its own currently-executing
-   fiber.  A DLS load is an array index off the domain record — the
-   fast path stays a load, not an effect. *)
-let current : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
+   process per domain, and each domain has its own executing fiber. *)
 let[@inline] enter fiber f =
-  let current = Domain.DLS.get current in
-  let prev = !current in
-  current := fiber.some_self;
+  let slot = Engine.slot fiber.engine_ in
+  let prev = !slot in
+  slot := fiber.as_running;
   f ();
-  current := prev
+  slot := prev
 
 (* The running fiber's record is the natural home of the ambient
    causal context (it must ride across parks and resumes), but
    [Causal] lives below the simulator in the dependency order — so
-   register accessors over the per-fiber slot, with a domain-local
-   ref standing in when no fiber is executing. *)
-let ambient_fallback : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
-
+   register accessors over the per-fiber slot.  Outside a fiber there
+   is no context: a read is [none] and a write is dropped.  (Only
+   [Causal.reset] writes there, and nothing reads there.) *)
 let () =
   Circus_trace.Causal.register_ambient
     ~get:(fun () ->
-      match !(Domain.DLS.get current) with
-      | Some f -> f.ctx
-      | None -> !(Domain.DLS.get ambient_fallback))
-    ~set:(fun c ->
-      match !(Domain.DLS.get current) with
-      | Some f -> f.ctx <- c
-      | None -> Domain.DLS.get ambient_fallback := c)
+      match !(Engine.running_slot ()) with
+      | Fiber f -> f.ctx
+      | _ -> Circus_trace.Causal.none)
+    ~set:(fun c -> match !(Engine.running_slot ()) with Fiber f -> f.ctx <- c | _ -> ())
 
 let no_cleanup () = ()
 
@@ -154,19 +152,19 @@ let resumed fiber ok =
    place, because without flambda [enter fiber (fun () -> ...)]
    allocates that closure on every resume. *)
 let transfer fiber k r =
-  let current = Domain.DLS.get current in
-  let prev = !current in
-  current := fiber.some_self;
+  let slot = Engine.slot fiber.engine_ in
+  let prev = !slot in
+  slot := fiber.as_running;
   (match r with Ok v -> Effect.Deep.continue k v | Error e -> Effect.Deep.discontinue k e);
-  current := prev
+  slot := prev
 
 (* [transfer] of [Ok v], without the [Ok] block. *)
 let transfer_ok fiber k v =
-  let current = Domain.DLS.get current in
-  let prev = !current in
-  current := fiber.some_self;
+  let slot = Engine.slot fiber.engine_ in
+  let prev = !slot in
+  slot := fiber.as_running;
   Effect.Deep.continue k v;
-  current := prev
+  slot := prev
 
 (* The resume event's body, shared by every suspension. *)
 let resume fiber k r =
@@ -238,7 +236,7 @@ let spawn engine ?(label = "fiber") f =
       terminate_callbacks = [];
       ff_streak = 0;
       ctx = 0;
-      some_self = Some fiber;
+      as_running = Fiber fiber;
       sleep_k = unset ();
       nap = { nap_s = 0.0 };
       cancelled = (fun () -> fiber.cancel_requested);
@@ -320,14 +318,19 @@ let spawn engine ?(label = "fiber") f =
   fiber
 
 let self () =
-  match !(Domain.DLS.get current) with
-  | Some f -> f
-  | None -> invalid_arg "Fiber.self: not in a fiber"
+  match !(Engine.running_slot ()) with
+  | Fiber f -> f
+  | _ -> invalid_arg "Fiber.self: not in a fiber"
+
+let running engine =
+  match !(Engine.slot engine) with
+  | Fiber f -> f
+  | _ -> invalid_arg "Fiber.running: not in a fiber"
+
 let id t = t.id
 let suspend ?(on_abort = no_cleanup) register = Effect.perform (Suspend (register, on_abort))
 
-let park_create ~arm ~poll ~on_abort =
-  let owner = self () in
+let park_of owner ~arm ~poll ~on_abort =
   let rec p =
     { owner;
       arm;
@@ -349,17 +352,18 @@ let park_create ~arm ~poll ~on_abort =
   p.resume <- Engine.timer owner.engine_ (fun () -> if p.polling then poll_slot p else unpark_slot p);
   p
 
+let park_create ~arm ~poll ~on_abort = park_of (self ()) ~arm ~poll ~on_abort
+
 let park p =
-  if p.owner != self () then invalid_arg "Fiber.park: not the park's fiber";
+  if p.owner != running p.owner.engine_ then invalid_arg "Fiber.park: not the park's fiber";
   Effect.perform p.eff
 
 (* Built on first use, so only fibers that wait this way pay for it;
    it is the one young value ever stored into [own]. *)
-let own_park () =
-  let fiber = self () in
+let own_park fiber =
   if fiber.own == unset () then
     fiber.own <-
-      park_create ~arm:ignore
+      park_of fiber ~arm:ignore
         ~poll:(fun () -> None)
         ~on_abort:(fun () -> fiber.own_abort ());
   fiber.own
@@ -422,30 +426,30 @@ let nap fiber = fiber.nap
 (* CPU-charge sleep ([Host.use_cpu]) of the duration in the fiber's
    [nap], where the charge stored it unboxed: same contract as [sleep],
    but when other events are due before the deadline, execute them
-   inline on this stack ([Engine.sleep_drain]) instead of suspending
-   around them.  The event order is exactly what the engine loop would
-   have produced; the win is skipping the park/resume pair for the most
-   frequent sleep in the simulation.  Falls back to the suspending path
-   on cancellation, drain-budget exhaustion, or a deadline beyond an
-   enclosing drain. *)
+   inline on this stack ([Engine.sleep_drain], which also takes the
+   clock jump when nothing is due) instead of suspending around them.
+   The win is skipping the park/resume pair for the most frequent sleep
+   in the simulation.  Falls back to the suspending path on
+   cancellation, drain-budget exhaustion, or a deadline beyond an
+   enclosing drain, sleeping only what is left of the duration (the
+   drain may have advanced the clock) so the wake still lands at the
+   original target instant; [sleep_drain] leaves that in [nap]. *)
 let sleep_busy fiber =
-  let duration = fiber.nap.nap_s in
-  let eng = fiber.engine_ in
-  let target = Engine.now eng +. duration in
-  if
-    duration > 0.0
-    && (not fiber.cancel_requested)
-    && fiber.ff_streak < ff_streak_cap
-    && (Engine.try_advance eng ~delay:duration
-       || Engine.sleep_drain eng ~target ~cancelled:fiber.cancelled)
-  then fiber.ff_streak <- fiber.ff_streak + 1
+  let nap = fiber.nap in
+  let eligible =
+    nap.nap_s > 0.0 && (not fiber.cancel_requested) && fiber.ff_streak < ff_streak_cap
+  in
+  if eligible && Engine.sleep_drain fiber.engine_ nap ~cancelled:fiber.cancelled then
+    fiber.ff_streak <- fiber.ff_streak + 1
   else begin
+    if not eligible then begin
+      (* Computed as the drain computes it, so the wake lands on the
+         very float [now + duration] would. *)
+      let now = Engine.now fiber.engine_ in
+      let remaining = now +. nap.nap_s -. now in
+      nap.nap_s <- (if remaining > 0.0 then remaining else 0.0)
+    end;
     fiber.ff_streak <- 0;
-    (* The drain may have executed events and advanced the clock; sleep
-       only the remainder so the wake still lands at the original
-       target instant. *)
-    let remaining = target -. Engine.now eng in
-    fiber.nap.nap_s <- (if remaining > 0.0 then remaining else 0.0);
     Effect.perform Sleep
   end
 

@@ -28,13 +28,18 @@ val spawn : Engine.t -> ?label:string -> (unit -> unit) -> t
     and label, then re-raised, aborting the run. *)
 
 val self : unit -> t
-(** The currently executing fiber.  Raises [Invalid_argument] outside
-    a fiber (in engine callbacks that run no fiber, or before
-    {!Engine.run}). *)
+(** The currently executing fiber: one domain-local lookup.  Raises
+    [Invalid_argument] outside a fiber (in engine callbacks that run no
+    fiber, or before {!Engine.run}). *)
+
+val running : Engine.t -> t
+(** [running engine] is {!self} for a caller that runs under [engine]:
+    it reads the running slot [engine] keeps ({!Engine.slot}), with no
+    domain-local lookup.  Raises [Invalid_argument] outside a fiber. *)
 
 val id : t -> int
 
-type nap = { mutable nap_s : float }
+type nap = Engine.nap = { mutable nap_s : float }
 (** A duration in a record of floats only, which OCaml lays out flat:
     storing a computed float into it allocates no box. *)
 
@@ -47,8 +52,11 @@ val sleep_busy : t -> unit
     ([Host.use_cpu], whose computed charge thus crosses into this
     module unboxed): when other events are due before the deadline,
     execute them inline on this fiber's stack ({!Engine.sleep_drain})
-    instead of suspending around them.  Event order and the virtual
-    clock behave exactly as with {!sleep}. *)
+    instead of suspending around them.  The virtual clock and the
+    event order behave as with {!sleep}, with one exception: a delay-0
+    event scheduled by an event due at exactly the deadline runs before
+    this fiber wakes, where {!sleep} wakes first (see
+    {!Engine.sleep_drain}). *)
 
 val sleep : float -> unit
 (** Block for a duration of virtual time. *)
@@ -90,8 +98,9 @@ val unpark : 'a park -> 'a -> unit
     waker called with [Ok v].  The first of {!unpark}, {!kick} and an
     abort wins; the others are no-ops until the fiber parks again. *)
 
-val own_park : unit -> unit park
-(** The calling fiber's own park, built on its first call: no [arm],
+val own_park : t -> unit park
+(** [own_park fiber], [fiber] the calling fiber (from {!running}), is
+    its own park, built on its first call: no [arm],
     [poll] or [on_abort] work.  A wait that carries no value parks on
     it, and whoever ends the wait {!unpark}s it with [()] and leaves
     anything the waiter needs in a place the waiter reads after it

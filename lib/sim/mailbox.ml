@@ -133,7 +133,7 @@ let recv ?timeout t =
        [suspend] below links it in its [register]: nothing runs in
        between, and a parking that cancellation aborts at once unlinks
        it again, as that [suspend] would never have linked it. *)
-    let p = Fiber.own_park () in
+    let p = Fiber.own_park (Fiber.running t.engine) in
     let w = waiter t in
     w.park <- Some p;
     link t w;

@@ -24,8 +24,11 @@
    simulator, but the natural home of the ambient context is the
    running fiber (it must survive parks and resumes).  [Fiber]
    registers get/set hooks over its own per-fiber slot via
-   {!register_ambient}; until something registers, a domain-local
-   ref serves contexts for code running outside any fiber. *)
+   {!register_ambient}.  Outside a fiber, and before a registration,
+   there is no ambient context: [current] is [none] and [set_current]
+   stores nothing.  Counted over tier-1, the quickstart, the CI chaos
+   and scale worlds and perfbench, only [reset] ever set the context
+   outside a fiber, and nothing read it there. *)
 
 type ctx = int
 
@@ -83,9 +86,8 @@ let mint_span host =
 (* ------------------------------------------------------------------ *)
 (* Ambient context *)
 
-let fallback : ctx ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref none)
-let ambient_get = ref (fun () -> !(Domain.DLS.get fallback))
-let ambient_set = ref (fun c -> Domain.DLS.get fallback := c)
+let ambient_get = ref (fun () -> none)
+let ambient_set = ref (fun (_ : ctx) -> ())
 
 let register_ambient ~get ~set =
   ambient_get := get;
@@ -98,8 +100,7 @@ let reset () =
   let c = Domain.DLS.get counters_key in
   Array.fill c.req_c 0 (Array.length c.req_c) 0;
   Array.fill c.span_c 0 (Array.length c.span_c) 0;
-  set_current none;
-  Domain.DLS.get fallback := none
+  set_current none
 
 (* ------------------------------------------------------------------ *)
 (* Emission *)

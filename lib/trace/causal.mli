@@ -21,15 +21,17 @@ val on : unit -> bool
 val set_enabled : bool -> unit
 
 val reset : unit -> unit
-(** Zero the calling domain's id counters and ambient context.  Call
+(** Zero the calling domain's id counters and the running fiber's
+    ambient context (outside a fiber there is none).  Call
     before a run whose causal stream must be reproducible within the
     same process (fresh worker domains start zeroed already). *)
 
 val register_ambient : get:(unit -> ctx) -> set:(ctx -> unit) -> unit
 (** Dependency inversion for the ambient context: the fiber scheduler
     owns a per-fiber slot (contexts must survive parks) and registers
-    accessors here at module initialisation.  Without a registration a
-    domain-local ref is used. *)
+    accessors here at module initialisation.  Without a registration
+    there is no ambient context: {!current} is {!none} and
+    {!set_current} does nothing. *)
 
 val current : unit -> ctx
 val set_current : ctx -> unit

@@ -396,6 +396,171 @@ let test_barrier_goldens () =
     barrier_goldens
 
 (* ------------------------------------------------------------------ *)
+(* The running slot.  A fiber switch, a CPU charge and an inline drain
+   read the running fiber through the slot its engine keeps
+   ([Engine.slot]), refreshed on every run's entry; [Fiber.self] reads
+   the domain's slot.  Under [Parallel.run] every LP's fibers must see
+   themselves through both, on whichever domain runs them, across
+   sleeps, busy sleeps (which drain other fibers' wakes inline),
+   mailbox waits and a nested run of a private engine.  An event that
+   runs on no fiber's stack must see none: one ahead of every fiber,
+   and the posts to an LP that runs no fiber (an event that a busy
+   sleep drains runs on the sleeper's stack, and sees the sleeper). *)
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Returns per LP the number of checks made and the number that
+   failed, after a run at [domains]. *)
+let running_program ~domains =
+  let k = 5 and lookahead = 0.25 in
+  let idle = k - 1 in
+  let t = Parallel.create ~seed:5 ~lps:k ~lookahead () in
+  let checks = Array.make k 0 and wrong = Array.make k 0 in
+  let check i ok =
+    checks.(i) <- checks.(i) + 1;
+    if not ok then wrong.(i) <- wrong.(i) + 1
+  in
+  let sees i engine me = check i (Fiber.self () == me && Fiber.running engine == me) in
+  let mailboxes = Array.init k (fun i -> Mailbox.create (Parallel.engine t i)) in
+  let spawn_checked i body =
+    let engine = Parallel.engine t i in
+    let me = ref None in
+    let f = Fiber.spawn engine (fun () -> body engine (Option.get !me)) in
+    me := Some f
+  in
+  let worker i n engine me =
+    for step = 1 to n do
+      sees i engine me;
+      (match step mod 4 with
+      | 0 -> Fiber.sleep (0.01 *. float_of_int (1 + (step mod 3)))
+      | 1 -> busy_sleep 0.02
+      | 2 -> (
+        match Mailbox.recv ~timeout:0.05 mailboxes.(i) with Some _ | None -> ())
+      | _ ->
+        Mailbox.send mailboxes.(i) step;
+        if step mod 8 = 3 then
+          let dst = (i + 1) mod idle and at = Engine.now engine +. lookahead in
+          Parallel.post t ~src:i ~dst ~at (fun () ->
+              spawn_checked dst (fun engine me ->
+                  sees dst engine me;
+                  busy_sleep 0.01;
+                  sees dst engine me));
+          Parallel.post t ~src:i ~dst:idle ~at (fun () -> check idle (raises_invalid Fiber.self)));
+      sees i engine me
+    done
+  in
+  let nested i engine me =
+    Fiber.sleep 0.03;
+    let inner = Engine.create () in
+    let g = ref None in
+    g :=
+      Some
+        (Fiber.spawn inner (fun () ->
+             let g = Option.get !g in
+             for _ = 1 to 3 do
+               check i (Fiber.self () == g && Fiber.running inner == g);
+               busy_sleep 0.01;
+               Fiber.sleep 0.01
+             done));
+    Engine.run inner;
+    sees i engine me;
+    busy_sleep 0.01;
+    sees i engine me
+  in
+  for i = 0 to idle - 1 do
+    ignore
+      (Engine.schedule (Parallel.engine t i) ~delay:0.0 (fun () ->
+           check i (raises_invalid Fiber.self)));
+    for f = 0 to 2 do
+      spawn_checked i (worker i (12 + (4 * f) + i))
+    done;
+    spawn_checked i (nested i)
+  done;
+  Parallel.run ~domains t;
+  (checks, wrong, t)
+
+let test_running_agree () =
+  let expected = ref None in
+  List.iter
+    (fun domains ->
+      let checks, wrong, t = running_program ~domains in
+      Array.iteri
+        (fun i w ->
+          if w > 0 then
+            Alcotest.failf "domains %d, lp %d: %d of %d checks saw another fiber" domains i w
+              checks.(i))
+        wrong;
+      (match !expected with
+      | None -> expected := Some checks
+      | Some c ->
+        Alcotest.(check (array int)) (Printf.sprintf "domains %d checks" domains) c checks);
+      Alcotest.(check bool) "self after the run" true (raises_invalid Fiber.self);
+      for i = 0 to 4 do
+        Alcotest.(check bool)
+          (Printf.sprintf "domains %d: running lp %d after the run" domains i)
+          true
+          (raises_invalid (fun () -> Fiber.running (Parallel.engine t i)))
+      done)
+    [ 1; 2; 4 ];
+  match !expected with
+  | Some c ->
+    Alcotest.(check bool) "checks made on every LP" true (Array.for_all (fun n -> n > 0) c)
+  | None -> ()
+
+(* Both engines' fibers really suspend (each engine runs two sleepers
+   half a second apart), so the inner run switches fibers on the outer
+   fiber's stack. *)
+let test_running_nested () =
+  let a = Engine.create () in
+  let sleeper engine offset =
+    Fiber.spawn engine (fun () ->
+        Fiber.sleep offset;
+        for _ = 1 to 3 do
+          Fiber.sleep 1.0
+        done)
+  in
+  let outer = ref None and inner_ok = ref [] and after = ref [] in
+  let f =
+    Fiber.spawn a (fun () ->
+        let f = Option.get !outer in
+        let b = Engine.create () in
+        let checked offset =
+          let g = ref None in
+          g :=
+            Some
+              (Fiber.spawn b (fun () ->
+                   let g = Option.get !g in
+                   for _ = 1 to 3 do
+                     inner_ok := (Fiber.self () == g && Fiber.running b == g) :: !inner_ok;
+                     Fiber.sleep 1.0;
+                     busy_sleep offset
+                   done))
+        in
+        checked 0.5;
+        checked 0.25;
+        Engine.run b;
+        after := [ Fiber.self () == f; Fiber.running a == f ];
+        Fiber.sleep 1.0;
+        busy_sleep 1.0;
+        after := !after @ [ Fiber.self () == f; Fiber.running a == f ])
+  in
+  outer := Some f;
+  ignore (sleeper a 0.5);
+  Engine.run a;
+  Alcotest.(check (list bool)) "inner fibers" (List.init 6 (fun _ -> true)) !inner_ok;
+  Alcotest.(check (list bool)) "outer fiber after the inner run" [ true; true; true; true ] !after
+
+let test_running_outside () =
+  let e = Engine.create () in
+  Alcotest.(check bool) "self before any run" true (raises_invalid Fiber.self);
+  Alcotest.(check bool) "running before any run" true
+    (raises_invalid (fun () -> Fiber.running e));
+  ignore (Fiber.spawn e (fun () -> Fiber.sleep 1.0));
+  Engine.run e;
+  Alcotest.(check bool) "self after a run" true (raises_invalid Fiber.self);
+  Alcotest.(check bool) "running after a run" true (raises_invalid (fun () -> Fiber.running e))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -417,4 +582,8 @@ let () =
              test_domains_invariant_chaos_fixed_seed
         :: qcheck [ prop_domains_invariant; prop_domains_invariant_chaos ] );
       ( "barrier",
-        [ Alcotest.test_case "seeded programs match goldens" `Quick test_barrier_goldens ] ) ]
+        [ Alcotest.test_case "seeded programs match goldens" `Quick test_barrier_goldens ] );
+      ( "running",
+        [ Alcotest.test_case "self and running agree, domains 1/2/4" `Quick test_running_agree;
+          Alcotest.test_case "a nested run restores the outer fiber" `Quick test_running_nested;
+          Alcotest.test_case "no fiber outside a run" `Quick test_running_outside ] ) ]

@@ -1071,6 +1071,32 @@ let test_sleep_words () =
     Alcotest.failf "a suspending sleep allocates %.1f words beyond a timer's %.1f (budget 8)"
       (sleeps -. floor) floor
 
+(* The one order in which a busy sleep differs from a suspending one.
+   An event due at exactly the sleeper's target schedules a delay-0
+   event.  A suspending sleep's wake, scheduled after the due event,
+   runs before that delay-0 event; a busy sleep drains the ring, which
+   holds it, before it wakes (see [Engine.sleep_drain]).  Both orders
+   are pinned as they stand: a drain that stops at the wake's (time,
+   seq) would agree with [Fiber.sleep], but moves schedules. *)
+let sleep_order sleep =
+  let engine = Engine.create () in
+  let log = ref [] in
+  let note what = log := what :: !log in
+  ignore
+    (Engine.schedule engine ~delay:1.0 (fun () ->
+         ignore (Engine.schedule engine ~delay:0.0 (fun () -> note "delay-0 event"))));
+  ignore
+    (Fiber.spawn engine (fun () ->
+         sleep 1.0;
+         log := Printf.sprintf "sleeper wakes at %.1f" (Engine.now engine) :: !log));
+  Engine.run engine;
+  String.concat ", " (List.rev !log)
+
+let test_busy_sleep_order () =
+  Alcotest.(check string) "sleep" "sleeper wakes at 1.0, delay-0 event" (sleep_order Fiber.sleep);
+  Alcotest.(check string)
+    "sleep_busy" "delay-0 event, sleeper wakes at 1.0" (sleep_order busy_sleep)
+
 let test_condition_signal_broadcast () =
   let engine = Engine.create () in
   let cond = Condition.create () in
@@ -1203,5 +1229,6 @@ let () =
          report's name column and shortens every printed case name. *)
       ( "sleeps",
         [ Alcotest.test_case "seeded programs match goldens" `Quick test_sleep_cancel_goldens;
-          Alcotest.test_case "suspending sleep allocation" `Quick test_sleep_words ] )
+          Alcotest.test_case "suspending sleep allocation" `Quick test_sleep_words;
+          Alcotest.test_case "busy sleep order" `Quick test_busy_sleep_order ] )
     ]
