@@ -111,16 +111,58 @@ let single_flight t key f =
     List.iter (fun wake -> wake result) (List.rev !waiters);
     (match result with Ok v -> v | Error e -> raise e)
 
+(* One copy of what the caches share.  Every client on a domain decodes
+   the same registry answers — a scenario's front ends each warm their
+   own cache from the same partitions — so each troupe, name and member
+   list a cache keeps passes through a weak intern set first, and equal
+   values become one.  The sets are weak, so they keep nothing alive
+   that no cache holds, and per domain, so parallel runs share no
+   mutable state.  Sharing is safe because these values are immutable
+   and nothing compares them physically; interning bypasses
+   [Troupe.make], which would emit a trace event. *)
+module Troupes = Weak.Make (struct
+  type t = Troupe.t
+
+  let equal (a : t) (b : t) =
+    Ids.Troupe_id.equal a.id b.id && List.equal Addr.equal_module a.members b.members
+
+  let hash = Hashtbl.hash
+end)
+
+module Names = Weak.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Processes = Weak.Make (struct
+  type t = Addr.t list
+
+  let equal = List.equal Addr.equal
+  let hash = Hashtbl.hash
+end)
+
+type interned = { troupes : Troupes.t; names : Names.t; processes : Processes.t }
+
+let interned =
+  Domain.DLS.new_key (fun () ->
+      { troupes = Troupes.create 64; names = Names.create 64; processes = Processes.create 64 })
+
 let cache_troupe t troupe =
-  Hashtbl.replace t.by_id troupe.Troupe.id (Troupe.member_processes troupe)
+  let i = Domain.DLS.get interned in
+  let troupe = Troupes.merge i.troupes troupe in
+  Hashtbl.replace t.by_id troupe.Troupe.id
+    (Processes.merge i.processes (Troupe.member_processes troupe));
+  troupe
+
+let cache_named t name troupe =
+  let troupe = cache_troupe t troupe in
+  Hashtbl.replace t.by_name (Names.merge (Domain.DLS.get interned).names name) troupe;
+  troupe
 
 let cache_name_answer t name answer =
-  match Codec.decode Ringmaster.troupe_opt answer with
-  | Some troupe ->
-    Hashtbl.replace t.by_name name troupe;
-    cache_troupe t troupe;
-    Some troupe
-  | None -> None
+  Option.map (cache_named t name) (Codec.decode Ringmaster.troupe_opt answer)
 
 (* Each asker's own chain gets the lookup bracket — cache hits in
    [import] skip it entirely, so the "lookup" attribution stage counts
@@ -147,6 +189,11 @@ let import t ctx name =
   match Hashtbl.find_opt t.by_name name with Some troupe -> troupe | None -> lookup t ctx name
 
 let invalidate t name = Hashtbl.remove t.by_name name
+
+let cached t =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun name troupe acc -> (name, troupe) :: acc) t.by_name [])
 
 let rebind t ctx name =
   causal_step t "lookup";
@@ -196,12 +243,7 @@ let member_change t ctx ~proc_no ~name member =
     ringmaster_call t ctx ~proc_no (Codec.encode Ringmaster.member_args (name, member))
   in
   invalidate t name;
-  match Codec.decode Ringmaster.troupe_opt answer with
-  | Some troupe ->
-    Hashtbl.replace t.by_name name troupe;
-    cache_troupe t troupe;
-    Some troupe
-  | None -> None
+  cache_name_answer t name answer
 
 let add_member t ctx ~name member =
   member_change t ctx ~proc_no:Ringmaster.proc_add_troupe_member ~name member
@@ -220,11 +262,7 @@ let enumerate t ctx =
    binding troupe cannot absorb.  Names registered after the snapshot
    fall back to on-demand lookups. *)
 let warm t ctx =
-  List.iter
-    (fun (name, troupe) ->
-      Hashtbl.replace t.by_name name troupe;
-      cache_troupe t troupe)
-    (enumerate t ctx)
+  List.iter (fun (name, troupe) -> ignore (cache_named t name troupe)) (enumerate t ctx)
 
 let export_service t ctx ~name ~module_no =
   (* From now on, reconfiguration pushes for this module also rename our
@@ -259,11 +297,7 @@ let resolve t id =
               ringmaster_read t ctx ~proc_no:Ringmaster.proc_lookup_by_id
                 (Codec.encode Ids.Troupe_id.codec id)
             in
-            match Codec.decode Ringmaster.troupe_opt answer with
-            | Some troupe ->
-              cache_troupe t troupe;
-              Some troupe
-            | None -> None)
+            Option.map (cache_troupe t) (Codec.decode Ringmaster.troupe_opt answer))
       with
       | Some troupe -> Some (Troupe.member_processes troupe)
       | None -> None

@@ -61,6 +61,11 @@ val rebind : t -> Runtime.ctx -> string -> Troupe.t
 
 val invalidate : t -> string -> unit
 
+val cached : t -> (string * Troupe.t) list
+(** The name cache's bindings, sorted by name.  Every client on a
+    domain keeps one copy of equal names, troupes and member lists:
+    each cached value passes through a per-domain weak intern set. *)
+
 val call :
   t -> Runtime.ctx -> service:string -> proc_no:int ->
   ?multicast:bool -> ?collator:Collator.t -> ?retries:int -> bytes -> bytes

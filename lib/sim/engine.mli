@@ -93,6 +93,11 @@ val sleep_drain : t -> nap -> cancelled:(unit -> bool) -> bool
     sit.  So a delay-0 event scheduled by an event due at exactly
     [target] runs before the sleeper wakes, where a suspending
     {!Fiber.sleep} wakes first: the one order in which the two differ.
+    A drained event also runs with the sleeper still in the running
+    slot, so a plain callback drained here sees the sleeper in
+    {!Fiber.self} (and its ambient causal context), where under a
+    suspending sleep it would see no fiber.  CHANGES.md names this as
+    a FOUND; [test_parallel]'s [running] group pins it as it stands.
 
     Returns [false] when the caller must fall back to a real suspension,
     with the events drained so far executed, the clock short of

@@ -16,27 +16,29 @@
    it, say) is not kept alive until the slot is reused.  Only slots
    whose key is live are ever read, so the filler is never observed.
 
-   A small table with steady churn sweeps at the same capacity again
-   and again (the pairmsg [outgoing] and [exchanges] tables every few
-   dozen calls).  Such a sweep rebuilds into a spare pair of arrays of
-   that capacity, kept cleared with the table, and keeps the old pair
-   as the next spare, so it allocates nothing.  Past [spare_limit]
-   slots a table sweeps into fresh arrays instead: a spare would
-   double its footprint for as long as it lives, and a large table
-   sweeps seldom for its size.  Either way the live
-   entries are re-inserted in the order of their old slots into
-   cleared arrays, so a sweep leaves exactly the layout a rebuild into
-   fresh arrays would, and [iter]/[fold] visit in the same order. *)
+   A table with steady churn sweeps its tombstones at the same
+   capacity again and again (the pairmsg [outgoing] and [exchanges]
+   tables every few dozen calls).  Every such sweep, whatever the
+   table's size, works in place through a scratch kept per domain: the
+   live keys, values and old slots are copied out in slot order,
+   [keys] is emptied, the entries are re-inserted, and then only the
+   value slots that live entries left behind are cleared (a tombstone's
+   value slot already holds the filler, and refilling the whole value
+   array would darken every old value it overwrites while the major
+   collector is marking).  Once
+   the scratch has grown to a table's live count, a sweep allocates
+   nothing, and a large table's arrays stay where they are in the
+   major heap instead of being rebuilt there.  Only a doubling
+   allocates new arrays.  Either way the live entries are re-inserted
+   in the order of their old slots into an emptied key array, so a
+   sweep leaves exactly the layout a rebuild into fresh arrays would,
+   and [iter]/[fold] visit in the same order. *)
 
 type 'a t = {
   mutable keys : int array;
   mutable vals : 'a array;
   mutable live : int;
   mutable fill : int;  (* live + tombstones *)
-  (* Cleared arrays of the current capacity for the next same-capacity
-     sweep; [[||]] until the first one, and again after a doubling. *)
-  mutable spare_keys : int array;
-  mutable spare_vals : 'a array;
 }
 
 let empty_slot = -1
@@ -51,12 +53,7 @@ let filler : 'a. 'a = Obj.magic 0
 let create ?(initial = 16) () =
   let rec pow2 n = if n >= initial then n else pow2 (2 * n) in
   let cap = pow2 8 in
-  { keys = Array.make cap empty_slot;
-    vals = [||];
-    live = 0;
-    fill = 0;
-    spare_keys = [||];
-    spare_vals = [||] }
+  { keys = Array.make cap empty_slot; vals = [||]; live = 0; fill = 0 }
 
 let length t = t.live
 
@@ -94,7 +91,7 @@ let rec insert_fresh t key v i =
   else insert_fresh t key v (next_slot t i)
 
 (* Move the live entries of [old_keys]/[old_vals], in slot order, into
-   the cleared arrays now installed in [t]. *)
+   the empty arrays now installed in [t]. *)
 let reinsert t old_keys old_vals =
   let live = t.live in
   t.fill <- 0;
@@ -105,37 +102,65 @@ let reinsert t old_keys old_vals =
   done;
   assert (t.live = live)
 
-let spare_limit = 256
+(* The per-domain scratch of a same-capacity sweep: the live entries'
+   keys, values and old slots, in slot order.  It only grows, to the
+   largest live count a sweep on its domain has met, and its value
+   slots are cleared after each sweep, so it keeps no value alive.
+   Values of every table's type pass through it, hence [Obj.t]. *)
+type scratch = {
+  mutable s_keys : int array;
+  mutable s_vals : Obj.t array;
+  mutable s_slots : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { s_keys = [||]; s_vals = [||]; s_slots = [||] })
+
+let sweep t =
+  let keys = t.keys and vals = t.vals in
+  let live = t.live in
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.s_keys < live then begin
+    let n = max live (2 * Array.length s.s_keys) in
+    s.s_keys <- Array.make n empty_slot;
+    s.s_vals <- Array.make n (Obj.repr 0);
+    s.s_slots <- Array.make n 0
+  end;
+  let j = ref 0 in
+  for i = 0 to Array.length keys - 1 do
+    let k = keys.(i) in
+    if k >= 0 then begin
+      s.s_keys.(!j) <- k;
+      s.s_vals.(!j) <- Obj.repr vals.(i);
+      s.s_slots.(!j) <- i;
+      incr j
+    end
+  done;
+  Array.fill keys 0 (Array.length keys) empty_slot;
+  t.fill <- 0;
+  t.live <- 0;
+  for j = 0 to live - 1 do
+    let k = s.s_keys.(j) in
+    insert_fresh t k (Obj.obj s.s_vals.(j)) (slot_of t k)
+  done;
+  for j = 0 to live - 1 do
+    let i = s.s_slots.(j) in
+    if keys.(i) < 0 then vals.(i) <- filler;
+    s.s_vals.(j) <- Obj.repr 0
+  done
 
 (* Grow only when at least half the occupancy is live; otherwise the
    fill is tombstones and sweeping them at the same capacity is
    enough.  [replace] has made [vals] as long as [keys]. *)
 let resize t =
-  let old_keys = t.keys and old_vals = t.vals in
-  let cap = Array.length old_keys in
-  if 2 * t.live >= cap || cap > spare_limit then begin
-    let cap = if 2 * t.live >= cap then 2 * cap else cap in
-    t.keys <- Array.make cap empty_slot;
-    t.vals <- Array.make cap filler;
-    t.spare_keys <- [||];
-    t.spare_vals <- [||];
+  let cap = Array.length t.keys in
+  if 2 * t.live >= cap then begin
+    let old_keys = t.keys and old_vals = t.vals in
+    t.keys <- Array.make (2 * cap) empty_slot;
+    t.vals <- Array.make (2 * cap) filler;
     reinsert t old_keys old_vals
   end
-  else begin
-    if Array.length t.spare_keys <> cap then begin
-      t.spare_keys <- Array.make cap empty_slot;
-      t.spare_vals <- Array.make cap filler
-    end;
-    t.keys <- t.spare_keys;
-    t.vals <- t.spare_vals;
-    reinsert t old_keys old_vals;
-    (* The old pair becomes the spare, cleared now so that it holds no
-       value the table has let go of. *)
-    Array.fill old_keys 0 cap empty_slot;
-    Array.fill old_vals 0 cap filler;
-    t.spare_keys <- old_keys;
-    t.spare_vals <- old_vals
-  end
+  else sweep t
 
 let replace t key v =
   if key < 0 then invalid_arg "Itab.replace: negative key";

@@ -14,85 +14,63 @@
 
 module Trace = Circus_trace.Trace
 
-(* Single-producer single-consumer channel for cross-LP messages.
+(* Single-producer single-consumer channel for cross-LP messages: a
+   growable FIFO of (arrival, thunk) pairs.
 
-   The synchronization story is deliberately minimal.  During a window
-   only the producing domain touches the channel ([push]); the
-   coordinator drains it only at a barrier, while every domain is
-   parked and after the producer has passed through the team mutex, so
-   every window-time write happens-before every drain read.  The
-   Atomic head/tail indices make the ring well-defined even for the
-   coordinator's read-only [is_empty] probe at the barrier.
+   It needs no synchronization of its own.  During a window only the
+   producing domain touches the channel ([push]); the coordinator
+   reads and drains it only at a barrier, while every domain is parked
+   and after the producer has passed through the team mutex, so every
+   window-time write happens-before every barrier read ([Parallel]'s
+   per-source [posted] flags and minima rely on the same edge).
 
-   Boundedness: the ring has fixed capacity; once it fills, *all*
-   subsequent pushes in the window spill to a producer-side overflow
-   list (not just the ones that no longer fit — partial spilling would
-   break FIFO order, and FIFO is what makes the drain deterministic).
-   Blocking the producer instead would deadlock the barrier: the
-   consumer only drains once every producer has arrived at it. *)
+   A window carries a few cross-LP datagrams, so the buffer starts
+   small and doubles when full; it never spills and never blocks
+   (blocking the producer would deadlock the barrier, since the
+   consumer only drains once every producer has arrived at it).
+   Pushes and drains never interleave, so the buffer is filled from
+   its start and a drain empties all of it. *)
 module Channel = struct
   type thunk = unit -> unit
 
   type t = {
-    (* Parallel rings, capacity a power of two: arrival times stored
-       flat beside their thunks, so a push allocates nothing. *)
-    arrivals : Float.Array.t;
-    thunks : thunk array;
-    mask : int;
-    head : int Atomic.t;  (* consumer index *)
-    tail : int Atomic.t;  (* producer index *)
-    mutable overflow : (float * thunk) list;  (* producer-side spill, newest first *)
-    mutable spilled : bool;
+    (* Parallel arrays: arrival times stored flat beside their thunks,
+       so a push allocates nothing while there is room. *)
+    mutable arrivals : Float.Array.t;
+    mutable thunks : thunk array;
+    mutable count : int;
   }
 
-  let create ?(capacity = 1024) () =
-    if capacity < 1 then invalid_arg "Lp.Channel.create: capacity < 1";
-    let cap = ref 1 in
-    while !cap < capacity do
-      cap := !cap * 2
-    done;
-    { arrivals = Float.Array.make !cap infinity;
-      thunks = Array.make !cap ignore;
-      mask = !cap - 1;
-      head = Atomic.make 0;
-      tail = Atomic.make 0;
-      overflow = [];
-      spilled = false }
+  let create () =
+    { arrivals = Float.Array.make 16 infinity; thunks = Array.make 16 ignore; count = 0 }
+
+  let grow t =
+    let cap = 2 * Array.length t.thunks in
+    let arrivals = Float.Array.make cap infinity and thunks = Array.make cap ignore in
+    Float.Array.blit t.arrivals 0 arrivals 0 t.count;
+    Array.blit t.thunks 0 thunks 0 t.count;
+    t.arrivals <- arrivals;
+    t.thunks <- thunks
 
   let push t ~arrival x =
-    if t.spilled then t.overflow <- (arrival, x) :: t.overflow
-    else begin
-      let tail = Atomic.get t.tail in
-      if tail - Atomic.get t.head > t.mask then begin
-        t.spilled <- true;
-        t.overflow <- [ (arrival, x) ]
-      end
-      else begin
-        Float.Array.set t.arrivals (tail land t.mask) arrival;
-        t.thunks.(tail land t.mask) <- x;
-        Atomic.set t.tail (tail + 1)
-      end
-    end
+    if t.count = Array.length t.thunks then grow t;
+    Float.Array.set t.arrivals t.count arrival;
+    t.thunks.(t.count) <- x;
+    t.count <- t.count + 1
 
-  let is_empty t = Atomic.get t.head = Atomic.get t.tail && not t.spilled
+  let is_empty t = t.count = 0
 
-  (* Barrier-only: requires the producer to be quiescent. *)
+  (* Barrier-only: requires the producer to be quiescent.  A drained
+     slot is cleared at once, so the channel keeps no thunk alive. *)
   let drain t ~f =
-    let head = ref (Atomic.get t.head) in
-    let tail = Atomic.get t.tail in
-    while !head < tail do
-      let i = !head land t.mask in
-      let x = t.thunks.(i) in
-      t.thunks.(i) <- ignore;
-      f ~arrival:(Float.Array.get t.arrivals i) x;
-      incr head
+    let i = ref 0 in
+    while !i < t.count do
+      let x = t.thunks.(!i) in
+      t.thunks.(!i) <- ignore;
+      f ~arrival:(Float.Array.get t.arrivals !i) x;
+      incr i
     done;
-    Atomic.set t.head tail;
-    if t.spilled then begin
-      List.iter (fun (arrival, x) -> f ~arrival x) (List.rev t.overflow);
-      t.overflow <- [];
-      t.spilled <- false
-    end
+    t.count <- 0
 end
 
 type t = {

@@ -4,32 +4,31 @@
     ring, clock), a {!Prng.t} stream derived as a pure function of the
     root seed and the LP id, and an optional per-LP trace sink.  LPs
     share no mutable simulation state; cross-LP traffic flows through
-    the bounded SPSC {!Channel}s, drained only at conservative
-    barriers. *)
+    the SPSC {!Channel}s, drained only at conservative barriers. *)
 
 (** Single-producer single-consumer channel carrying timestamped
-    cross-LP messages (thunks to schedule on the receiving engine).
+    cross-LP messages (thunks to schedule on the receiving engine): a
+    growable FIFO that starts at 16 entries and doubles when full, so
+    it holds only what is in flight and never spills or blocks.
     [push] may only be called by the owning producer during a window;
-    [drain] only by the consumer at a barrier, once the producer is
-    quiescent (the barrier's mutex provides the happens-before edge).  When the ring fills, pushes
-    spill to a producer-side overflow list — all of them, preserving
-    FIFO order — rather than blocking, which would deadlock the
-    barrier. *)
+    [is_empty] and [drain] only by the consumer at a barrier, once the
+    producer is quiescent.  The barrier's mutex orders the two, so the
+    channel has no synchronization of its own. *)
 module Channel : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 1024) is rounded up to a power of two. *)
+  val create : unit -> t
 
   val push : t -> arrival:float -> (unit -> unit) -> unit
-  (** Allocation-free while the ring has room: the arrival time and the
-      thunk go into parallel flat arrays. *)
+  (** Allocation-free while the buffer has room: the arrival time and
+      the thunk go into parallel flat arrays. *)
 
   val is_empty : t -> bool
 
   val drain : t -> f:(arrival:float -> (unit -> unit) -> unit) -> unit
   (** Apply [f] to every buffered message in push (FIFO) order and
-      empty the channel.  Barrier-only. *)
+      empty the channel, which then keeps no drained thunk alive.
+      Barrier-only. *)
 end
 
 type t = {

@@ -78,15 +78,13 @@ type t = {
   mutable tracing : bool;
 }
 
-let create ?(seed = 42) ?(channel_capacity = 1024) ~lps ~lookahead () =
+let create ?(seed = 42) ~lps ~lookahead () =
   if lps < 1 then invalid_arg "Parallel.create: lps < 1";
   if not (lookahead > 0.0) then invalid_arg "Parallel.create: lookahead must be positive";
   let root = Prng.create seed in
   { lps = Array.init lps (fun i -> Lp.make ~id:i ~prng:(Prng.stream root ~index:i));
     lookahead;
-    chans =
-      Array.init lps (fun _ ->
-          Array.init lps (fun _ -> Lp.Channel.create ~capacity:channel_capacity ()));
+    chans = Array.init lps (fun _ -> Array.init lps (fun _ -> Lp.Channel.create ()));
     next_times = Array.make lps 0.0;
     posted = Array.make lps false;
     posted_min = Array.make lps infinity;

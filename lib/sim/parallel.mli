@@ -18,14 +18,14 @@
 
 type t
 
-val create : ?seed:int -> ?channel_capacity:int -> lps:int -> lookahead:float -> unit -> t
+val create : ?seed:int -> lps:int -> lookahead:float -> unit -> t
 (** [create ~lps:k ~lookahead ()] builds [k] logical processes.  Each
     LP's PRNG is [Prng.stream root ~index:id] and seeds its engine, so
     every LP is a pure function of [(seed, id)].  [lookahead] must be
     positive: the caller guarantees no cross-LP message arrives less
     than [lookahead] after it was sent (for the network layer, the
-    minimum propagation delay).  [channel_capacity] sizes the SPSC
-    rings (default 1024); overflow spills losslessly. *)
+    minimum propagation delay).  The [k * k] SPSC channels start small
+    and grow to what a window posts. *)
 
 val lp : t -> int -> Lp.t
 val engine : t -> int -> Engine.t

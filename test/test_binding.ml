@@ -218,6 +218,123 @@ let test_resolver_through_ringmaster () =
   Alcotest.(check bool) "registered" true (not (Ids.Troupe_id.equal !registered_id Ids.Troupe_id.none));
   Alcotest.(check int) "executed once for the pair" 1 !executed
 
+(* ------------------------------------------------------------------ *)
+(* Sharing.  Clients on one domain keep one copy of what their caches
+   share: a name, a troupe and a member list decoded from equal
+   registry answers are one value.  A registry of [services] names,
+   each a troupe of three of [hosts] echo members, registered by one
+   client; the clients under test warm from it. *)
+
+let shared_world ~services =
+  let w = make_world ~ringmasters:1 () in
+  let hosts = 6 in
+  let members =
+    Array.init hosts (fun i ->
+        let h = Net.add_host w.net ~name:(Printf.sprintf "m%d" i) () in
+        let rt = Runtime.create w.env h ~port:50 () in
+        Runtime.module_addr rt (Runtime.export rt (fun _ctx ~proc_no:_ body -> body)))
+  in
+  let name i = Printf.sprintf "svc%02d" i in
+  spawn_client w (fun client ctx ->
+      for i = 0 to services - 1 do
+        let members = List.init 3 (fun k -> members.((i + k) mod hosts)) in
+        ignore
+          (Client.register client ctx ~name:(name i)
+             (Troupe.make ~id:Ids.Troupe_id.none ~members))
+      done);
+  (w, name)
+
+let new_client w =
+  let rt = Runtime.create w.env (Net.add_host w.net ()) () in
+  Client.create rt ~ringmaster:w.ringmaster
+
+(* [f client ctx] on a thread of [client]'s runtime, at [at]. *)
+let at_time w ~at client f =
+  ignore
+    (Engine.schedule w.engine ~delay:at (fun () ->
+         ignore (Runtime.spawn_thread (Client.runtime client) (fun ctx -> f client ctx))))
+
+let test_warm_shares () =
+  let w, name = shared_world ~services:5 in
+  let a = new_client w and b = new_client w in
+  at_time w ~at:5.0 a Client.warm;
+  at_time w ~at:5.0 b Client.warm;
+  run w;
+  let ca = Client.cached a and cb = Client.cached b in
+  Alcotest.(check (list string)) "both caches warmed" (List.init 5 name) (List.map fst ca);
+  Alcotest.(check (list string)) "same names" (List.map fst ca) (List.map fst cb);
+  List.iter2
+    (fun (na, ta) (nb, tb) ->
+      Alcotest.(check bool) (na ^ ": one name key") true (na == nb);
+      Alcotest.(check bool) (na ^ ": one troupe") true (ta == tb);
+      match (Client.resolve a ta.Troupe.id, Client.resolve b tb.Troupe.id) with
+      | Some ma, Some mb ->
+        Alcotest.(check int) (na ^ ": three members") 3 (List.length ma);
+        Alcotest.(check bool) (na ^ ": one member list") true (ma == mb)
+      | _ -> Alcotest.failf "%s: id not cached" na)
+    ca cb
+
+(* A membership change re-caches a new troupe value in the client that
+   made it; the other client's cached binding is the old value,
+   untouched. *)
+let test_change_leaves_other_binding () =
+  let w, name = shared_world ~services:3 in
+  let _, _, joiner, module_no, _, _ = counter_member w "joiner" in
+  let other = new_client w in
+  at_time w ~at:5.0 joiner Client.warm;
+  at_time w ~at:5.0 other Client.warm;
+  let before = ref None and after = ref None in
+  at_time w ~at:20.0 joiner (fun client ctx ->
+      before := List.assoc_opt (name 1) (Client.cached client);
+      after := Some (Client.export_service client ctx ~name:(name 1) ~module_no));
+  run w;
+  let old = Option.get !before and fresh = Option.get !after in
+  Alcotest.(check bool) "the old troupe was shared" true
+    (List.assoc (name 1) (Client.cached other) == old);
+  Alcotest.(check bool) "the joiner re-cached a new value" true
+    (List.assoc (name 1) (Client.cached joiner) == fresh && fresh != old);
+  Alcotest.(check int) "the new troupe has the joiner" 4 (Troupe.size fresh);
+  Alcotest.(check bool) "a new id" false (Ids.Troupe_id.equal fresh.Troupe.id old.Troupe.id);
+  Alcotest.(check int) "the old troupe is untouched" 3 (Troupe.size old);
+  Alcotest.(check bool) "the other client keeps the old members" true
+    (Client.resolve other old.Troupe.id
+    = Some (List.map (fun m -> m.Addr.process) old.Troupe.members))
+
+(* What each further warmed client retains: live words after a full
+   major collection, once the first client has warmed (so every shared
+   value exists) and again once [extra] more have, both after the
+   registry's retention period so its retired answers are gone.  A
+   client then keeps its two hash tables' entries, and the protocol
+   state of one more peer, but no name, troupe or member list of its
+   own: 714.5 words for 30 names.  When each client kept its own
+   decoded copy of them it retained 2,033 words.  The budget has ~30%
+   headroom. *)
+let test_warm_retention_budget () =
+  let services = 30 and extra = 8 in
+  let w, _ = shared_world ~services in
+  let first = new_client w in
+  let clients = List.init extra (fun _ -> new_client w) in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = ref 0 and after = ref 0 in
+  at_time w ~at:5.0 first Client.warm;
+  ignore (Engine.schedule w.engine ~delay:40.0 (fun () -> before := live_words ()));
+  List.iter (fun c -> at_time w ~at:41.0 c Client.warm) clients;
+  ignore (Engine.schedule w.engine ~delay:80.0 (fun () -> after := live_words ()));
+  run w;
+  ignore (Sys.opaque_identity (first, clients));
+  List.iter
+    (fun c ->
+      Alcotest.(check int) "warmed" services (List.length (Client.cached c)))
+    (first :: clients);
+  let per_client = Float.of_int (!after - !before) /. Float.of_int extra in
+  let budget = 930.0 in
+  if not (per_client <= budget) then
+    Alcotest.failf "a warmed client retains %.1f words for %d names (budget %.0f)" per_client
+      services budget
+
 let () =
   Alcotest.run "circus_binding"
     [ ( "ringmaster",
@@ -228,4 +345,9 @@ let () =
         [ Alcotest.test_case "add member + stale cache" `Quick
             test_add_member_changes_id_and_stale_cache_masked;
           Alcotest.test_case "state transfer" `Quick test_recruit_state_transfer;
-          Alcotest.test_case "janitor" `Quick test_janitor_removes_crashed_member ] ) ]
+          Alcotest.test_case "janitor" `Quick test_janitor_removes_crashed_member ] );
+      ( "sharing",
+        [ Alcotest.test_case "warmed clients share values" `Quick test_warm_shares;
+          Alcotest.test_case "a change leaves other bindings" `Quick
+            test_change_leaves_other_binding;
+          Alcotest.test_case "words per warmed client" `Quick test_warm_retention_budget ] ) ]

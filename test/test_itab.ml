@@ -91,13 +91,13 @@ let prop_matches_hashtbl =
 (* Order.  [iter], [fold] and slot scans visit bindings in slot order,
    and the pairmsg trace events that come out of such scans
    ([implicit_acks]'s "msg_acked", [close]'s "wd_disarm") are pinned by
-   goldens.  Sweeping tombstones into spare arrays must therefore leave
+   goldens.  Sweeping tombstones in place must therefore leave
    exactly the layout of the original resize, which allocated fresh
    arrays and re-inserted the live bindings in old-slot order.  That
    resize is kept here, verbatim, as the model; random insert/remove
-   runs drive both tables through same-capacity sweeps (below and above
-   the spare-array limit) and doublings, and every fold, and the final
-   slot layout, must agree. *)
+   runs drive both tables through same-capacity sweeps (of tables from
+   8 to 4,096 slots) and doublings, and every fold, and the final slot
+   layout, must agree. *)
 
 module Rebuild_model = struct
   type 'a t = { mutable keys : int array; mutable vals : 'a array; mutable live : int; mutable fill : int }
@@ -174,16 +174,25 @@ type order_op =
   | Del of int
   | Order
 
+(* Most runs stay below 1,024 slots.  One in eight draws its keys from
+   a range wide enough that the table doubles to 4,096 slots, where it
+   settles with about 1,700 live keys and sweeps at that capacity over
+   and over; such a run checks the order more sparsely. *)
 let gen_order_ops =
   QCheck.Gen.(
-    let key =
-      frequency [ (6, int_bound 300); (1, map (fun a -> a lsl 24) (int_bound 20)) ]
+    let ops ~range ~size ~order =
+      let key =
+        frequency [ (6, int_bound range); (1, map (fun a -> a lsl 24) (int_bound 20)) ]
+      in
+      list_size size
+        (frequency
+           [ (10, map2 (fun k v -> Put (k, v)) key (int_bound 1000));
+             (8, map (fun k -> Del k) key);
+             (order, return Order) ])
     in
-    list_size (int_range 0 2000)
-      (frequency
-         [ (10, map2 (fun k v -> Put (k, v)) key (int_bound 1000));
-           (8, map (fun k -> Del k) key);
-           (1, return Order) ]))
+    frequency
+      [ (7, ops ~range:300 ~size:(int_range 0 2000) ~order:1);
+        (1, ops ~range:3000 ~size:(int_range 12_000 16_000) ~order:0) ])
 
 let fold_list fold t = List.rev (fold (fun k v acc -> (k, v) :: acc) t [])
 
@@ -282,9 +291,58 @@ let test_release () =
   done;
   ignore (Sys.opaque_identity t)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation.  A same-capacity sweep works in place through a scratch
+   kept per domain.  Once the scratch has grown to the table's live
+   count, churn that sweeps a 1,024-slot table again and again
+   allocates nothing: no minor words, and no words directly in the
+   major heap, where arrays of that size would go. *)
+
+(* Minor words and direct major words (major minus promoted) that [f]
+   allocates, less what reading the counters allocates. *)
+let alloc_of f =
+  let measure f =
+    Gc.minor ();
+    let mi0, pr0, ma0 = Gc.counters () in
+    f ();
+    let mi1, pr1, ma1 = Gc.counters () in
+    (mi1 -. mi0, ma1 -. pr1 -. (ma0 -. pr0))
+  in
+  let mi_e, ma_e = measure ignore in
+  let mi, ma = measure f in
+  (mi -. mi_e, ma -. ma_e)
+
+let test_sweep_allocates_nothing () =
+  let live = 400 in
+  let values = Array.init 4096 string_of_int in
+  let t = Itab.create () in
+  for k = 0 to live - 1 do
+    Itab.replace t k values.(k)
+  done;
+  Alcotest.(check int) "slots after the fill" 1024 (Itab.slots t);
+  (* Each step removes the oldest key and adds a new one: the fill
+     climbs by fresh slots until a sweep resets it, every ~150 steps. *)
+  let next = ref live in
+  let churn n =
+    for _ = 1 to n do
+      let k = !next in
+      Itab.remove t (k - live);
+      Itab.replace t k values.(k land 4095);
+      incr next
+    done
+  in
+  churn 1_000;
+  let minor, major = alloc_of (fun () -> churn 3_000) in
+  Alcotest.(check int) "slots after the churn" 1024 (Itab.slots t);
+  Alcotest.(check int) "live after the churn" live (Itab.length t);
+  Alcotest.(check (float 0.0)) "minor words" 0.0 minor;
+  Alcotest.(check (float 0.0)) "direct major words" 0.0 major
+
 let () =
   Alcotest.run "circus_itab"
     [ ( "itab",
         Alcotest.test_case "removed and overwritten values are released" `Quick test_release
+        :: Alcotest.test_case "a same-capacity sweep allocates nothing" `Quick
+             test_sweep_allocates_nothing
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_matches_hashtbl; prop_order_matches_rebuild ] ) ]
