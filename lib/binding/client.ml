@@ -10,6 +10,10 @@ exception Unknown_service of string
    flight, whether asked by name (lookup/rebind) or by id (resolve). *)
 type flight_key = By_name of string | By_id of Ids.Troupe_id.t
 
+(* The lookups that follow a flight, each parked on its fiber's own
+   park, and the answer the asker leaves them. *)
+type flight = { mutable followers : unit Fiber.park list; mutable answer : Troupe.t option }
+
 type t = {
   rt : Runtime.t;
   ringmaster : Troupe.t;
@@ -26,10 +30,10 @@ type t = {
      one rm call, every waiter shares its answer), and distinct
      questions pass through a small semaphore ([lookup_limit]) so a
      cold cache ramps at bounded concurrency. *)
-  inflight : (flight_key, Troupe.t option Fiber.waker list ref) Hashtbl.t;
+  inflight : (flight_key, flight) Hashtbl.t;
   lookup_limit : int;
   mutable lookup_active : int;
-  mutable lookup_q : unit Fiber.waker list;
+  mutable lookup_q : unit Fiber.park list;  (* oldest first *)
 }
 
 let runtime t = t.rt
@@ -73,28 +77,41 @@ let ringmaster_read t ctx ~proc_no body =
     | answer -> answer
     | exception _ -> ringmaster_call t ctx ~proc_no body)
 
+let without p = List.filter (fun q -> q != p)
+
+(* A lookup cancelled in the queue leaves it: the permit goes to the
+   next live one. *)
 let gate_acquire t =
   if t.lookup_active < t.lookup_limit then t.lookup_active <- t.lookup_active + 1
-  else Fiber.suspend (fun wake -> t.lookup_q <- t.lookup_q @ [ wake ])
+  else begin
+    let p = Fiber.own_park (Fiber.self ()) in
+    t.lookup_q <- t.lookup_q @ [ p ];
+    Fiber.park_own p ~on_abort:(fun () -> t.lookup_q <- without p t.lookup_q)
+  end
 
 let gate_release t =
   match t.lookup_q with
-  | wake :: rest ->
+  | p :: rest ->
     (* Hand the permit straight to the next waiter; [lookup_active] is
        unchanged. *)
     t.lookup_q <- rest;
-    wake (Ok ())
+    Fiber.unpark p ()
   | [] -> t.lookup_active <- t.lookup_active - 1
 
 (* Run [f] as the single flight for [key]: the first asker performs the
    (gated) Ringmaster call, everyone arriving while it is in flight
-   waits and shares the same outcome — answer or exception. *)
+   waits and shares the same outcome — answer or exception.  A follower
+   cancelled meanwhile leaves the flight. *)
 let single_flight t key f =
   match Hashtbl.find_opt t.inflight key with
-  | Some waiters -> Fiber.suspend (fun wake -> waiters := wake :: !waiters)
+  | Some flight ->
+    let p = Fiber.own_park (Fiber.self ()) in
+    flight.followers <- p :: flight.followers;
+    Fiber.park_own p ~on_abort:(fun () -> flight.followers <- without p flight.followers);
+    flight.answer
   | None ->
-    let waiters = ref [] in
-    Hashtbl.replace t.inflight key waiters;
+    let flight = { followers = []; answer = None } in
+    Hashtbl.replace t.inflight key flight;
     let result =
       match gate_acquire t with
       | () -> (
@@ -108,8 +125,15 @@ let single_flight t key f =
       | exception e -> Error e
     in
     Hashtbl.remove t.inflight key;
-    List.iter (fun wake -> wake result) (List.rev !waiters);
-    (match result with Ok v -> v | Error e -> raise e)
+    let followers = List.rev flight.followers in
+    match result with
+    | Ok answer ->
+      flight.answer <- answer;
+      List.iter (fun p -> Fiber.unpark p ()) followers;
+      answer
+    | Error e ->
+      List.iter (fun p -> Fiber.unpark_exn p e) followers;
+      raise e
 
 (* One copy of what the caches share.  Every client on a domain decodes
    the same registry answers — a scenario's front ends each warm their

@@ -32,8 +32,11 @@ let validate plan =
           if not (List.mem h down) then err "t=%g: restart of up host %d" at h
           else go at (List.filter (fun h' -> h' <> h) down) rest
         | Partition { groups; duration } ->
+          let n_groups = List.length groups and most = Circus_net.Net.max_partition_groups in
           if duration <= 0.0 then err "t=%g: partition with non-positive duration" at
-          else if groups = [] then err "t=%g: partition with no groups" at
+          else if n_groups = 0 then err "t=%g: partition with no groups" at
+          else if n_groups > most then
+            err "t=%g: partition with %d groups, at most %d" at n_groups most
           else go at down rest
         | Heal -> go at down rest
         | Loss_burst { rate; duration } | Dup_burst { rate; duration }

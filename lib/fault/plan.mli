@@ -27,8 +27,10 @@ type t = step list
 
 val validate : t -> (unit, string) result
 (** Structural checks: non-negative times, sorted order, positive
-    durations, probabilities in [0,1], no crash of an already-down host
-    and no restart of an up one (per the plan's own bookkeeping). *)
+    durations, probabilities in [0,1], partitions of one to
+    {!Circus_net.Net.max_partition_groups} groups, no crash of an
+    already-down host and no restart of an up one (per the plan's own
+    bookkeeping). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -124,11 +124,11 @@ let run_pooled t ?(label = "pool.worker") f =
     end
     else begin
       let worker () =
-        (* A worker waits between tasks on one reusable park: each wait
-           is the [suspend] it replaces, event for event, without the
-           waker, ref and closures a [suspend] builds.  Idle workers
-           wait long, so those were promoted.  [arm] offers the park
-           to dispatchers; it needs the park, hence [self]. *)
+        (* A worker waits between tasks on one reusable park, which a
+           dispatcher unparks with the task: a wait allocates only its
+           continuation.  Idle workers wait long, so anything built per
+           wait would be promoted.  [arm] offers the park to
+           dispatchers; it needs the park, hence [self]. *)
         let self = ref None in
         let park =
           Fiber.park_create

@@ -60,13 +60,11 @@ type faults = {
    group memberships: hosts are mutually reachable iff their masks
    intersect, which makes [reachable] two array loads and an [land]
    instead of the old O(groups x members) list scan per datagram.
-   Masks represent overlapping groups exactly.  With more than
-   [Sys.int_size - 1] groups (never seen in practice) we keep the
-   original list representation as a correct slow path. *)
+   Masks represent overlapping groups exactly, one bit per group, so a
+   partition has at most [max_partition_groups] groups. *)
 type partition =
   | No_partition
   | Masks of int array  (* host_id -> bitmask of containing groups *)
-  | Groups of Addr.host_id list list  (* > int_size-1 groups fallback *)
 
 type t = {
   engine : Engine.t;
@@ -209,28 +207,27 @@ let socket_addr sock = sock.addr
 let socket_host sock = sock.owner
 let mailbox sock = sock.mailbox
 
+let max_partition_groups = Sys.int_size - 1
+
 let set_partition t groups =
-  if Trace.on () then
-    Trace.emit ~cat:"net"
-      ~args:[ ("groups", Tev.Int (List.length groups)) ]
-      "partition";
-  t.partition_epoch <- t.partition_epoch + 1;
   let n_groups = List.length groups in
-  if n_groups >= Sys.int_size - 1 then t.partition <- Groups groups
-  else begin
-    (* Size the mask table to cover both registered hosts and any ids
-       named in the groups (the API allows not-yet-added ids). *)
-    let max_id =
-      List.fold_left (List.fold_left (fun acc id -> max acc id)) (t.next_host_id - 1) groups
-    in
-    let masks = Array.make (max_id + 1) 0 in
-    List.iteri
-      (fun gi members ->
-        let bit = 1 lsl gi in
-        List.iter (fun id -> if id >= 0 then masks.(id) <- masks.(id) lor bit) members)
-      groups;
-    t.partition <- Masks masks
-  end
+  if n_groups > max_partition_groups then
+    invalid_arg
+      (Printf.sprintf "Net.set_partition: %d groups, at most %d" n_groups max_partition_groups);
+  if Trace.on () then Trace.emit ~cat:"net" ~args:[ ("groups", Tev.Int n_groups) ] "partition";
+  t.partition_epoch <- t.partition_epoch + 1;
+  (* Size the mask table to cover both registered hosts and any ids
+     named in the groups (the API allows not-yet-added ids). *)
+  let max_id =
+    List.fold_left (List.fold_left (fun acc id -> max acc id)) (t.next_host_id - 1) groups
+  in
+  let masks = Array.make (max_id + 1) 0 in
+  List.iteri
+    (fun gi members ->
+      let bit = 1 lsl gi in
+      List.iter (fun id -> if id >= 0 then masks.(id) <- masks.(id) lor bit) members)
+    groups;
+  t.partition <- Masks masks
 
 let heal_partition t =
   if Trace.on () then Trace.emit ~cat:"net" "heal";
@@ -255,7 +252,6 @@ let reachable t a b =
        && a < Array.length masks
        && b < Array.length masks
        && masks.(a) land masks.(b) <> 0)
-  | Groups groups -> a = b || List.exists (fun g -> List.mem a g && List.mem b g) groups
 
 let stats t = t.stats
 

@@ -108,10 +108,14 @@ val deliver_inbound : t -> datagram -> unit
 
 (** {1 Failures} *)
 
+val max_partition_groups : int
+(** The most groups a partition may have: [Sys.int_size - 1]. *)
+
 val set_partition : t -> Addr.host_id list list -> unit
 (** Partition the network into the given groups.  Hosts sharing a group
     communicate; others cannot.  A host absent from every group is
-    isolated. *)
+    isolated.  Raises [Invalid_argument] on more than
+    {!max_partition_groups} groups. *)
 
 val heal_partition : t -> unit
 

@@ -105,8 +105,7 @@ type reply = { from : Addr.t; result : (bytes, exn) result; reply_ctx : int }
 (* The replies of one [call_many]: one slot per destination, filled in
    arrival order.  A receiver with nothing to take waits on its fiber's
    own park, and the arriving reply unparks it: the wait allocates its
-   continuation, where a mailbox receive built a waiter, a waker,
-   closures, a result block and a resume event. *)
+   continuation, where a mailbox receive builds a waiter. *)
 type replies = {
   r_engine : Engine.t;  (* the receiver's, for its running fiber *)
   got : reply array;  (* [0, arrived) filled *)

@@ -218,6 +218,39 @@ let test_resolver_through_ringmaster () =
   Alcotest.(check bool) "registered" true (not (Ids.Troupe_id.equal !registered_id Ids.Troupe_id.none));
   Alcotest.(check int) "executed once for the pair" 1 !executed
 
+(* A lookup cancelled while it queues for the lookup permit leaves the
+   queue: with one permit, A holds it and B queues behind A; B is
+   cancelled; when A finishes, the permit is free again, and C, asking
+   later, gets its answer. *)
+let test_cancelled_queued_lookup_frees_permit () =
+  let w = make_world ~ringmasters:1 () in
+  let rt = Runtime.create w.env (Net.add_host w.net ()) () in
+  let client = Client.create ~lookup_limit:1 rt ~ringmaster:w.ringmaster in
+  let outcome = Hashtbl.create 3 in
+  let ask who name ~at =
+    ignore
+      (Engine.schedule w.engine ~delay:at (fun () ->
+           let thread =
+             Runtime.spawn_thread rt (fun ctx ->
+                 match Client.import client ctx name with
+                 | _ -> Hashtbl.replace outcome who "found"
+                 | exception Client.Unknown_service _ -> Hashtbl.replace outcome who "unknown"
+                 | exception Fiber.Cancelled -> Hashtbl.replace outcome who "cancelled")
+           in
+           if who = "B" then
+             (* B has queued behind A by the next instant; A's lookup
+                takes tens of milliseconds. *)
+             ignore (Engine.schedule w.engine ~delay:0.001 (fun () -> Fiber.cancel thread))))
+  in
+  ask "A" "a" ~at:0.0;
+  ask "B" "b" ~at:0.0;
+  ask "C" "c" ~at:1.0;
+  Engine.run ~until:30.0 w.engine;
+  let seen who = Hashtbl.find_opt outcome who in
+  Alcotest.(check (option string)) "A answered" (Some "unknown") (seen "A");
+  Alcotest.(check (option string)) "B cancelled" (Some "cancelled") (seen "B");
+  Alcotest.(check (option string)) "C answered" (Some "unknown") (seen "C")
+
 (* ------------------------------------------------------------------ *)
 (* Sharing.  Clients on one domain keep one copy of what their caches
    share: a name, a troupe and a member list decoded from equal
@@ -340,7 +373,9 @@ let () =
     [ ( "ringmaster",
         [ Alcotest.test_case "register and import" `Quick test_register_and_import;
           Alcotest.test_case "unknown service" `Quick test_unknown_service;
-          Alcotest.test_case "resolver via ringmaster" `Quick test_resolver_through_ringmaster ] );
+          Alcotest.test_case "resolver via ringmaster" `Quick test_resolver_through_ringmaster;
+          Alcotest.test_case "cancelled queued lookup frees permit" `Quick
+            test_cancelled_queued_lookup_frees_permit ] );
       ( "reconfiguration",
         [ Alcotest.test_case "add member + stale cache" `Quick
             test_add_member_changes_id_and_stale_cache_masked;

@@ -206,6 +206,11 @@ let test_validate_rejects () =
   bad "restart of an up host" [ step 1.0 (Plan.Restart 0) ];
   bad "zero-duration burst" [ step 1.0 (Plan.Loss_burst { rate = 0.5; duration = 0.0 }) ];
   bad "rate above 1" [ step 1.0 (Plan.Loss_burst { rate = 1.5; duration = 1.0 }) ];
+  bad "more groups than a partition holds"
+    [ step 1.0
+        (Plan.Partition
+           { groups = List.init (Net.max_partition_groups + 1) (fun i -> [ i ]);
+             duration = 1.0 }) ];
   Alcotest.(check bool) "well-formed plan accepted" true
     (Plan.validate
        [ step 1.0 (Plan.Crash 0);

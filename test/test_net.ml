@@ -321,6 +321,28 @@ let test_partition_for_stale_expiry_loses () =
   Alcotest.(check int) "still partitioned after stale expiry" 1 (Net.stats net).Net.dropped;
   Alcotest.(check int) "not delivered" 0 (Net.stats net).Net.delivered
 
+(* A partition is one bit per group: [max_partition_groups] singleton
+   groups still isolate every host, one more is refused, naming the
+   limit, and leaves the current partition in place. *)
+let test_partition_group_limit () =
+  let _, net, _, _ = make_world () in
+  let most = Net.max_partition_groups in
+  let hosts =
+    Array.init most (fun i -> Host.id (Net.add_host net ~name:(Printf.sprintf "g%d" i) ()))
+  in
+  let isolated () =
+    Net.reachable net hosts.(0) hosts.(0)
+    && (not (Net.reachable net hosts.(0) hosts.(most - 1)))
+    && not (Net.reachable net hosts.(most - 2) hosts.(most - 1))
+  in
+  Net.set_partition net (Array.to_list (Array.map (fun h -> [ h ]) hosts));
+  Alcotest.(check bool) "every group isolated" true (isolated ());
+  let too_many = List.init (most + 1) (fun i -> [ i ]) in
+  let expected = Printf.sprintf "Net.set_partition: %d groups, at most %d" (most + 1) most in
+  Alcotest.check_raises "one group too many" (Invalid_argument expected) (fun () ->
+      Net.set_partition net too_many);
+  Alcotest.(check bool) "partition unchanged" true (isolated ())
+
 (* ------------------------------------------------------------------ *)
 (* Syscall layer *)
 
@@ -446,7 +468,8 @@ let () =
             test_corruption_discards_at_receiver;
           Alcotest.test_case "extra loss adds to base" `Quick test_extra_loss_adds_to_base;
           Alcotest.test_case "partition episode auto-heals" `Quick test_partition_for_auto_heals;
-          Alcotest.test_case "stale expiry is a no-op" `Quick test_partition_for_stale_expiry_loses ] );
+          Alcotest.test_case "stale expiry is a no-op" `Quick test_partition_for_stale_expiry_loses;
+          Alcotest.test_case "partition group limit" `Quick test_partition_group_limit ] );
       ( "syscalls",
         [ Alcotest.test_case "costs metered" `Quick test_syscall_costs_metered;
           Alcotest.test_case "recv and select" `Quick test_syscall_recv_and_select;
