@@ -11,8 +11,13 @@ exception Unknown_service of string
 type flight_key = By_name of string | By_id of Ids.Troupe_id.t
 
 (* The lookups that follow a flight, each parked on its fiber's own
-   park, and the answer the asker leaves them. *)
-type flight = { mutable followers : unit Fiber.park list; mutable answer : Troupe.t option }
+   park, and the answer the asker leaves them; [orphaned] once the
+   asker was cancelled instead. *)
+type flight = {
+  mutable followers : unit Fiber.park list;
+  mutable answer : Troupe.t option;
+  mutable orphaned : bool;
+}
 
 type t = {
   rt : Runtime.t;
@@ -101,16 +106,19 @@ let gate_release t =
 (* Run [f] as the single flight for [key]: the first asker performs the
    (gated) Ringmaster call, everyone arriving while it is in flight
    waits and shares the same outcome — answer or exception.  A follower
-   cancelled meanwhile leaves the flight. *)
-let single_flight t key f =
+   cancelled meanwhile leaves the flight.  An asker cancelled meanwhile
+   does not hand its cancellation on: its followers wake and ask again,
+   so the first of them to resume makes a new flight, which the rest
+   follow (a follower takes over from a failed leader). *)
+let rec single_flight t key f =
   match Hashtbl.find_opt t.inflight key with
   | Some flight ->
     let p = Fiber.own_park (Fiber.self ()) in
     flight.followers <- p :: flight.followers;
     Fiber.park_own p ~on_abort:(fun () -> flight.followers <- without p flight.followers);
-    flight.answer
+    if flight.orphaned then single_flight t key f else flight.answer
   | None ->
-    let flight = { followers = []; answer = None } in
+    let flight = { followers = []; answer = None; orphaned = false } in
     Hashtbl.replace t.inflight key flight;
     let result =
       match gate_acquire t with
@@ -131,6 +139,10 @@ let single_flight t key f =
       flight.answer <- answer;
       List.iter (fun p -> Fiber.unpark p ()) followers;
       answer
+    | Error Fiber.Cancelled ->
+      flight.orphaned <- true;
+      List.iter (fun p -> Fiber.unpark p ()) followers;
+      raise Fiber.Cancelled
     | Error e ->
       List.iter (fun p -> Fiber.unpark_exn p e) followers;
       raise e

@@ -76,6 +76,13 @@ let find_opt t key =
     let i = find_slot t key (slot_of t key) in
     if i < 0 then None else Some t.vals.(i)
 
+let find_or t key default =
+  if key < 0 then invalid_arg "Itab.find_or: negative key";
+  if t.live = 0 then default
+  else
+    let i = find_slot t key (slot_of t key) in
+    if i < 0 then default else t.vals.(i)
+
 let mem t key =
   if key < 0 then invalid_arg "Itab.mem: negative key";
   t.live > 0 && find_slot t key (slot_of t key) >= 0

@@ -21,6 +21,10 @@ val length : 'a t -> int
 val mem : 'a t -> int -> bool
 val find_opt : 'a t -> int -> 'a option
 
+val find_or : 'a t -> int -> 'a -> 'a
+(** [find_or t key default] is the value bound to [key], or [default]
+    if there is none.  Unlike {!find_opt} it allocates nothing. *)
+
 val replace : 'a t -> int -> 'a -> unit
 (** Insert or overwrite the binding for a key. *)
 

@@ -251,6 +251,43 @@ let test_cancelled_queued_lookup_frees_permit () =
   Alcotest.(check (option string)) "B cancelled" (Some "cancelled") (seen "B");
   Alcotest.(check (option string)) "C answered" (Some "unknown") (seen "C")
 
+(* A lookup cancelled while it asks the registry cancels no one else:
+   B and C ask for the same name while A's call is in flight and follow
+   A's flight; A is cancelled mid-call; the first of B and C to resume
+   asks again, the other follows it, and both get the troupe. *)
+let test_cancelled_asker_hands_over_flight () =
+  let w = make_world ~ringmasters:1 () in
+  let _, _, member_client, module_no, _, _ = counter_member w "counter" in
+  ignore
+    (Runtime.spawn_thread (Client.runtime member_client) (fun ctx ->
+         ignore (Client.export_service member_client ctx ~name:"counter" ~module_no)));
+  let rt = Runtime.create w.env (Net.add_host w.net ()) () in
+  let client = Client.create rt ~ringmaster:w.ringmaster in
+  let outcome = Hashtbl.create 3 in
+  let ask who ~at =
+    ignore
+      (Engine.schedule_abs w.engine ~at (fun () ->
+           let thread =
+             Runtime.spawn_thread rt (fun ctx ->
+                 match Client.import client ctx "counter" with
+                 | troupe ->
+                   Hashtbl.replace outcome who (Printf.sprintf "found %d" (Troupe.size troupe))
+                 | exception Client.Unknown_service _ -> Hashtbl.replace outcome who "unknown"
+                 | exception Fiber.Cancelled -> Hashtbl.replace outcome who "cancelled")
+           in
+           (* A's registry call takes tens of milliseconds. *)
+           if who = "A" then
+             ignore (Engine.schedule w.engine ~delay:0.002 (fun () -> Fiber.cancel thread))))
+  in
+  ask "A" ~at:1.0;
+  ask "B" ~at:1.001;
+  ask "C" ~at:1.001;
+  Engine.run ~until:30.0 w.engine;
+  let seen who = Hashtbl.find_opt outcome who in
+  Alcotest.(check (option string)) "A cancelled" (Some "cancelled") (seen "A");
+  Alcotest.(check (option string)) "B answered" (Some "found 1") (seen "B");
+  Alcotest.(check (option string)) "C answered" (Some "found 1") (seen "C")
+
 (* ------------------------------------------------------------------ *)
 (* Sharing.  Clients on one domain keep one copy of what their caches
    share: a name, a troupe and a member list decoded from equal
@@ -374,6 +411,8 @@ let () =
         [ Alcotest.test_case "register and import" `Quick test_register_and_import;
           Alcotest.test_case "unknown service" `Quick test_unknown_service;
           Alcotest.test_case "resolver via ringmaster" `Quick test_resolver_through_ringmaster;
+          Alcotest.test_case "cancelled asker hands over its flight" `Quick
+            test_cancelled_asker_hands_over_flight;
           Alcotest.test_case "cancelled queued lookup frees permit" `Quick
             test_cancelled_queued_lookup_frees_permit ] );
       ( "reconfiguration",

@@ -850,6 +850,158 @@ let test_stream_backoff_under_partition () =
         (fun r -> Alcotest.(check bool) "rto capped" true (r <= 0.8 +. 1e-9))
         rtos)
 
+(* ------------------------------------------------------------------ *)
+(* Delivered-return set: a model test *)
+
+(* The reference is what the endpoint kept before the set: one table
+   entry per delivered return, holding its segment count, dropped by a
+   prune once its call number is below its peer's horizon.  Programs
+   move a cursor per peer through its call numbers: dense stretches in
+   order, sparse strides, shuffled stretches (out-of-order deliveries),
+   skipped numbers that are never delivered (gaps, some past the
+   distance that moves a run), late arrivals behind the cursor, and
+   prunes at horizons near the cursors, some on a block edge.  Cursors
+   start next to a 32-number block edge, one near the top of the
+   unsigned 32-bit range.  About one return in five has a segment count
+   other than 1.  After every step, every call number a peer's cursor
+   has passed, and two either side, must get the reference's answer. *)
+
+type dstep =
+  | Dense of int * int  (* peer, count *)
+  | Stride of int * int * int  (* peer, stride, count *)
+  | Shuffled of int * int * int  (* peer, count, shuffle seed *)
+  | Skip of int * int  (* peer, numbers never delivered *)
+  | Late of int * int  (* peer, distance behind the cursor *)
+  | Prune of (int * int) list
+      (* per peer: the horizon's distance behind the cursor, and whether
+         it moves to the first (1) or last (2) number of its block *)
+
+let show_dstep = function
+  | Dense (p, n) -> Printf.sprintf "dense p%d %d" p n
+  | Stride (p, k, n) -> Printf.sprintf "stride p%d %d x%d" p k n
+  | Shuffled (p, n, seed) -> Printf.sprintf "shuffled p%d %d (seed %d)" p n seed
+  | Skip (p, n) -> Printf.sprintf "skip p%d %d" p n
+  | Late (p, d) -> Printf.sprintf "late p%d -%d" p d
+  | Prune hs ->
+    "prune "
+    ^ String.concat ","
+        (List.map (fun (d, a) -> Printf.sprintf "-%d%s" d (List.nth [ ""; "<"; ">" ] a)) hs)
+
+let dpeers = [| 0; 1; 0x51234; (1 lsl 27) - 1 |]
+let dstarts = [| 0; 29; 32 * 1000 - 3; 0xFFFFFFFF - 700 |]
+let cn_top = 0xFFFFFFFF
+
+let gen_dstep =
+  QCheck.Gen.(
+    let peer = int_bound (Array.length dpeers - 1) in
+    frequency
+      [ (4, map2 (fun p n -> Dense (p, n)) peer (int_range 1 100));
+        (3, map3 (fun p k n -> Stride (p, k, n)) peer (int_range 2 80) (int_range 1 20));
+        (3, map3 (fun p n seed -> Shuffled (p, n, seed)) peer (int_range 2 40) int);
+        ( 3,
+          map2 (fun p n -> Skip (p, n)) peer
+            (frequency [ (3, int_range 1 4); (2, int_range 30 34); (2, int_range 60 150) ]) );
+        (2, map2 (fun p d -> Late (p, d)) peer (int_range 1 120));
+        ( 2,
+          map
+            (fun hs -> Prune hs)
+            (list_repeat (Array.length dpeers) (pair (int_range (-3) 200) (int_bound 2))) ) ])
+
+(* Whether the return [cn] of peer [p] has more than one segment, and
+   how many: a function of the program's salt. *)
+let dtotal salt p cn =
+  let h = Hashtbl.hash (salt, p, cn) in
+  if h mod 5 = 0 then 2 + (h / 5 mod 254) else 1
+
+let run_delivered (salt, steps) =
+  let set = Delivered.create () and model = Itab.create () in
+  let mkey p cn = (dpeers.(p) lsl 32) lor cn in
+  let cursor = Array.copy dstarts and seen_hi = Array.copy dstarts in
+  let add p cn =
+    if cn >= 0 && cn <= cn_top && not (Itab.mem model (mkey p cn)) then begin
+      let total = dtotal salt p cn in
+      Delivered.add set ~peer:dpeers.(p) ~cn ~total;
+      Itab.replace model (mkey p cn) total
+    end
+  in
+  let advance p n =
+    cursor.(p) <- min (cursor.(p) + n) (cn_top + 1);
+    seen_hi.(p) <- max seen_hi.(p) cursor.(p)
+  in
+  let agree step =
+    Array.iteri
+      (fun p peer ->
+        for cn = max 0 (dstarts.(p) - 2) to min cn_top (seen_hi.(p) + 2) do
+          let want = Itab.find_or model (mkey p cn) 0 in
+          let got = Delivered.total set ~peer ~cn in
+          if got <> want then
+            QCheck.Test.fail_reportf "after %s: peer %d call %d reads %d, reference %d"
+              (show_dstep step) peer cn got want
+        done)
+      dpeers;
+    if Delivered.length set <> Itab.length model then
+      QCheck.Test.fail_reportf "after %s: %d members, reference %d" (show_dstep step)
+        (Delivered.length set) (Itab.length model)
+  in
+  List.iter
+    (fun step ->
+      (match step with
+      | Dense (p, n) ->
+        for i = 0 to n - 1 do
+          add p (cursor.(p) + i)
+        done;
+        advance p n
+      | Stride (p, k, n) ->
+        for i = 0 to n - 1 do
+          add p (cursor.(p) + (i * k))
+        done;
+        advance p (n * k)
+      | Shuffled (p, n, seed) ->
+        let order = Array.init n (fun i -> cursor.(p) + i) in
+        let rng = Random.State.make [| seed |] in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let x = order.(i) in
+          order.(i) <- order.(j);
+          order.(j) <- x
+        done;
+        Array.iter (add p) order;
+        advance p n
+      | Skip (p, n) -> advance p n
+      | Late (p, d) -> add p (cursor.(p) - d)
+      | Prune hs ->
+        let horizon = Array.copy cursor in
+        List.iteri
+          (fun p (d, edge) ->
+            let h = cursor.(p) - d in
+            horizon.(p) <- (match edge with 1 -> h land lnot 31 | 2 -> h lor 31 | _ -> h))
+          hs;
+        let horizon_of peer =
+          let p = ref (-1) in
+          Array.iteri (fun i q -> if q = peer then p := i) dpeers;
+          horizon.(!p)
+        in
+        Delivered.prune set ~horizon:horizon_of;
+        let doomed =
+          Itab.fold
+            (fun k _ acc ->
+              if k land cn_top < horizon_of (k lsr 32) then k :: acc else acc)
+            model []
+        in
+        List.iter (Itab.remove model) doomed);
+      agree step)
+    steps;
+  true
+
+let prop_delivered_model =
+  QCheck.Test.make ~name:"delivered set matches the marker table" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (salt, steps) ->
+          Printf.sprintf "salt %d: %s" salt (String.concat "; " (List.map show_dstep steps)))
+        Gen.(pair int (list_size (int_range 1 30) gen_dstep)))
+    run_delivered
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "circus_pairmsg"
@@ -886,6 +1038,7 @@ let () =
             test_window_first_come_return;
           Alcotest.test_case "peer's calls prune its returns" `Quick
             test_window_peer_calls_prune_returns ] );
+      ("delivered", qcheck [ prop_delivered_model ]);
       ( "udp_echo",
         [ Alcotest.test_case "echo" `Quick test_udp_echo;
           Alcotest.test_case "retry on loss" `Quick test_udp_echo_retries_on_loss;

@@ -1305,8 +1305,9 @@ let select_races engine g note =
    Followers then ask the same names and wait on the leaders' flights.
    The first leader and the followers are cancelled on a 5 ms grid,
    and some followers when their leader ends, in the instant their
-   flight wakes them; a cancelled first leader hands its followers the
-   exception.  No name is registered, so every answer is unknown. *)
+   flight wakes them; the followers of a cancelled first leader ask
+   again themselves.  No name is registered, so every answer is
+   unknown. *)
 let binding_races engine g note =
   let open Circus_net in
   let net = Net.create engine () in
@@ -1349,7 +1350,10 @@ let wait_programs =
 
 (* Recorded before every wait parked on its fiber's own park: parking
    must leave every trace event, count and clock of these programs as
-   the generic suspension made them. *)
+   the generic suspension made them.  One row was re-recorded since:
+   binding seed 3, whose follower 8 followed a first leader that is
+   cancelled at 0.02 s.  It used to raise [Cancelled] then; it now asks
+   the registry itself and logs "unknown" at 0.1843 s. *)
 let wait_goldens =
   [ ( "recv",
       1,
@@ -1413,7 +1417,7 @@ let wait_goldens =
       ("ed5e1023a1b766ef902db96d72c784f5", "cc298daff3913ccdf6b8271fc819259b", 174, "30.0000") );
     ( "binding",
       3,
-      ("ccf1aaf9a077d7f4fc861c5af731da0b", "591eec2165e7603b2f57bcbe3680f16b", 168, "30.0000") );
+      ("1e633f602ca38f53871bcb128df6bad9", "dadb8ca0af1e5413b516a3a7386651d0", 177, "30.0000") );
     ( "binding",
       4,
       ("4ce50cb554d15f1cdef38a0851fd3572", "78766f9fd6680f77278585d1fe51df4a", 172, "30.0000") );
