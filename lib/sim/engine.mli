@@ -80,44 +80,45 @@ type nap = { mutable nap_s : float }
 (** A duration in a record of floats only, which OCaml lays out flat:
     storing a computed float into it allocates no box. *)
 
-val sleep_drain : t -> nap -> cancelled:(unit -> bool) -> bool
-(** [sleep_drain t nap ~cancelled] is {!Fiber.sleep_busy}'s whole fast
-    path: with [target] the clock plus the duration in [nap], execute
-    the events due before the sleeper's wake on the caller's stack, in
-    exactly the engine's (time, seq) order, then jump the clock to
-    [target] and return [true].  With nothing due it only jumps the
-    clock.  An event is due while the ring of events at the current
-    instant is non-empty (then the global minimum runs, whatever its
-    seq), and otherwise when the heap's minimum lies strictly before
-    [(target, seq at entry)], where a suspending sleep's wake would
-    sit.  So a delay-0 event scheduled by an event due at exactly
-    [target] runs before the sleeper wakes, where a suspending
-    {!Fiber.sleep} wakes first: the one order in which the two differ.
-    A drained event also runs with the sleeper still in the running
-    slot, so a plain callback drained here sees the sleeper in
-    {!Fiber.self} (and its ambient causal context), where under a
-    suspending sleep it would see no fiber.  CHANGES.md names this as
-    a FOUND; [test_parallel]'s [running] group pins it as it stands.
+val sleep : t -> nap -> budget:int -> cancelled:(unit -> bool) -> bool
+(** [sleep t nap ~budget ~cancelled] is every fiber sleep's fast path
+    ({!Fiber.sleep}, {!Fiber.sleep_busy}): with [target] the clock plus
+    the duration in [nap], run the events due before the sleeper's wake
+    on the caller's stack, at most [budget] of them, in the engine's
+    (time, seq) order, then jump the clock to [target] and return
+    [true].  With nothing due it only jumps the clock.  A suspending
+    sleep passes a zero budget: it jumps or suspends.
 
-    Returns [false] when the caller must fall back to a real suspension,
-    with the events drained so far executed, the clock short of
-    [target], and the remaining duration ([target] minus the clock, at
-    least 0) stored back into [nap]: the drain budget ran out, [target]
-    overshoots a [run ~until] horizon or an enclosing drain's deadline,
-    or [cancelled ()] turned true (cancellation is raised on the
-    suspending path).  [cancelled] is polled after each drained event;
+    An event is due while the ring of events at the current instant is
+    non-empty (then the global minimum runs, whatever its seq), and
+    otherwise when the heap's minimum lies strictly before [(target,
+    seq at entry)], where a suspending sleep's wake would sit.  So a
+    delay-0 event scheduled by an event due at exactly [target] runs
+    before the sleeper wakes, where a suspending sleep wakes first.  A
+    drained event also runs with the sleeper still in the running slot,
+    so a plain callback drained here sees the sleeper in {!Fiber.self}
+    (and its ambient causal context), where under a suspending sleep it
+    would see no fiber.  CHANGES.md names both as FOUNDs;
+    [test_sim]'s "busy sleep order" and [test_parallel]'s [running]
+    group pin them as they stand.
+
+    [target] may not pass the bound of the innermost active loop: a
+    run's [until], a window's [limit], or the target of a sleep that is
+    draining further up the stack.  It may equal it, so a sleep to
+    exactly a window's limit wakes inside the window, before the
+    barrier injects the arrivals due then, and a sleeper resumed inside
+    a drain that sleeps to exactly the outer target wakes before the
+    outer sleeper (two more FOUNDs, pinned by [test_parallel]'s "a
+    sleep to the window's limit" and [test_sim]'s "nested busy sleep
+    order").
+
+    Returns [false] when the caller must suspend, with the events run
+    so far executed, the clock short of [target], and the remaining
+    duration ([target] minus the clock, at least 0) stored back into
+    [nap]: [target] passes the bound, the budget ran out before a live
+    due event, or [cancelled ()] turned true (cancellation is raised on
+    the suspending path).  [cancelled] is polled after each event run;
     the caller checks it before the call. *)
-
-val try_advance : t -> delay:float -> bool
-(** [try_advance t ~delay] advances the clock to [target], which is
-    [now t +. delay], and returns [true] iff doing so executes nothing
-    out of order: no event is due at the current instant and every
-    queued event lies strictly beyond [target] (and [target] does not
-    overshoot an active [run ~until] horizon).  Equivalent to scheduling a wake at [target] and draining
-    the queue up to it — this is {!Fiber.sleep}'s fast path, which
-    skips the suspend/schedule/resume machinery when the sleeper is the
-    only thing the simulation is waiting on.  [false] leaves the clock
-    untouched. *)
 
 (** {1 The running slot}
 
@@ -142,12 +143,14 @@ val slot : t -> running ref
     domain's slot. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
-(** Drain the event queue.  Stops when the queue is empty, when the
-    next event lies beyond [until], or after [max_events] events
-    (default 50 million, a runaway guard).  The clock is left at the
-    time of the last event executed (or at [until] if given and
-    reached); it never moves backwards, so an [until] behind the clock
-    leaves it where it is. *)
+(** Drain the event queue.  Stops when the queue is empty or the next
+    event lies beyond [until] (inclusive).  Raises [Invalid_argument]
+    if a live event is still due after [max_events] have run (default
+    50 million, a runaway guard); a run that executes exactly
+    [max_events] and has nothing left due returns normally.  The clock
+    is left at [until] if a live event remains beyond it, and otherwise
+    at the time of the last event executed; it never moves backwards,
+    so an [until] behind the clock leaves it where it is. *)
 
 val run_counted : ?until:float -> ?max_events:int -> t -> int
 (** {!run}, returning the number of events executed — the parallel
@@ -162,7 +165,8 @@ val next_time : t -> float
 val run_window : ?max_events:int -> t -> limit:float -> int
 (** [run_window t ~limit] executes every queued event with time
     strictly below [limit], then sets the clock to exactly [limit] and
-    returns the number of events executed.  The *exclusive* bound is
+    returns the number of events executed.  [max_events] is {!run}'s
+    runaway guard, per window.  The *exclusive* bound is
     the conservative-synchronization contract: an event at exactly
     [limit] waits for the barrier at that instant, where cross-LP
     arrivals due at [limit] are injected (gaining their sequence

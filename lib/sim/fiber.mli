@@ -45,19 +45,21 @@ val nap : t -> nap
 (** The fiber's duration slot, which {!sleep_busy} reads. *)
 
 val sleep_busy : t -> unit
-(** [sleep_busy fiber], [fiber] the current fiber, is like {!sleep} of
-    the duration in [nap fiber], for the CPU-charge pattern
-    ([Host.use_cpu], whose computed charge thus crosses into this
-    module unboxed): when other events are due before the deadline,
-    execute them inline on this fiber's stack ({!Engine.sleep_drain})
-    instead of suspending around them.  The virtual clock and the
-    event order behave as with {!sleep}, with one exception: a delay-0
-    event scheduled by an event due at exactly the deadline runs before
-    this fiber wakes, where {!sleep} wakes first (see
-    {!Engine.sleep_drain}). *)
+(** [sleep_busy fiber], [fiber] the current fiber, is {!sleep} of the
+    duration in [nap fiber], for the CPU-charge pattern ([Host.use_cpu],
+    whose computed charge thus crosses into this module unboxed): when
+    other events are due before the deadline, it runs them on this
+    fiber's stack ({!Engine.sleep} with a drain budget) instead of
+    suspending around them.  The virtual clock and the event order
+    behave as with {!sleep}, with one exception: a delay-0 event
+    scheduled by an event due at exactly the deadline runs before this
+    fiber wakes, where {!sleep} wakes first (see {!Engine.sleep}). *)
 
 val sleep : float -> unit
-(** Block for a duration of virtual time. *)
+(** Block for a duration of virtual time.  The same body as
+    {!sleep_busy} with a zero drain budget: when nothing else is due
+    before the deadline the clock jumps to it ({!Engine.sleep}), and
+    otherwise the fiber suspends until its wake. *)
 
 type 'a park
 (** A suspension point that one fiber parks on again and again, such as
