@@ -69,7 +69,6 @@ type incoming = {
   mutable i_parts : bytes option array;  (* emptied once assembled *)
   mutable i_ack_no : int;
   mutable i_complete : bool;
-  i_postponed_ack : bool;  (* true only in a [delivered_postponed] marker *)
   mutable i_body : bytes;  (* valid once complete *)
 }
 
@@ -80,24 +79,19 @@ type incoming = {
    length.  A call swaps its record for [delivered] once the body has
    gone to the handler, and for [delivered_postponed] once it has
    postponed its ack (§4.2.2): a late duplicate then gets the ack it
-   would have got from the call's own record.  A delivered return
-   leaves no record at all, only its member of the endpoint's
-   [Delivered] set, and [delivered] answers its late duplicates.
+   would have got from the call's own record; which of the two a call
+   holds is told by physical equality.  A delivered return leaves no
+   record at all, only its member of the endpoint's [Delivered] set,
+   and [delivered] answers its late duplicates.
 
    Nothing mutates a complete record — the reassembly path is guarded
-   by [i_complete], and postponing an ack replaces the marker instead of
-   setting its flag — which is what makes sharing them, across
-   endpoints and domains, safe. *)
-let delivered_marker ~postponed total =
-  { i_total = total;
-    i_parts = [||];
-    i_ack_no = total;
-    i_complete = true;
-    i_postponed_ack = postponed;
-    i_body = Bytes.empty }
+   by [i_complete], and postponing an ack replaces the marker — which
+   is what makes sharing them, across endpoints and domains, safe. *)
+let delivered_marker total =
+  { i_total = total; i_parts = [||]; i_ack_no = total; i_complete = true; i_body = Bytes.empty }
 
-let delivered = Array.init 256 (delivered_marker ~postponed:false)
-let delivered_postponed = Array.init 256 (delivered_marker ~postponed:true)
+let delivered = Array.init 256 delivered_marker
+let delivered_postponed = Array.init 256 delivered_marker
 
 type reply = { from : Addr.t; result : (bytes, exn) result; reply_ctx : int }
 
@@ -178,7 +172,6 @@ type t = {
   delivered_returns : Delivered.t;  (* (addr_key, call no) of delivered returns *)
   exchanges : exchange Itab.t;  (* call_key *)
   completed : int Itab.t;  (* addr_key -> highest executed incoming call per peer *)
-  executed : unit Itab.t;  (* call_key; exactly-once guard *)
   return_peers : unit Itab.t;  (* addr_key of every peer that sent us a return *)
   mutable max_completed : int;  (* max of [completed] *)
   mutable return_reach : int;  (* max of [completed] over [return_peers] *)
@@ -642,11 +635,11 @@ let touch_exchange t ~src ~call_no =
   | Some x -> x.x_last_activity <- Engine.now t.engine
   | None -> ()
 
-(* Drop per-call state the dedup window has passed: reassembly records
-   and exactly-once guards of calls more than [window] behind the
-   peer's highest executed call, plus the complete return records and
-   delivered returns whose call number is that far behind it.  Runs
-   every 64 completions.
+(* Drop per-call state the dedup window has passed: the delivered
+   markers of calls more than [window] behind the peer's highest
+   executed call, whose duplicates [handle_data]'s window test drops,
+   plus the complete return records and delivered returns whose call
+   number is that far behind it.  Runs every 64 completions.
 
    Only a peer's own calls advance its horizon, so most tables can hold
    nothing prunable and are skipped without a scan: every table while
@@ -655,9 +648,9 @@ let touch_exchange t ~src ~call_no =
    A pure client therefore never prunes its delivered returns, which
    cost it one run per peer whose call numbers it sees in a row and a
    bit for each of the others, and a pure server scans only its call
-   side, which the
-   window bounds; pruning costs a bounded amount per completion instead
-   of growing with the number of calls the endpoint has made. *)
+   side, which the window bounds; pruning costs a bounded amount per
+   completion instead of growing with the number of calls the endpoint
+   has made. *)
 let prune_incoming t tbl =
   for i = 0 to Itab.slots tbl - 1 do
     let key = Itab.slot_key tbl i in
@@ -674,13 +667,7 @@ let prune t =
     if t.return_reach > window then begin
       prune_incoming t t.returns_in;
       Delivered.prune t.delivered_returns ~horizon:(fun akey -> completed_of_key t akey - window)
-    end;
-    let executed = t.executed in
-    for i = 0 to Itab.slots executed - 1 do
-      let key = Itab.slot_key executed i in
-      if key >= 0 && key land 0xFFFFFFFF < completed_of_key t (key lsr 32) - window then
-        Itab.remove executed key
-    done
+    end
   end
 
 let assemble inc =
@@ -739,29 +726,25 @@ let implicit_acks t ~src seg =
   | Segment.Probe | Segment.Probe_ack | Segment.Reject -> ()
 
 let deliver_call t ~src ~call_no body =
-  if not (Itab.mem t.executed (call_key src call_no)) then begin
-    if Trace.on () then
-      Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
-        ~args:
-          [ ("call_no", Tev.I32 call_no);
-            ("src", Tev.Int src.Addr.host);
-            ("len", Tev.Int (Bytes.length body)) ]
-        "deliver_call";
-    Itab.replace t.executed (call_key src call_no) ();
-    raise_completed t (addr_key src) (cn_int call_no);
-    match t.handler with
-    | None -> send_segment t ~dst:src (Segment.reject ~call_no)
-    | Some handler ->
-      (* Server process per incoming call (§3.4.1), on a pooled worker
-         rather than a fresh fiber per call.  Pooled workers are
-         reused, so the delivery context is carried into the task
-         explicitly (covering any stale context from a previous
-         call). *)
-      let cx = if Causal.on () then Causal.current () else Causal.none in
-      Host.run_pooled t.host ~label:"pairmsg.server" (fun () ->
-          if Causal.on () then Causal.set_current cx;
-          handler ~src ~call_no body)
-  end
+  if Trace.on () then
+    Trace.emit ~cat:"pairmsg" ~host:(Host.id t.host)
+      ~args:
+        [ ("call_no", Tev.I32 call_no);
+          ("src", Tev.Int src.Addr.host);
+          ("len", Tev.Int (Bytes.length body)) ]
+      "deliver_call";
+  raise_completed t (addr_key src) (cn_int call_no);
+  match t.handler with
+  | None -> send_segment t ~dst:src (Segment.reject ~call_no)
+  | Some handler ->
+    (* Server process per incoming call (§3.4.1), on a pooled worker
+       rather than a fresh fiber per call.  Pooled workers are reused,
+       so the delivery context is carried into the task explicitly
+       (covering any stale context from a previous call). *)
+    let cx = if Causal.on () then Causal.current () else Causal.none in
+    Host.run_pooled t.host ~label:"pairmsg.server" (fun () ->
+        if Causal.on () then Causal.set_current cx;
+        handler ~src ~call_no body)
 
 (* Hand a complete return message to its exchange.  From then on it
    only has to ack duplicates, so its record goes, the return joins the
@@ -795,18 +778,15 @@ let handle_data t ~src seg =
   implicit_acks t ~src seg;
   let call_no = seg.Segment.call_no in
   let msg_type = seg.Segment.msg_type in
-  (* Suppress replays: a call we already executed whose reassembly state
-     is gone, or one so old it predates the dedup window.  A merely
-     higher completed call number is NOT a replay — concurrent calls
-     from one peer may arrive out of order. *)
+  (* Suppress replays: a call so old it predates the dedup window.  A
+     delivered call inside the window keeps its marker in [calls_in],
+     which answers its duplicates; a prune drops a marker only once its
+     call is behind the window, so this test catches every replay whose
+     marker is gone.  A merely higher completed call number is NOT a
+     replay — concurrent calls from one peer may arrive out of order. *)
   let key = msg_key src msg_type call_no in
   let tbl = if msg_type = Segment.Call then t.calls_in else t.returns_in in
-  let replayed =
-    msg_type = Segment.Call
-    && ((Itab.mem t.executed (call_key src call_no) && not (Itab.mem tbl key))
-       || cn_int call_no < completed_up_to t src - window)
-  in
-  if not replayed then begin
+  if not (msg_type = Segment.Call && cn_int call_no < completed_up_to t src - window) then begin
     let listed = ref true in
     let inc =
       match Itab.find_opt tbl key with
@@ -823,7 +803,6 @@ let handle_data t ~src seg =
               i_parts = Array.make seg.Segment.total None;
               i_ack_no = 0;
               i_complete = false;
-              i_postponed_ack = false;
               i_body = Bytes.empty }
           in
           (* A one-segment return completes right here and usually goes
@@ -878,7 +857,7 @@ let handle_data t ~src seg =
         msg_type = Segment.Call && inc.i_complete
         && not (Itab.mem t.outgoing (msg_key src Segment.Return call_no))
       in
-      if awaiting_reply && not inc.i_postponed_ack then begin
+      if awaiting_reply && inc != delivered_postponed.(inc.i_total) then begin
         if Itab.mem tbl key then Itab.replace tbl key delivered_postponed.(inc.i_total)
       end
       else send_ack t ~dst:src ~msg_type ~total:inc.i_total ~ack_no:inc.i_ack_no ~call_no
@@ -955,7 +934,6 @@ let create env host ?port ?(config = default_config) ?meter () =
       delivered_returns = Delivered.create ();
       exchanges = Itab.create ~initial:32 ();
       completed = Itab.create ~initial:16 ();
-      executed = Itab.create ~initial:64 ();
       return_peers = Itab.create ~initial:16 ();
       max_completed = 0;
       return_reach = 0;
