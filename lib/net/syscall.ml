@@ -96,17 +96,16 @@ let sendmsg env ?meter sock ~dst payload =
   Net.send env.net ~src:(Net.socket_addr sock) ~dst payload
 
 (* Vectored burst, the body of [sendmsg_vec] and
-   [sendmsg_multicast_vec]: per datagram, the caller's [before] hook,
-   the optional user-time (marshaling) charge, the [on_segment] hook at
-   its end instant, the kernel send charge, and the injection at that
-   charge's end instant — exactly a loop of standalone sends.  The loop
-   is written out, so a burst allocates no closure of its own: with the
-   hooks left out, only what the charges and the net allocate. *)
-let send_vec env ?meter ~before ?user_cost ~on_segment sock ~multicast ~dst ~dsts payloads =
+   [sendmsg_multicast_vec]: per datagram, the optional user-time
+   (marshaling) charge, the [on_segment] hook at its end instant, the
+   kernel send charge, and the injection at that charge's end instant —
+   exactly a loop of standalone sends.  The loop is written out, so a
+   burst allocates no closure of its own: with the hook left out, only
+   what the charges and the net allocate. *)
+let send_vec env ?meter ?user_cost ~on_segment sock ~multicast ~dst ~dsts payloads =
   let host = Net.socket_host sock in
   let net = env.net and src = Net.socket_addr sock in
   for i = 0 to Array.length payloads - 1 do
-    before i;
     (match user_cost with Some u -> Host.use_cpu host ?meter ~kind:`User u | None -> ());
     on_segment i;
     charge ?meter host k_sendmsg env.c_sendmsg;
@@ -114,13 +113,11 @@ let send_vec env ?meter ~before ?user_cost ~on_segment sock ~multicast ~dst ~dst
     else Net.send net ~src ~dst payloads.(i)
   done
 
-let sendmsg_vec env ?meter ?(before = no_hook) ?user_cost ?(on_segment = no_hook) sock ~dst
-    payloads =
-  send_vec env ?meter ~before ?user_cost ~on_segment sock ~multicast:false ~dst ~dsts:[]
-    payloads
+let sendmsg_vec env ?meter ?user_cost ?(on_segment = no_hook) sock ~dst payloads =
+  send_vec env ?meter ?user_cost ~on_segment sock ~multicast:false ~dst ~dsts:[] payloads
 
 let sendmsg_multicast_vec env ?meter ?user_cost ?(on_segment = no_hook) sock ~dsts payloads =
-  send_vec env ?meter ~before:no_hook ?user_cost ~on_segment sock ~multicast:true
+  send_vec env ?meter ?user_cost ~on_segment sock ~multicast:true
     ~dst:(Net.socket_addr sock) ~dsts payloads
 
 let recvmsg env ?meter ?timeout sock =

@@ -57,7 +57,6 @@ val sendmsg : env -> ?meter:Meter.t -> Net.socket -> dst:Addr.t -> bytes -> unit
 val sendmsg_vec :
   env ->
   ?meter:Meter.t ->
-  ?before:(int -> unit) ->
   ?user_cost:float ->
   ?on_segment:(int -> unit) ->
   Net.socket ->
@@ -66,20 +65,21 @@ val sendmsg_vec :
   unit
 (** Vectored burst: charge and inject each payload exactly as a
     standalone {!sendmsg} would, in array order.  Per element [i], in
-    order: [before i] (default nothing — arbitrary caller code), then
-    the [user_cost] user-time charge if given (the caller's
-    per-segment marshaling cost), then
-    [on_segment i] at that user charge's end instant (the slot for a
-    per-segment trace emission), then the kernel [sendmsg] charge, then
-    the injection into the net at the kernel charge's end instant.
-    It is that loop of {!Host.use_cpu} charges and injections, written
-    once, so a multi-segment message reaches the transport as one unit
-    and a burst without hooks allocates no closure.
+    order: the [user_cost] user-time charge if given (the caller's
+    per-segment marshaling cost), then [on_segment i] at that user
+    charge's end instant (the slot for a per-segment trace emission),
+    then the kernel [sendmsg] charge, then the injection into the net
+    at the kernel charge's end instant.  It is that loop of
+    {!Host.use_cpu} charges and injections, written once, so a
+    multi-segment message reaches the transport as one unit and a burst
+    without a hook allocates no closure.
 
-    Exception contract: if [before]/[on_segment] raises at element [i]
-    (or the host crashes under the burst), elements [< i] have been
-    fully charged and injected, element [i] and everything after it not
-    at all — a burst is never left half-charged for a segment. *)
+    Exception contract: elements [< i] have been fully charged and
+    injected, and element [i] is never injected, nor anything after it
+    charged.  A charge is metered when it starts, so element [i] keeps
+    every charge that began before the exception: its user charge if
+    [on_segment i] raises, and its user and kernel charges if the host
+    crashes under its kernel charge. *)
 
 val sendmsg_multicast_vec :
   env ->
