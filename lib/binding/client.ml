@@ -33,11 +33,10 @@ type t = {
      the storm feeds itself.  Two structural bounds defuse it:
      identical in-flight questions are deduplicated ([inflight] —
      one rm call, every waiter shares its answer), and distinct
-     questions pass through a small semaphore ([lookup_limit]) so a
-     cold cache ramps at bounded concurrency. *)
+     questions pass through a gate of one permit ([lookup_busy]) so a
+     cold cache ramps one question at a time. *)
   inflight : (flight_key, flight) Hashtbl.t;
-  lookup_limit : int;
-  mutable lookup_active : int;
+  mutable lookup_busy : bool;  (* the permit is taken *)
   mutable lookup_q : unit Fiber.park list;  (* oldest first *)
 }
 
@@ -87,7 +86,7 @@ let without p = List.filter (fun q -> q != p)
 (* A lookup cancelled in the queue leaves it: the permit goes to the
    next live one. *)
 let gate_acquire t =
-  if t.lookup_active < t.lookup_limit then t.lookup_active <- t.lookup_active + 1
+  if not t.lookup_busy then t.lookup_busy <- true
   else begin
     let p = Fiber.own_park (Fiber.self ()) in
     t.lookup_q <- t.lookup_q @ [ p ];
@@ -97,11 +96,10 @@ let gate_acquire t =
 let gate_release t =
   match t.lookup_q with
   | p :: rest ->
-    (* Hand the permit straight to the next waiter; [lookup_active] is
-       unchanged. *)
+    (* Hand the permit straight to the next waiter; it stays taken. *)
     t.lookup_q <- rest;
     Fiber.unpark p ()
-  | [] -> t.lookup_active <- t.lookup_active - 1
+  | [] -> t.lookup_busy <- false
 
 (* Run [f] as the single flight for [key]: the first asker performs the
    (gated) Ringmaster call, everyone arriving while it is in flight
@@ -339,8 +337,7 @@ let resolve t id =
       | None -> None
       | exception _ -> None)
 
-let create ?(lookup_limit = 1) rt ~ringmaster =
-  if lookup_limit < 1 then invalid_arg "Client.create: lookup_limit must be >= 1";
+let create rt ~ringmaster =
   let t =
     { rt;
       ringmaster;
@@ -348,8 +345,7 @@ let create ?(lookup_limit = 1) rt ~ringmaster =
       by_id = Hashtbl.create 16;
       read_rr = 0;
       inflight = Hashtbl.create 8;
-      lookup_limit;
-      lookup_active = 0;
+      lookup_busy = false;
       lookup_q = [] }
   in
   Runtime.set_resolver rt (resolve t);

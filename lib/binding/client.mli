@@ -17,7 +17,7 @@ open Circus_rpc
 
 type t
 
-val create : ?lookup_limit:int -> Runtime.t -> ringmaster:Troupe.t -> t
+val create : Runtime.t -> ringmaster:Troupe.t -> t
 (** Also installs this cache as the runtime's troupe-ID resolver: the
     server half of the RPC runtime maps client troupe IDs to
     memberships through it, falling back to a [lookup_troupe_by_id]
@@ -26,7 +26,7 @@ val create : ?lookup_limit:int -> Runtime.t -> ringmaster:Troupe.t -> t
     Binding calls are gated: identical in-flight questions (same name,
     or same id) are single-flight — one Ringmaster call whose answer
     every concurrent asker shares — and distinct questions pass
-    through a semaphore of [lookup_limit] permits (default 1).
+    through a gate of one permit, one Ringmaster question at a time.
     Without the gate, a cold cache or a reconfiguration noticed by a
     whole worker pool at once turns every caller into a concurrent
     Ringmaster client; at scenario scale that dogpile queues the

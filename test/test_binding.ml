@@ -225,7 +225,7 @@ let test_resolver_through_ringmaster () =
 let test_cancelled_queued_lookup_frees_permit () =
   let w = make_world ~ringmasters:1 () in
   let rt = Runtime.create w.env (Net.add_host w.net ()) () in
-  let client = Client.create ~lookup_limit:1 rt ~ringmaster:w.ringmaster in
+  let client = Client.create rt ~ringmaster:w.ringmaster in
   let outcome = Hashtbl.create 3 in
   let ask who name ~at =
     ignore
